@@ -157,14 +157,14 @@ def cmd_analyze(args) -> int:
             file=sys.stderr,
         )
         return 1
-    report = niceness_index(o)
+    rt = reach_table(o)
+    report = niceness_index(o, rt)
     if args.format == "json":
         obj = report.to_json_obj()
         obj["acyclic"] = is_acyclic(o)
         obj["decomposable"] = is_decomposable(o)
         _emit(_json_dumps(obj), args.out)
         return 0
-    rt = reach_table(o)
     lines = [
         f"n: {o.n}",
         f"uso: true",

@@ -90,6 +90,33 @@ def reachmap_bruteforce(o: Orientation, v: int) -> int:
     return acc
 
 
+def cover_search_bfs(o: Orientation, t, v: int) -> tuple[int, int]:
+    """(distance, witness) of the closest vertex reachable from v whose
+    reachmap in table t is a proper subset of v's, by BFS from v; the witness
+    is the smallest vertex index at the minimal distance."""
+    rv = t[v]
+    seen = 1 << v
+    frontier = [v]
+    dist = 0
+    while frontier:
+        dist += 1
+        nxt = []
+        for u in frontier:
+            s = o.out(u)
+            while s:
+                low = s & -s
+                s ^= low
+                w = u ^ low
+                if not (seen >> w) & 1:
+                    seen |= 1 << w
+                    nxt.append(w)
+        hits = [w for w in nxt if t[w] != rv and t[w] & ~rv == 0]
+        if hits:
+            return dist, min(hits)
+        frontier = nxt
+    raise ValueError(f"vertex {v} has no cover; input is not a USO")
+
+
 def bfs_distance_in_face(o: Orientation, f: Face, src: int, dst: int) -> int | None:
     """Directed BFS distance from src to dst staying inside the face."""
     if src == dst:

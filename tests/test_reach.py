@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from helpers import reachmap_bruteforce
+from helpers import cover_search_bfs, reachmap_bruteforce
 from usolib.bitops import bit, coords
+from usolib.cli import FAMILIES, build_family
 from usolib.construct import (
     auso_lower_bound,
     cyclic_full_reach,
@@ -12,7 +13,7 @@ from usolib.construct import (
     random_target_combed,
     uniform,
 )
-from usolib.core import is_acyclic
+from usolib.core import Orientation, is_acyclic, validate_orientation
 from usolib.reach import cover_distance, niceness_index, reach_table, reachmap
 from usolib.rng import SplitMix64
 
@@ -165,3 +166,67 @@ def test_niceness_report_json():
     assert obj["niceness_index"] == 1
     assert obj["cover_distance"][0] is None
     assert len(obj["witness"]) == 4
+
+
+def _assert_matches_bfs_oracle(o):
+    t = reach_table(o)
+    rep = niceness_index(o, t)
+    assert rep == niceness_index(o)
+    for v in range(o.vertex_count()):
+        if v == rep.sink:
+            assert math.isinf(rep.cover_distance[v]) and rep.witness[v] is None
+        else:
+            assert (rep.cover_distance[v], rep.witness[v]) == cover_search_bfs(o, t, v)
+
+
+def test_niceness_sweep_matches_bfs_oracle_on_all_3_cubes(all_usos_3):
+    assert len(all_usos_3) == 744
+    for o in all_usos_3:
+        _assert_matches_bfs_oracle(o)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_niceness_sweep_matches_bfs_oracle_on_families(family):
+    low = 4 if family == "auso-lb" else 3  # auso_lower_bound needs n >= 4
+    for n in range(low, 10):
+        for seed in (1, 2, 3):
+            _assert_matches_bfs_oracle(build_family(family, n, seed))
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_niceness_closed_forms_at_larger_n(n):
+    assert niceness_index(cyclic_full_reach(n)).niceness_index == n
+    assert niceness_index(auso_lower_bound(n)).niceness_index == n - 2
+    assert niceness_index(klee_minty(n)).niceness_index == 1
+    assert niceness_index(random_target_combed(n, SplitMix64(n))).niceness_index == 1
+
+
+def test_niceness_rejects_two_sinks():
+    # {01, 10} -> {00, 11}
+    o = Orientation(2, [0b00, 0b11, 0b11, 0b00])
+    assert validate_orientation(o)
+    with pytest.raises(ValueError, match="2 vertices have an empty outmap"):
+        niceness_index(o)
+
+
+def test_niceness_rejects_a_directed_4_cycle():
+    # 00 -> 01 -> 11 -> 10 -> 00, no sink
+    o = Orientation(2, [0b01, 0b10, 0b10, 0b01])
+    assert validate_orientation(o)
+    with pytest.raises(ValueError, match="0 vertices have an empty outmap"):
+        niceness_index(o)
+
+
+def test_niceness_rejects_a_vertex_without_cover():
+    # the face {0011, 0111, 1111, 1011} is a directed 4-cycle that every
+    # incident edge enters; all other edges point down, so 0000 is the one
+    # sink and the cycle's vertices reach nothing with a smaller reachmap
+    cycle = {0b0011: 0b0100, 0b0111: 0b1000, 0b1111: 0b0100, 0b1011: 0b1000}
+    table = []
+    for v in range(16):
+        into_cycle = sum(1 << j for j in range(4) if v ^ (1 << j) in cycle)
+        table.append(cycle.get(v, v | into_cycle))
+    o = Orientation(4, table)
+    assert validate_orientation(o)
+    with pytest.raises(ValueError, match="vertex 3 has no cover"):
+        niceness_index(o)
