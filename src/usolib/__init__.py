@@ -19,7 +19,6 @@ from .core import (
     is_acyclic,
     is_decomposable,
     outmap_of,
-    uso_by_face_scan,
     validate_orientation,
     validate_uso,
 )

@@ -1,6 +1,7 @@
 """Sink-finding algorithms and their instrumentation.
 
-Random Edge (seeded random walks, scalar and batched), Bottom Antipodal,
+Random Edge and Bottom Antipodal (seeded walks, scalar and batched in one
+lockstep engine that takes a step rule),
 join operations, a deterministic replacement for Random Edge built from
 joins, the Fibonacci Seesaw, and the restarted seesaw that is bounded by
 the reachmap of the start vertex. Every algorithm counts distinct vertex
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitops import full_mask, lowest_coord, popcount
+from .bitops import format_coord_set, full_mask, lowest_coord, popcount
 from .core import EvalCounter, Face, Orientation
 from .reach import reach_table
 from .rng import (
@@ -190,13 +191,33 @@ def random_edge_walk(o: Orientation, start: int, seed: int, cap: int) -> RunStat
             evals += 1
 
 
-def _walk_batch_re(
-    o: Orientation, starts: np.ndarray, seeds: np.ndarray, cap: int
+def _random_edge_rule(n: int):
+    """Random Edge step rule: step t crosses the outgoing edge picked by
+    value t of each trial's stream, as :func:`random_edge_walk` does."""
+    pc, offs, flat = _bits_tables(n)
+
+    def move(s, seeds, active, t):
+        z = stream_values_np(seeds[active], t)
+        return flat[offs[s] + (z % pc[s].astype(np.uint64)).astype(np.int64)]
+
+    return move
+
+
+def _bottom_antipodal_rule(n: int):
+    """Bottom Antipodal step rule: cross every outgoing edge (v <- v xor
+    s(v)); seeds only pick starts."""
+    return lambda s, seeds, active, t: s
+
+
+_STEP_RULES = {"re": _random_edge_rule, "ba": _bottom_antipodal_rule}
+
+
+def _walk_lockstep(
+    o: Orientation, starts: np.ndarray, seeds: np.ndarray, cap: int, move
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Random Edge: all trials advance in lockstep; bit-identical
-    to per-trial :func:`random_edge_walk`."""
+    """All trials advance in lockstep, each step xoring in the mask the
+    step rule ``move`` picks; bit-identical to the per-trial walks."""
     size = o.vertex_count()
-    pc, offs, flat = _bits_tables(o.n)
     table = o.outmap.astype(np.int64)
     count = starts.size
     v = starts.astype(np.int64).copy()
@@ -221,45 +242,7 @@ def _walk_batch_re(
         if t >= cap:
             capped[active] = True
             break
-        z = stream_values_np(seeds64[active], t)
-        k = pc[s_cur].astype(np.uint64)
-        idx = (z % k).astype(np.int64)
-        v[active] ^= flat[offs[s_cur] + idx]
-        steps[active] += 1
-        visited[active, v[active]] = True
-        t += 1
-    return steps, visited.sum(axis=1), found, capped
-
-
-def _walk_batch_ba(
-    o: Orientation, starts: np.ndarray, seeds: np.ndarray, cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Bottom Antipodal (v <- v xor s(v)); seeds only pick starts."""
-    size = o.vertex_count()
-    table = o.outmap.astype(np.int64)
-    count = starts.size
-    v = starts.astype(np.int64).copy()
-    steps = np.zeros(count, dtype=np.int64)
-    found = np.full(count, -1, dtype=np.int64)
-    capped = np.zeros(count, dtype=bool)
-    visited = np.zeros((count, size), dtype=bool)
-    visited[np.arange(count), v] = True
-    active = np.arange(count)
-    t = 0
-    while active.size:
-        cur = v[active]
-        s_cur = table[cur]
-        is_sink = s_cur == 0
-        if is_sink.any():
-            found[active[is_sink]] = cur[is_sink]
-            active = active[~is_sink]
-            s_cur = s_cur[~is_sink]
-        if not active.size:
-            break
-        if t >= cap:
-            capped[active] = True
-            break
-        v[active] ^= s_cur
+        v[active] ^= move(s_cur, seeds64, active, t)
         steps[active] += 1
         visited[active, v[active]] = True
         t += 1
@@ -305,11 +288,12 @@ def walk_batch(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if algo not in ("re", "ba"):
+    rule = _STEP_RULES.get(algo)
+    if rule is None:
         raise ValueError(f"unknown walk algorithm {algo!r}")
-    engine = _walk_batch_re if algo == "re" else _walk_batch_ba
     seeds = derive_seeds_np(seed, trials)
     starts = _starts_array(o, start_policy, seeds)
+    move = rule(o.n)
     # chunking bounds the visited matrix; boundaries do not affect results
     chunk = max(256, 4_000_000 // o.vertex_count())
     pieces = [
@@ -319,9 +303,11 @@ def walk_batch(
     workers = threads if threads is not None else worker_count()
     if workers > 1 and len(pieces) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: engine(o, p[0], p[1], cap), pieces))
+            results = list(
+                pool.map(lambda p: _walk_lockstep(o, p[0], p[1], cap, move), pieces)
+            )
     else:
-        results = [engine(o, s, z, cap) for s, z in pieces]
+        results = [_walk_lockstep(o, s, z, cap, move) for s, z in pieces]
     steps = np.concatenate([r[0] for r in results])
     evals = np.concatenate([r[1] for r in results])
     found = np.concatenate([r[2] for r in results])
@@ -393,6 +379,15 @@ def bottom_antipodal(o: Orientation, start: int, cap: int) -> RunStats:
             evals += 1
 
 
+def _not_uso(u: int, v: int, differ: int) -> ValueError:
+    """The pairwise criterion fails: in a USO, the outmaps of two vertices
+    differ somewhere on the coordinates ``differ`` where the vertices do."""
+    return ValueError(
+        f"not a USO: vertices {u} and {v} differ on {format_coord_set(differ)} "
+        "but their outmaps agree there"
+    )
+
+
 class JoinResult(NamedTuple):
     vertex: int
     evaluations: int
@@ -407,7 +402,8 @@ def join_pair(
     At each move the two current vertices differ in some coordinate that is
     outgoing for exactly one of them (the smallest such coordinate is used);
     that endpoint steps across it, shrinking the Hamming distance by one, so
-    the number of moves is at most |u xor v|.
+    the number of moves is at most |u xor v|. Raises ``ValueError`` naming
+    the pair when no such coordinate exists, which only a non-USO allows.
     """
     if oracle is None:
         oracle = EvalCounter(o)
@@ -417,7 +413,8 @@ def join_pair(
         su = oracle(u)
         sv = oracle(v)
         cand = (su ^ sv) & (u ^ v)
-        # nonempty for any two distinct vertices of a USO
+        if cand == 0:
+            raise _not_uso(u, v, u ^ v)
         b = cand & -cand
         if su & b:
             u ^= b
@@ -570,7 +567,9 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
     coordinate on which the two sink outmaps differ; the side whose sink
     has it outgoing must be re-solved, and the new sink lies in the fresh
     half, a face one dimension below. Recursing on that half yields the
-    Fibonacci-like evaluation count.
+    Fibonacci-like evaluation count. Raises ``ValueError`` naming the two
+    sinks when their outmaps agree on every coordinate left, which only a
+    non-USO allows.
     """
     if face.dimension == 0:
         oracle(face.anchor)
@@ -589,6 +588,9 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
         sa = oracle(sink_a)
         sb = oracle(sink_b)
         diff = (sa ^ sb) & rest
+        if diff == 0:
+            # the two sinks differ on all of rest
+            raise _not_uso(sink_a, sink_b, rest)
         b = diff & -diff
         if sa & b:
             sink_a = _fs(oracle, Face(v0 | b, spanned))
@@ -619,7 +621,9 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     The current vertex is always the sink of the face spanned by the used
     coordinates through the start, so the iteration count is bounded by the
     reachmap size of the start vertex and the reachmaps along the way only
-    shrink. The trace records both for inspection.
+    shrink. The trace records both for inspection. A returned vertex that
+    is not the sink of its face raises ``ValueError``, so every iteration
+    adds a coordinate and the loop ends within n iterations on any table.
     """
     oracle = EvalCounter(o)
     rt = reach_table(o)  # instrumentation, not charged to the oracle
@@ -629,6 +633,11 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     spanned = 0
     while oracle(v) != 0:
         s = oracle(v)
+        if s & spanned:
+            raise ValueError(
+                f"not a USO: the seesaw returned vertex {v}, which is not the "
+                f"sink of its face span={format_coord_set(spanned)}"
+            )
         b = s & -s
         before = oracle.evaluations
         v = _fs(oracle, Face(v ^ b, spanned))

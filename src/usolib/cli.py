@@ -40,7 +40,6 @@ class ExperimentRecord:
     steps: int
     evaluations: int
     capped: bool
-    wall_ms: int
 
     def csv_row(self) -> str:
         # fixed 6-column format; timing is reported only in JSON output so
@@ -57,7 +56,6 @@ class ExperimentRecord:
             "steps": self.steps,
             "evaluations": self.evaluations,
             "capped": self.capped,
-            "wall_ms": self.wall_ms,
         }
 
 
@@ -201,7 +199,6 @@ def _records_from_batch(
                 steps=int(batch.steps[k]),
                 evaluations=int(batch.evaluations[k]),
                 capped=bool(batch.capped[k]),
-                wall_ms=0,
             )
         )
     return records
@@ -275,7 +272,7 @@ def cmd_solve(args) -> int:
 
 def cmd_enum(args) -> int:
     if args.census:
-        result = enumeration.census(args.n, heavy=args.heavy)
+        result = enumeration.census(args.n)
         _emit(_json_dumps(result.to_json_obj()), args.out)
     else:
         count = enumeration.enumerate_all(args.n, heavy=args.heavy)

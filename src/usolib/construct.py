@@ -45,17 +45,12 @@ def klee_minty(n: int) -> Orientation:
     directed Hamiltonian path from source to sink (the sink is the empty
     vertex)."""
     _check_dimension(n)
-    size = 1 << n
-    table = np.zeros(size, dtype=np.uint32)
-    for v in range(size):
-        s = 0
-        parity = 0
-        for i in range(n, 0, -1):
-            if (v >> (i - 1)) & 1:
-                parity ^= 1
-            if parity:
-                s |= 1 << (i - 1)
-        table[v] = s
+    verts = np.arange(1 << n, dtype=np.uint32)
+    # bit i-1 of v >> k is coordinate i + k of v, so xoring the n shifts
+    # leaves the parity of v's coordinates >= i in bit i-1
+    table = verts.copy()
+    for k in range(1, n):
+        table ^= verts >> np.uint32(k)
     return Orientation(n, table, copy=False)
 
 

@@ -2,9 +2,11 @@
 
 An orientation of the n-cube is stored as a dense outmap table: entry v is
 the set of coordinates along which the edges at vertex v point away from v.
-This module provides the table type, faces, the edge-consistency and
-unique-sink validators, acyclicity and decomposability tests, and
-canonicalization under the hypercube automorphism group.
+This module provides the table type, faces, one edge-consistency check and
+one unique-sink check (each returns the first violation it finds), a
+topological order with the acyclicity test built on it, the
+decomposability test, and canonicalization under the hypercube
+automorphism group.
 """
 
 from __future__ import annotations
@@ -177,16 +179,30 @@ def outmap_of(o: Orientation, v: int) -> int:
     return o.out(v)
 
 
+def first_edge_violation(o: Orientation) -> tuple[int, int] | None:
+    """(vertex, coordinate) of the first edge whose endpoints agree on it.
+
+    An edge is consistent when exactly one endpoint has it outgoing. The
+    result is the smallest bad vertex and, for that vertex, its smallest bad
+    coordinate (1-based); None when every edge is consistent.
+    """
+    best = None
+    for j in range(1, o.n + 1):
+        b = bit(j)
+        # row r pairs vertex 2br + c (coordinate j clear) with 2br + b + c
+        sides = (o._table & np.uint32(b)).reshape(-1, 2, b)
+        bad = np.flatnonzero(sides[:, 0] == sides[:, 1])
+        if bad.size:
+            row, col = divmod(int(bad[0]), b)
+            v = 2 * b * row + col
+            if best is None or v < best[0]:
+                best = (v, j)
+    return best
+
+
 def validate_orientation(o: Orientation) -> bool:
     """True iff every edge has exactly one outgoing endpoint."""
-    table = o._table
-    idx = np.arange(table.size)
-    for j in range(o.n):
-        b = np.uint32(1 << j)
-        side = table & b
-        if np.any(side == (table[idx ^ (1 << j)] & b)):
-            return False
-    return True
+    return first_edge_violation(o) is None
 
 
 def face_sink(o: Orientation, f: Face) -> int:
@@ -209,14 +225,6 @@ def face_sink(o: Orientation, f: Face) -> int:
     return found
 
 
-def uso_by_face_scan(o: Orientation) -> bool:
-    """Exhaustive unique-sink check over all faces.
-
-    O(4**n); kept as the ground-truth reference for :func:`validate_uso`.
-    """
-    return first_uso_violation(o) is None
-
-
 def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
     """First face (ordered by span then anchor) with sink count != 1."""
     n = o.n
@@ -235,55 +243,38 @@ def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
 
 
 def validate_uso(o: Orientation) -> bool:
-    """Unique-sink check via the pairwise outmap criterion.
-
-    For every pair of distinct vertices u, v the sets s(u) xor s(v) and
-    u xor v must intersect. This is equivalent to every face having a
-    unique sink; the test suite cross-validates it against
-    :func:`uso_by_face_scan`.
-    """
-    table = o._table.astype(np.uint32)
-    size = table.size
-    verts = np.arange(size, dtype=np.uint32)
-    # chunk rows to keep the pairwise matrices modest at larger n
-    chunk = max(1, min(size, (1 << 22) // size))
-    for lo in range(0, size, chunk):
-        hi = min(size, lo + chunk)
-        s_diff = table[lo:hi, None] ^ table[None, :]
-        v_diff = verts[lo:hi, None] ^ verts[None, :]
-        ok = (s_diff & v_diff) != 0
-        # the diagonal (u == v) is exempt
-        rows = np.arange(lo, hi)
-        ok[rows - lo, rows] = True
-        if not ok.all():
-            return False
-    return True
+    """True iff every face has exactly one sink."""
+    return first_uso_violation(o) is None
 
 
-def is_acyclic(o: Orientation) -> bool:
-    """True iff the directed edge relation has no cycle (Kahn's algorithm).
+def topological_order(o: Orientation) -> list[int] | None:
+    """Vertices ordered so that every edge points forward (Kahn's
+    algorithm); None when the directed edge relation has a cycle.
 
     In-degree of a vertex is n minus its out-degree, so the scan needs no
     adjacency construction.
     """
-    n = o.n
-    size = o.vertex_count()
-    table = o._table
-    indeg = [n - popcount(int(table[v])) for v in range(size)]
-    stack = [v for v in range(size) if indeg[v] == 0]
-    seen = 0
+    table = o._table.tolist()
+    indeg = [o.n - s.bit_count() for s in table]
+    stack = [v for v, d in enumerate(indeg) if d == 0]
+    order: list[int] = []
     while stack:
         v = stack.pop()
-        seen += 1
-        s = int(table[v])
+        order.append(v)
+        s = table[v]
         while s:
             low = s & -s
-            u = v ^ low
             s ^= low
+            u = v ^ low
             indeg[u] -= 1
             if indeg[u] == 0:
                 stack.append(u)
-    return seen == size
+    return order if len(order) == len(table) else None
+
+
+def is_acyclic(o: Orientation) -> bool:
+    """True iff the directed edge relation has no cycle."""
+    return topological_order(o) is not None
 
 
 def _combed_direction(o: Orientation, f: Face, j: int) -> int:

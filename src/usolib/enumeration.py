@@ -18,7 +18,7 @@ from .core import (
     canonical_form,
     is_acyclic,
     is_decomposable,
-    uso_by_face_scan,
+    validate_uso,
 )
 from .reach import niceness_index
 
@@ -48,7 +48,7 @@ def enumerate_all(
 
     ``branch_descending`` reverses the branching order (the visit order
     changes, the visited set must not). ``verify`` re-checks every complete
-    table with the exhaustive face scan before visiting it.
+    table with :func:`validate_uso` before visiting it.
     """
     _check_enumerable(n, heavy)
     size = 1 << n
@@ -60,7 +60,7 @@ def enumerate_all(
         nonlocal count
         if v == size:
             o = Orientation(n, table)
-            if verify and not uso_by_face_scan(o):
+            if verify and not validate_uso(o):
                 return
             count += 1
             if visitor is not None:
@@ -101,12 +101,11 @@ class Census:
     cyclic: int
     decomposable: int
     niceness_histogram: dict[int, int]
-    #: canonical outmap table (space-joined) -> orbit size; None when
-    #: iso-classing was skipped (n == 4)
-    iso_classes: dict[str, int] | None
+    #: canonical outmap table (space-joined) -> orbit size
+    iso_classes: dict[str, int]
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "n": self.n,
             "total_uso": self.total_uso,
             "acyclic": self.acyclic,
@@ -116,17 +115,11 @@ class Census:
                 str(k): self.niceness_histogram[k]
                 for k in sorted(self.niceness_histogram)
             },
+            "iso_classes": {k: self.iso_classes[k] for k in sorted(self.iso_classes)},
         }
-        if self.iso_classes is None:
-            obj["iso_classes"] = None
-        else:
-            obj["iso_classes"] = {
-                k: self.iso_classes[k] for k in sorted(self.iso_classes)
-            }
-        return obj
 
 
-def census(n: int, *, heavy: bool = False) -> Census:
+def census(n: int) -> Census:
     """Full classification of all n-dimensional USOs; n <= 3 only.
 
     Classifying the millions of 4-dimensional USOs is out of reach for this
@@ -137,12 +130,11 @@ def census(n: int, *, heavy: bool = False) -> Census:
         raise ValueError(
             "census supports n <= 3; use enumerate_all(n, heavy=True) for counts"
         )
-    _check_enumerable(n, heavy)
     total = 0
     acyclic_count = 0
     decomposable_count = 0
     histogram: dict[int, int] = {}
-    iso: dict[str, int] | None = {} if n <= 3 else None
+    iso: dict[str, int] = {}
 
     def visit(o: Orientation) -> None:
         nonlocal total, acyclic_count, decomposable_count
@@ -153,11 +145,10 @@ def census(n: int, *, heavy: bool = False) -> Census:
             decomposable_count += 1
         idx = niceness_index(o).niceness_index
         histogram[idx] = histogram.get(idx, 0) + 1
-        if iso is not None:
-            key = " ".join(str(x) for x in canonical_form(o).outmap.tolist())
-            iso[key] = iso.get(key, 0) + 1
+        key = " ".join(str(x) for x in canonical_form(o).outmap.tolist())
+        iso[key] = iso.get(key, 0) + 1
 
-    enumerate_all(n, visit, heavy=heavy)
+    enumerate_all(n, visit)
     result = Census(
         n=n,
         total_uso=total,

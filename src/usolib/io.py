@@ -4,7 +4,8 @@ Text format (USO-TEXT v1): line 1 is ``uso <n>``; the following 2**n lines
 hold the decimal outmap bitmask of vertex k for k = 0, 1, ... (vertex index
 equals the vertex bitmask read as an unsigned integer). The JSON form
 mirrors the same data as {"n": ..., "outmap": [...]}. Both loaders reject
-edge-inconsistent tables.
+edge-inconsistent tables and name the first violation that
+:func:`usolib.core.first_edge_violation` finds.
 """
 
 from __future__ import annotations
@@ -12,28 +13,21 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .bitops import bit, full_mask
-from .core import MAX_DIMENSION, Orientation
+from .bitops import full_mask
+from .core import MAX_DIMENSION, Orientation, first_edge_violation
 
 
 class ParseError(ValueError):
     """Malformed orientation file."""
 
 
-def _first_inconsistent_vertex(o: Orientation) -> tuple[int, int] | None:
-    """(vertex, coordinate) of the first edge-consistency violation."""
-    for v in range(o.vertex_count()):
-        s = o.out(v)
-        for j in range(1, o.n + 1):
-            b = bit(j)
-            if bool(s & b) == bool(o.out(v ^ b) & b):
-                return v, j
-    return None
+#: the loader's edge check under its former name, which benchmarks/baselines.py times
+_first_inconsistent_vertex = first_edge_violation
 
 
 def _finish(n: int, values: list[int], lineno_of_vertex) -> Orientation:
     o = Orientation(n, values)
-    bad = _first_inconsistent_vertex(o)
+    bad = first_edge_violation(o)
     if bad is not None:
         v, j = bad
         raise ParseError(

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .bitops import full_mask, popcount
-from .core import Orientation
+from .bitops import full_mask
+from .core import Orientation, topological_order
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,13 @@ def reachmap(o: Orientation, v: int) -> int:
 
 def _reach_table_acyclic(o: Orientation) -> list[int] | None:
     """Reverse-topological accumulation; None when the orientation is cyclic."""
-    size = o.vertex_count()
-    table = o._table
-    indeg = [o.n - popcount(int(table[v])) for v in range(size)]
-    stack = [v for v in range(size) if indeg[v] == 0]
-    order: list[int] = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        s = int(table[v])
-        while s:
-            low = s & -s
-            s ^= low
-            u = v ^ low
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                stack.append(u)
-    if len(order) != size:
+    order = topological_order(o)
+    if order is None:
         return None
-    reach = [0] * size
+    table = o._table.tolist()
+    reach = [0] * len(table)
     for v in reversed(order):
-        s = int(table[v])
+        s = table[v]
         acc = s
         while s:
             low = s & -s

@@ -1,7 +1,8 @@
 """Independent oracles used to cross-check the library.
 
 Everything here is deliberately written from the definitions, without
-reusing the library's fast paths: pure-python face scans, per-vertex
+reusing the library's fast paths: a pure-python edge check and face scan,
+the pairwise unique-sink criterion, the Klee-Minty table, per-vertex
 reachability sets, BFS distances, and brute-force enumeration over raw edge
 orientations.
 """
@@ -10,9 +11,24 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from usolib.bitops import bit, coords, full_mask, submasks
 from usolib.core import Face, Orientation
 from usolib.rng import SplitMix64
+
+
+def first_edge_violation_pure(o: Orientation) -> tuple[int, int] | None:
+    """(vertex, coordinate) of the first edge whose endpoints both have it
+    outgoing or both incoming, scanning vertices then coordinates
+    ascending; no numpy."""
+    for v in range(o.vertex_count()):
+        s = o.out(v)
+        for j in range(1, o.n + 1):
+            b = bit(j)
+            if bool(s & b) == bool(o.out(v ^ b) & b):
+                return v, j
+    return None
 
 
 def uso_by_face_scan_pure(o: Orientation) -> bool:
@@ -30,6 +46,41 @@ def uso_by_face_scan_pure(o: Orientation) -> bool:
             if count != 1:
                 return False
     return True
+
+
+def uso_by_pairwise(o: Orientation) -> bool:
+    """Unique-sink check via the pairwise outmap criterion (Szabo & Welzl):
+    for every pair of distinct vertices u, v the sets s(u) xor s(v) and
+    u xor v must intersect."""
+    table = o.outmap.astype(np.uint32)
+    size = table.size
+    verts = np.arange(size, dtype=np.uint32)
+    # chunk rows to keep the pairwise matrices modest at larger n
+    chunk = max(1, min(size, (1 << 22) // size))
+    for lo in range(0, size, chunk):
+        hi = min(size, lo + chunk)
+        s_diff = table[lo:hi, None] ^ table[None, :]
+        v_diff = verts[lo:hi, None] ^ verts[None, :]
+        ok = (s_diff & v_diff) != 0
+        # the diagonal (u == v) is exempt
+        rows = np.arange(lo, hi)
+        ok[rows - lo, rows] = True
+        if not ok.all():
+            return False
+    return True
+
+
+def klee_minty_by_definition(n: int) -> Orientation:
+    """Klee-Minty table from its definition: coordinate i is outgoing at v
+    iff v has an odd number of coordinates >= i."""
+    table = []
+    for v in range(1 << n):
+        s = 0
+        for i in range(1, n + 1):
+            if sum(1 for k in range(i, n + 1) if v & bit(k)) % 2:
+                s |= bit(i)
+        table.append(s)
+    return Orientation(n, table)
 
 
 def cube_edges(n: int) -> list[tuple[int, int]]:

@@ -27,7 +27,7 @@ from usolib.construct import (
     random_target_combed,
     uniform,
 )
-from usolib.core import Face, face_sink
+from usolib.core import Face, Orientation, face_sink
 from usolib.reach import reach_table
 from usolib.rng import SplitMix64
 
@@ -45,8 +45,6 @@ def test_sink_and_source_by_scan():
     o = klee_minty(4)
     assert find_sink_by_scan(o) == 0
     assert o.out(source_vertex(o)) == full_mask(4)
-    from usolib.core import Orientation
-
     four_cycle = Orientation(2, [1, 2, 2, 1])  # no vertex has an empty outmap
     with pytest.raises(ValueError):
         find_sink_by_scan(four_cycle)
@@ -198,6 +196,51 @@ def test_bottom_antipodal_can_hit_cap():
     assert stats.capped or stats.found_sink == find_sink_by_scan(o)
 
 
+def _scalar_matches_batch(batch, scalar_at, trials) -> None:
+    for k in trials:
+        scalar = scalar_at(k)
+        assert scalar.steps == int(batch.steps[k])
+        assert scalar.evaluations == int(batch.evaluations[k])
+        assert scalar.capped == bool(batch.capped[k])
+        found = int(batch.found[k])
+        assert scalar.found_sink == (None if found < 0 else found)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize(
+    "o",
+    [klee_minty(6), auso_lower_bound(6), cyclic_full_reach(4)],
+    ids=["km6", "auso-lb6", "cyclic-lb4"],
+)
+def test_bottom_antipodal_batch_matches_scalar(o, threads):
+    # more trials than one walk_batch chunk holds, and a cap small enough
+    # that some trials stop at it
+    trials = 4_000_000 // o.vertex_count() + 500
+    cap = 3
+    batch = walk_batch(o, "ba", "random", trials, seed=17, cap=cap, threads=threads)
+    assert batch.capped.any() and not batch.capped.all()
+    # Bottom Antipodal is deterministic given its start vertex
+    by_start = {v: bottom_antipodal(o, v, cap) for v in range(o.vertex_count())}
+    _scalar_matches_batch(
+        batch, lambda k: by_start[int(batch.starts[k])], range(trials)
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_random_edge_batch_matches_scalar_across_chunks(threads):
+    o = cyclic_full_reach(4)
+    trials = 4_000_000 // o.vertex_count() + 500
+    cap = 5
+    batch = walk_batch(o, "re", "random", trials, seed=23, cap=cap, threads=threads)
+    assert batch.capped.any() and not batch.capped.all()
+    sample = range(0, trials, 331)
+    _scalar_matches_batch(
+        batch,
+        lambda k: random_edge_walk(o, int(batch.starts[k]), int(batch.seeds[k]), cap),
+        [*sample, trials - 1],
+    )
+
+
 def test_join_pair_identical_vertices():
     o = klee_minty(3)
     result = join_pair(o, 5, 5)
@@ -219,6 +262,35 @@ def test_join_pair_reachability_and_move_bound():
             assert result.moves <= popcount(u ^ v)
             assert (reachable_vertices(o, u) >> result.vertex) & 1
             assert (reachable_vertices(o, v) >> result.vertex) & 1
+
+
+# edge-consistent with one global sink (7), but the bottom 2-face is the
+# directed 4-cycle 0 -> 1 -> 3 -> 2 -> 0
+NOT_USO_3 = Orientation(3, [5, 6, 6, 5, 3, 2, 1, 0])
+
+
+def test_join_pair_raises_on_non_uso():
+    with pytest.raises(ValueError, match="not a USO: vertices 1 and 2 differ on {1,2}"):
+        join_pair(NOT_USO_3, 1, 2)
+    for u in range(8):
+        for v in range(8):
+            try:
+                w = join_pair(NOT_USO_3, u, v).vertex
+            except ValueError as exc:
+                assert str(exc).startswith("not a USO")
+            else:
+                assert (reachable_vertices(NOT_USO_3, u) >> w) & 1
+                assert (reachable_vertices(NOT_USO_3, v) >> w) & 1
+
+
+def test_seesaws_raise_on_non_uso():
+    with pytest.raises(ValueError, match="not a USO: vertices 0 and 3 differ on {1,2}"):
+        fibonacci_seesaw(NOT_USO_3, Face(0, 0b011))
+    for start in range(4):
+        with pytest.raises(ValueError, match="not a USO"):
+            fs_revisited(NOT_USO_3, start)
+    for start in range(4, 8):
+        assert fs_revisited(NOT_USO_3, start)[0] == 7
 
 
 def test_join_set_examples():

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import klee_minty_by_definition
 from usolib.bitops import bit, coords, from_coords, full_mask, popcount
 from usolib.construct import (
     FlipPreconditionViolated,
@@ -45,6 +46,11 @@ def test_uniform_is_decomposable_and_1_nice():
 
 def test_klee_minty_2_table():
     assert klee_minty(2).outmap.tolist() == [0b00, 0b01, 0b11, 0b10]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_klee_minty_matches_definition(n):
+    assert klee_minty(n) == klee_minty_by_definition(n)
 
 
 def test_klee_minty_properties():

@@ -4,9 +4,11 @@ from helpers import (
     brute_force_usos,
     bfs_distance_in_face,
     cube_edges,
+    first_edge_violation_pure,
     orientation_from_edge_bits,
     random_consistent_table,
     uso_by_face_scan_pure,
+    uso_by_pairwise,
 )
 from usolib.bitops import bit, full_mask, popcount, submasks
 from usolib.core import (
@@ -17,11 +19,13 @@ from usolib.core import (
     ZeroSinksError,
     canonical_form,
     face_sink,
+    first_edge_violation,
+    first_uso_violation,
     hypercube_automorphisms,
     is_acyclic,
     is_decomposable,
     outmap_of,
-    uso_by_face_scan,
+    topological_order,
     validate_orientation,
     validate_uso,
 )
@@ -82,6 +86,26 @@ def test_validate_orientation():
     assert not validate_orientation(Orientation(1, [1, 1]))
 
 
+def test_first_edge_violation_examples():
+    assert first_edge_violation(klee_minty(5)) is None
+    assert first_edge_violation(Orientation(1, [1, 1])) == (0, 1)
+    # the coordinate-1 edge between vertices 2 and 3 is incoming at both
+    assert first_edge_violation(Orientation(2, [3, 2, 0, 0])) == (2, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_first_edge_violation_matches_pure_loop(n):
+    rng = SplitMix64(500 + n)
+    for k in range(60):
+        table = random_consistent_table(n, rng).outmap.copy()
+        for _ in range(k % 3):  # 0, 1 or 2 flipped bits
+            table[rng.randrange(1 << n)] ^= bit(rng.randrange(n) + 1)
+        o = Orientation(n, table)
+        expect = first_edge_violation_pure(o)
+        assert first_edge_violation(o) == expect
+        assert validate_orientation(o) == (expect is None)
+
+
 def test_random_flips_preserve_edge_consistency():
     rng = SplitMix64(3)
     o = uniform(4)
@@ -109,9 +133,11 @@ def test_validate_uso_simple_cases():
     for n in range(1, 7):
         assert validate_uso(uniform(n))
     assert validate_uso(cyclic_full_reach(3))
-    assert uso_by_face_scan(cyclic_full_reach(3))
+    assert uso_by_pairwise(cyclic_full_reach(3))
     assert not validate_uso(DOUBLE_SINK)
     assert not validate_uso(FOUR_CYCLE)
+    assert first_uso_violation(DOUBLE_SINK) == (Face(0, 0b11), 2)
+    assert first_uso_violation(FOUR_CYCLE) == (Face(0, 0b11), 0)
 
 
 def test_validate_uso_agrees_with_face_scan_exhaustively_small():
@@ -124,7 +150,7 @@ def test_validate_uso_agrees_with_face_scan_exhaustively_small():
             o = orientation_from_edge_bits(n, edges, bits)
             expect = uso_by_face_scan_pure(o)
             assert validate_uso(o) == expect
-            assert uso_by_face_scan(o) == expect
+            assert uso_by_pairwise(o) == expect
 
 
 @pytest.mark.parametrize("n,samples", [(4, 6000), (5, 4000)])
@@ -136,7 +162,7 @@ def test_validate_uso_agrees_with_face_scan_random_tables(n, samples):
             o = random_fmo(n, rng)  # valid by construction
         else:
             o = random_consistent_table(n, rng)
-        expect = uso_by_face_scan(o)
+        expect = uso_by_pairwise(o)
         assert validate_uso(o) == expect
         agree_true += expect
     assert agree_true >= samples // 5  # the FMO injections are all USOs
@@ -198,6 +224,22 @@ def test_is_acyclic():
     assert not is_acyclic(cyclic_full_reach(3))
     assert not is_acyclic(FOUR_CYCLE)
     assert is_acyclic(auso_lower_bound(5))
+
+
+def test_topological_order_puts_every_edge_forward():
+    for o in (klee_minty(6), auso_lower_bound(6), random_fmo(7, SplitMix64(4))):
+        order = topological_order(o)
+        if order is None:
+            assert not is_acyclic(o)
+            continue
+        assert sorted(order) == list(range(o.vertex_count()))
+        rank = {v: k for k, v in enumerate(order)}
+        for v in order:
+            for j in range(1, o.n + 1):
+                if o.out(v) & bit(j):
+                    assert rank[v] < rank[v ^ bit(j)]
+    assert topological_order(cyclic_full_reach(4)) is None
+    assert topological_order(FOUR_CYCLE) is None
 
 
 def test_is_decomposable():

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from helpers import first_edge_violation_pure, random_consistent_table
+from usolib.bitops import bit
 from usolib.cli import main
 from usolib.construct import cyclic_full_reach, klee_minty, uniform
+from usolib.core import Orientation
 from usolib.io import (
     ParseError,
     dumps_json,
@@ -13,6 +16,7 @@ from usolib.io import (
     read_orientation,
     write_orientation,
 )
+from usolib.rng import SplitMix64
 
 
 def test_text_round_trip(tmp_path):
@@ -61,6 +65,38 @@ def test_text_loader_rejects_edge_inconsistent_table():
         loads_text("uso 1\n1\n1\n")
     assert "edge-inconsistent" in str(err.value)
     assert "line 2" in str(err.value)
+
+
+def test_loader_names_the_first_inconsistent_edge():
+    # the coordinate-1 edge between vertices 2 and 3 is incoming at both
+    table = [3, 2, 0, 0]
+    expect = "line 4: edge-inconsistent table (vertex 2, coordinate 1)"
+    with pytest.raises(ParseError) as err:
+        loads_text("uso 2\n" + "\n".join(map(str, table)) + "\n")
+    assert str(err.value) == expect
+    with pytest.raises(ParseError) as err:
+        loads_json(json.dumps({"n": 2, "outmap": table}))
+    assert str(err.value) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_loader_error_text_matches_pure_edge_check(n):
+    rng = SplitMix64(700 + n)
+    for _ in range(20):
+        table = random_consistent_table(n, rng).outmap.tolist()
+        for _flip in range(1 + rng.randrange(2)):
+            table[rng.randrange(1 << n)] ^= bit(rng.randrange(n) + 1)
+        bad = first_edge_violation_pure(Orientation(n, table))
+        if bad is None:
+            continue
+        v, j = bad
+        expect = f"line {v + 2}: edge-inconsistent table (vertex {v}, coordinate {j})"
+        with pytest.raises(ParseError) as err:
+            loads_text(f"uso {n}\n" + "\n".join(map(str, table)) + "\n")
+        assert str(err.value) == expect
+        with pytest.raises(ParseError) as err:
+            loads_json(json.dumps({"n": n, "outmap": table}))
+        assert str(err.value) == expect
 
 
 def test_json_parse_errors():
