@@ -144,19 +144,18 @@ def source_vertex(o: Orientation) -> int:
 def _bits_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(popcount, offsets, flat) tables: the set bits of mask m, as xor
     masks, are flat[offsets[m] : offsets[m] + popcount[m]], ascending."""
-    size = 1 << n
-    pc = np.zeros(size, dtype=np.int64)
-    offs = np.zeros(size, dtype=np.int64)
-    flat: list[int] = []
-    for m in range(size):
-        offs[m] = len(flat)
-        b = m
-        while b:
-            low = b & -b
-            flat.append(low)
-            b ^= low
-        pc[m] = len(flat) - offs[m]
-    return pc, offs, np.array(flat, dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    pc = np.zeros(masks.size, dtype=np.int64)
+    for j in range(n):
+        pc += (masks >> j) & 1
+    offs = np.cumsum(pc) - pc
+    flat = np.empty(int(pc.sum()), dtype=np.int64)
+    rank = offs.copy()  # next free slot of each mask
+    for j in range(n):
+        has = ((masks >> j) & 1).astype(bool)
+        flat[rank[has]] = 1 << j
+        rank[has] += 1
+    return pc, offs, flat
 
 
 def random_edge_walk(o: Orientation, start: int, seed: int, cap: int) -> RunStats:

@@ -209,8 +209,19 @@ def _csv_text(records: list[ExperimentRecord]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
 
 
+def _one_sink(o: Orientation) -> bool:
+    """True iff exactly one vertex has an empty outmap; otherwise prints the
+    reason, because no walk or solver has a sink to find or compare to."""
+    sinks = int(np.count_nonzero(o.outmap == 0))
+    if sinks != 1:
+        print(f"error: not a USO: {sinks} vertices have an empty outmap", file=sys.stderr)
+    return sinks == 1
+
+
 def cmd_walk(args) -> int:
     o = read_orientation(args.path)
+    if not _one_sink(o):
+        return 1
     cap = args.cap if args.cap is not None else 4 ** o.n
     started = time.perf_counter()
     batch = algo.walk_batch(o, args.algo, args.start, args.trials, args.seed, cap)
@@ -238,6 +249,8 @@ def cmd_walk(args) -> int:
 
 def cmd_solve(args) -> int:
     o = read_orientation(args.path)
+    if not _one_sink(o):
+        return 1
     start = algo.resolve_start(o, args.start, args.seed)
     expected = algo.find_sink_by_scan(o)
     started = time.perf_counter()

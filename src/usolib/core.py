@@ -12,6 +12,7 @@ automorphism group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -351,6 +352,16 @@ def hypercube_automorphisms(n: int):
             yield [pmask[v] ^ m for v in range(size)], pmask
 
 
+@lru_cache(maxsize=None)
+def _automorphism_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse vertex maps, coordinate maps) of every automorphism of Q^n,
+    one row each, shape (2**n * n!, 2**n), in the smallest dtype that fits."""
+    vertex_maps, coord_maps = zip(*hypercube_automorphisms(n))
+    dtype = np.min_scalar_type((1 << n) - 1)
+    inverse = np.argsort(np.array(vertex_maps), axis=1).astype(dtype)
+    return inverse, np.array(coord_maps, dtype=dtype)
+
+
 def canonical_form(o: Orientation) -> Orientation:
     """Lexicographically least outmap table over all hypercube automorphisms.
 
@@ -358,18 +369,14 @@ def canonical_form(o: Orientation) -> Orientation:
     their canonical forms are identical. Isomorphism here means the full
     automorphism group of the cube: coordinate permutations composed with
     reflections. Restricted to n <= 6; the group has size 2**n * n!.
+
+    The image of the table under automorphism g is coord_map_g applied to
+    table[inverse_g]; all images are formed in one gather and the least is
+    picked by ``np.lexsort``.
     """
     if o.n > 6:
         raise ValueError("canonical_form supports n <= 6 only")
-    size = o.vertex_count()
-    table = [o.out(v) for v in range(size)]
-    best: tuple[int, ...] | None = None
-    for vertex_map, coord_map in hypercube_automorphisms(o.n):
-        inverse = [0] * size
-        for v, w in enumerate(vertex_map):
-            inverse[w] = v
-        candidate = tuple(coord_map[table[inverse[w]]] for w in range(size))
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return Orientation(o.n, best)
+    inverse, coord_maps = _automorphism_arrays(o.n)
+    images = np.take_along_axis(coord_maps, o._table[inverse], axis=1)
+    best = np.lexsort(images.T[::-1])[0]
+    return Orientation(o.n, images[best])

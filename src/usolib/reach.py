@@ -6,6 +6,12 @@ distance d by a vertex whose reachmap is a proper subset of its own; the
 niceness index of an orientation is the largest cover distance over all
 non-sink vertices.
 
+:func:`reach_table` computes every reachmap at once as a least fixed point:
+R(v) is s(v) joined with R(w) for every out-neighbour w. One vectorised
+sweep per round ORs each out-neighbour's R into R(v), coordinate by
+coordinate and in place, until a round changes nothing; it needs no
+topological order, so cyclic tables and non-USOs take the same path.
+
 Cover distances follow a recurrence over the reach table, because a vertex
 reachable from v never has a larger reachmap than v: d(v) = 1 when some
 out-neighbour's reachmap differs from R(v), and otherwise 1 + min d(w) over
@@ -19,11 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .bitops import full_mask
-from .core import Orientation, topological_order
+from .bitops import bit, full_mask
+from .core import Orientation
 
 
 @dataclass(frozen=True)
@@ -65,92 +69,34 @@ def reachmap(o: Orientation, v: int) -> int:
     return acc
 
 
-def _reach_table_acyclic(o: Orientation) -> list[int] | None:
-    """Reverse-topological accumulation; None when the orientation is cyclic."""
-    order = topological_order(o)
-    if order is None:
-        return None
-    table = o._table.tolist()
-    reach = [0] * len(table)
-    for v in reversed(order):
-        s = table[v]
-        acc = s
-        while s:
-            low = s & -s
-            s ^= low
-            acc |= reach[v ^ low]
-        reach[v] = acc
-    return reach
-
-
-def _reach_table_scc(o: Orientation) -> list[int]:
-    """Reachmaps via strongly-connected-component condensation.
-
-    Handles cyclic orientations without per-vertex traversals: vertices of a
-    component share one reachmap, and the condensation is processed in
-    reverse topological order.
-    """
-    size = o.vertex_count()
-    table = o._table
-    verts = np.arange(size)
-    rows = []
-    cols = []
-    for j in range(o.n):
-        b = 1 << j
-        src = verts[(table & np.uint32(b)) != 0]
-        rows.append(src)
-        cols.append(src ^ b)
-    row = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    col = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    graph = csr_matrix(
-        (np.ones(row.size, dtype=np.int8), (row, col)), shape=(size, size)
-    )
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-
-    comp_out = [0] * n_comp  # union of outmaps inside each component
-    succ: list[set[int]] = [set() for _ in range(n_comp)]
-    indeg = [0] * n_comp
-    for v in range(size):
-        cv = labels[v]
-        s = int(table[v])
-        comp_out[cv] |= s
-        while s:
-            low = s & -s
-            s ^= low
-            cu = labels[v ^ low]
-            if cu != cv and cu not in succ[cv]:
-                succ[cv].add(cu)
-                indeg[cu] += 1
-
-    stack = [c for c in range(n_comp) if indeg[c] == 0]
-    order: list[int] = []
-    while stack:
-        c = stack.pop()
-        order.append(c)
-        for u in succ[c]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                stack.append(u)
-
-    comp_reach = [0] * n_comp
-    for c in reversed(order):
-        acc = comp_out[c]
-        for u in succ[c]:
-            acc |= comp_reach[u]
-        comp_reach[c] = acc
-    return [comp_reach[labels[v]] for v in range(size)]
-
-
 def reach_table(o: Orientation) -> ReachTable:
-    """Reachmaps for all vertices.
+    """Reachmaps for all vertices, as the least fixed point of
+    R(v) = s(v) | R(v xor e_j) over every j in s(v).
 
-    Acyclic orientations use reverse-topological accumulation; cyclic ones
-    fall back to SCC condensation.
+    Starting from R = s, each sweep visits the coordinates j = 1..n and ORs
+    R(v xor e_j) into R(v) wherever j is in s(v). The update is in place,
+    so one sweep carries information along any path whose coordinates
+    descend; the loop stops after the first sweep that changes nothing.
+    R only grows and stays inside the true reachmaps, so the fixed point is
+    exactly the reachmap on any table (acyclic, cyclic, or not a USO), and
+    every sweep but the last sets a new bit: at most n 2^n + 1 sweeps.
+    Measured counts, the final unchanged sweep included, at n = 11, 14 and
+    16 (seeds 0..4 for the random families): uniform 1, Klee-Minty 2,
+    target-combed 2 to 3, product 5 to 11, random FMO 8 to 17, and
+    ``cyclic_full_reach`` and ``auso_lower_bound`` 10 / 13 / 15 (n - 1).
     """
-    reach = _reach_table_acyclic(o)
-    if reach is None:
-        reach = _reach_table_scc(o)
-    return ReachTable(o.n, tuple(reach))
+    table = o._table
+    reach = table.copy()
+    while True:
+        before = reach.copy()
+        for j in range(1, o.n + 1):
+            b = bit(j)
+            # row r pairs vertex 2br + c (coordinate j clear) with 2br + b + c
+            pairs = reach.reshape(-1, 2, b)
+            out_j = ((table & np.uint32(b)) != 0).reshape(-1, 2, b)
+            np.bitwise_or(pairs, pairs[:, ::-1], out=pairs, where=out_j)
+        if np.array_equal(reach, before):
+            return ReachTable(o.n, tuple(reach.tolist()))
 
 
 def cover_distance(o: Orientation, t: ReachTable, v: int) -> int:

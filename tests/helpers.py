@@ -3,8 +3,9 @@
 Everything here is deliberately written from the definitions, without
 reusing the library's fast paths: a pure-python edge check and face scan,
 the pairwise unique-sink criterion, the Klee-Minty table, per-vertex
-reachability sets, BFS distances, and brute-force enumeration over raw edge
-orientations.
+reachability sets, BFS distances, brute-force enumeration over raw edge
+orientations, canonical forms by one loop per automorphism, and the walk's
+bit tables by one loop per mask.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 
 from usolib.bitops import bit, coords, full_mask, submasks
-from usolib.core import Face, Orientation
+from usolib.core import Face, Orientation, hypercube_automorphisms
 from usolib.rng import SplitMix64
 
 
@@ -221,3 +222,36 @@ def one_nice_direct(o: Orientation) -> bool:
         if not ok:
             return False
     return True
+
+
+def canonical_form_by_loop(o: Orientation) -> Orientation:
+    """Least relabelled outmap table, one automorphism at a time."""
+    size = o.vertex_count()
+    table = [o.out(v) for v in range(size)]
+    best = None
+    for vertex_map, coord_map in hypercube_automorphisms(o.n):
+        inverse = [0] * size
+        for v, w in enumerate(vertex_map):
+            inverse[w] = v
+        candidate = tuple(coord_map[table[inverse[w]]] for w in range(size))
+        if best is None or candidate < best:
+            best = candidate
+    return Orientation(o.n, best)
+
+
+def bits_tables_by_loop(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(popcount, offsets, flat) for every mask of n bits, one mask at a
+    time: the set bits of m, ascending, are flat[offsets[m]:][:popcount[m]]."""
+    size = 1 << n
+    pc = np.zeros(size, dtype=np.int64)
+    offs = np.zeros(size, dtype=np.int64)
+    flat: list[int] = []
+    for m in range(size):
+        offs[m] = len(flat)
+        b = m
+        while b:
+            low = b & -b
+            flat.append(low)
+            b ^= low
+        pc[m] = len(flat) - offs[m]
+    return pc, offs, np.array(flat, dtype=np.int64)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import reachable_vertices
+from helpers import bits_tables_by_loop, reachable_vertices
 from usolib.algo import (
+    _bits_tables,
     bottom_antipodal,
     derandomized_re,
     fibonacci_seesaw,
@@ -403,3 +404,10 @@ def test_fs_revisited_bounds_small():
             sizes = trace.reachmap_sizes
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert trace.evaluations <= 10 * 1.62 ** popcount(rt[start])
+
+
+def test_bits_tables_match_loop_oracle():
+    for n in range(1, 17):
+        for fast, slow in zip(_bits_tables(n), bits_tables_by_loop(n)):
+            assert fast.dtype == slow.dtype
+            assert np.array_equal(fast, slow)

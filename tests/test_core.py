@@ -3,6 +3,7 @@ import pytest
 from helpers import (
     brute_force_usos,
     bfs_distance_in_face,
+    canonical_form_by_loop,
     cube_edges,
     first_edge_violation_pure,
     orientation_from_edge_bits,
@@ -37,6 +38,7 @@ from usolib.construct import (
     random_fmo,
     uniform,
 )
+from usolib.cli import FAMILIES, build_family
 from usolib.rng import SplitMix64
 
 # edge-consistent non-USO tables used below: a directed 4-cycle on the
@@ -274,6 +276,19 @@ def test_canonical_form_invariant_under_automorphisms(all_usos_3):
         transformed = _apply_automorphism(o, vertex_map, coord_map)
         assert validate_uso(transformed)
         assert canonical_form(transformed) == canonical_form(o)
+
+
+def test_canonical_form_matches_loop_oracle_on_all_usos_3(all_usos_3):
+    for o in all_usos_3:
+        assert canonical_form(o) == canonical_form_by_loop(o)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_canonical_form_matches_loop_oracle_seeded(n):
+    instances = [build_family(f, n, 11) for f in FAMILIES]
+    instances.append(random_consistent_table(n, SplitMix64(n)))
+    for o in instances:
+        assert canonical_form(o) == canonical_form_by_loop(o)
 
 
 def test_eval_counter_caches_distinct_vertices():

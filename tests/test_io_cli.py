@@ -241,6 +241,15 @@ def test_solve_finds_the_sink(tmp_path, capsys, algo):
         assert obj["trace"]["evaluations"] >= 1
 
 
+@pytest.mark.parametrize("command", [["walk", "--algo", "re"], ["solve", "--algo", "fsr"]])
+@pytest.mark.parametrize("outmaps, sinks", [([0, 3, 3, 0], 2), ([1, 2, 2, 1], 0)])
+def test_walk_and_solve_reject_other_than_one_sink(tmp_path, capsys, command, outmaps, sinks):
+    path = tmp_path / "bad.uso"
+    path.write_text("uso 2\n" + "".join(f"{s}\n" for s in outmaps))
+    assert main([command[0], str(path)] + command[1:]) == 1
+    assert f"not a USO: {sinks} vertices have an empty outmap" in capsys.readouterr().err
+
+
 def test_enum_count_and_census(tmp_path, capsys):
     assert main(["enum", "--n", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"n": 2, "count": 12}

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from helpers import cover_search_bfs, reachmap_bruteforce
+from helpers import cover_search_bfs, random_consistent_table, reachmap_bruteforce
 from usolib.bitops import bit, coords
 from usolib.cli import FAMILIES, build_family
 from usolib.construct import (
@@ -57,6 +57,35 @@ def test_reach_table_matches_per_vertex_traversal(make):
         v = rng.randrange(o.vertex_count())
         assert t[v] == reachmap(o, v)
         assert t[v] == reachmap_bruteforce(o, v)
+
+
+def _assert_reach_table_is_bruteforce(o):
+    expected = [reachmap_bruteforce(o, v) for v in range(o.vertex_count())]
+    assert list(reach_table(o).entries) == expected
+
+
+def test_reach_table_oracle_all_usos_3(all_usos_3):
+    for o in all_usos_3:
+        _assert_reach_table_is_bruteforce(o)
+
+
+def test_reach_table_oracle_random_consistent_tables():
+    # cyclic, multi-sink and sinkless tables take the same fixed point
+    rng = SplitMix64(41)
+    cyclic = other_than_one_sink = 0
+    for n in range(1, 9):
+        for _ in range(5):
+            o = random_consistent_table(n, rng)
+            cyclic += not is_acyclic(o)
+            other_than_one_sink += int((o.outmap == 0).sum()) != 1
+            _assert_reach_table_is_bruteforce(o)
+    assert cyclic > 0 and other_than_one_sink > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reach_table_oracle_families(family):
+    for n in range(4 if family == "auso-lb" else 3, 11):
+        _assert_reach_table_is_bruteforce(build_family(family, n, n))
 
 
 def test_reachmap_contains_difference_to_sink(all_usos_3):
