@@ -12,6 +12,7 @@ from .core import (
     Face,
     FaceSinkError,
     MultipleSinksError,
+    NotUSOError,
     Orientation,
     ZeroSinksError,
     canonical_form,

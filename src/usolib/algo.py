@@ -10,16 +10,13 @@ evaluations through a caching oracle.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .bitops import format_coord_set, full_mask, lowest_coord, popcount
-from .core import EvalCounter, Face, Orientation
+from .core import EvalCounter, Face, NotUSOError, Orientation
 from .reach import reach_table
 from .rng import (
     derive_seeds_np,
@@ -111,18 +108,6 @@ class WalkBatch:
     capped: np.ndarray
 
 
-def worker_count() -> int:
-    """Worker cap from USO_THREADS (0 or unset means automatic)."""
-    raw = os.environ.get("USO_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return min(4, os.cpu_count() or 1)
-    return value
-
-
 def find_sink_by_scan(o: Orientation) -> int:
     """The unique vertex with empty outmap, by full table scan (the
     reference answer every algorithm is checked against)."""
@@ -138,24 +123,6 @@ def source_vertex(o: Orientation) -> int:
     if hits.size != 1:
         raise ValueError(f"table has {hits.size} vertices with full outmap")
     return int(hits[0])
-
-
-@lru_cache(maxsize=32)
-def _bits_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(popcount, offsets, flat) tables: the set bits of mask m, as xor
-    masks, are flat[offsets[m] : offsets[m] + popcount[m]], ascending."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    pc = np.zeros(masks.size, dtype=np.int64)
-    for j in range(n):
-        pc += (masks >> j) & 1
-    offs = np.cumsum(pc) - pc
-    flat = np.empty(int(pc.sum()), dtype=np.int64)
-    rank = offs.copy()  # next free slot of each mask
-    for j in range(n):
-        has = ((masks >> j) & 1).astype(bool)
-        flat[rank[has]] = 1 << j
-        rank[has] += 1
-    return pc, offs, flat
 
 
 def random_edge_walk(o: Orientation, start: int, seed: int, cap: int) -> RunStats:
@@ -190,62 +157,72 @@ def random_edge_walk(o: Orientation, start: int, seed: int, cap: int) -> RunStat
             evals += 1
 
 
-def _random_edge_rule(n: int):
+def _random_edge_move(s, seeds, active, t):
     """Random Edge step rule: step t crosses the outgoing edge picked by
-    value t of each trial's stream, as :func:`random_edge_walk` does."""
-    pc, offs, flat = _bits_tables(n)
-
-    def move(s, seeds, active, t):
-        z = stream_values_np(seeds[active], t)
-        return flat[offs[s] + (z % pc[s].astype(np.uint64)).astype(np.int64)]
-
-    return move
+    value t of each trial's stream, as :func:`random_edge_walk` does: clear
+    the k = z mod |s| lowest set bits of s and keep the lowest one left."""
+    k = stream_values_np(seeds[active], t) % np.bitwise_count(s)
+    for i in range(int(k.max())):
+        s = np.where(k > i, s & (s - 1), s)
+    return s & -s
 
 
-def _bottom_antipodal_rule(n: int):
+def _bottom_antipodal_move(s, seeds, active, t):
     """Bottom Antipodal step rule: cross every outgoing edge (v <- v xor
     s(v)); seeds only pick starts."""
-    return lambda s, seeds, active, t: s
+    return s
 
 
-_STEP_RULES = {"re": _random_edge_rule, "ba": _bottom_antipodal_rule}
+_STEP_RULES = {"re": _random_edge_move, "ba": _bottom_antipodal_move}
 
 
 def _walk_lockstep(
     o: Orientation, starts: np.ndarray, seeds: np.ndarray, cap: int, move
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All trials advance in lockstep, each step xoring in the mask the
-    step rule ``move`` picks; bit-identical to the per-trial walks."""
-    size = o.vertex_count()
-    table = o.outmap.astype(np.int64)
+    step rule ``move`` picks; bit-identical to the per-trial walks.
+
+    Every vertex a trial enters is logged as the key trial * 2^n + vertex.
+    The log is folded into the sorted distinct keys ``seen`` whenever it
+    outgrows them (plus one key per trial), so memory follows the distinct
+    (trial, vertex) pairs rather than the steps; a trial's evaluations are
+    its number of distinct keys.
+    """
+    n = o.n
+    table = o.outmap
     count = starts.size
-    v = starts.astype(np.int64).copy()
-    seeds64 = seeds.astype(np.uint64)
     steps = np.zeros(count, dtype=np.int64)
     found = np.full(count, -1, dtype=np.int64)
     capped = np.zeros(count, dtype=bool)
-    visited = np.zeros((count, size), dtype=bool)
-    visited[np.arange(count), v] = True
-    active = np.arange(count)
+    active = np.arange(count, dtype=np.int64)
+    cur = starts.copy()
+    seen = (active << n) | cur
+    log: list[np.ndarray] = []
+    logged = 0
     t = 0
-    while active.size:
-        cur = v[active]
-        s_cur = table[cur]
-        is_sink = s_cur == 0
-        if is_sink.any():
-            found[active[is_sink]] = cur[is_sink]
-            active = active[~is_sink]
-            s_cur = s_cur[~is_sink]
+    while True:
+        s = table[cur]
+        if not s.all():
+            walking = s != 0
+            done = active[~walking]
+            found[done] = cur[~walking]
+            steps[done] = t
+            active, cur, s = active[walking], cur[walking], s[walking]
         if not active.size:
             break
         if t >= cap:
             capped[active] = True
+            steps[active] = t
             break
-        v[active] ^= move(s_cur, seeds64, active, t)
-        steps[active] += 1
-        visited[active, v[active]] = True
+        cur ^= move(s, seeds, active, t)
         t += 1
-    return steps, visited.sum(axis=1), found, capped
+        log.append((active << n) | cur)
+        logged += active.size
+        if logged > seen.size + count:
+            seen = np.unique(np.concatenate([seen, *log]))
+            log, logged = [], 0
+    seen = np.unique(np.concatenate([seen, *log]))
+    return steps, np.bincount(seen >> n, minlength=count), found, capped
 
 
 def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
@@ -277,40 +254,20 @@ def walk_batch(
     trials: int,
     seed: int,
     cap: int,
-    threads: int | None = None,
 ) -> WalkBatch:
     """Run ``trials`` independent walks with per-trial derived seeds.
 
-    Results are bit-identical for a given master seed regardless of the
-    worker count: trials are chunked and each chunk is computed from its
-    own per-trial streams.
+    Trial k depends only on the master seed and k, so the first k trials of
+    a larger batch equal a batch of k.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rule = _STEP_RULES.get(algo)
-    if rule is None:
+    move = _STEP_RULES.get(algo)
+    if move is None:
         raise ValueError(f"unknown walk algorithm {algo!r}")
     seeds = derive_seeds_np(seed, trials)
     starts = _starts_array(o, start_policy, seeds)
-    move = rule(o.n)
-    # chunking bounds the visited matrix; boundaries do not affect results
-    chunk = max(256, 4_000_000 // o.vertex_count())
-    pieces = [
-        (starts[lo : lo + chunk], seeds[lo : lo + chunk])
-        for lo in range(0, trials, chunk)
-    ]
-    workers = threads if threads is not None else worker_count()
-    if workers > 1 and len(pieces) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda p: _walk_lockstep(o, p[0], p[1], cap, move), pieces)
-            )
-    else:
-        results = [_walk_lockstep(o, s, z, cap, move) for s, z in pieces]
-    steps = np.concatenate([r[0] for r in results])
-    evals = np.concatenate([r[1] for r in results])
-    found = np.concatenate([r[2] for r in results])
-    capped = np.concatenate([r[3] for r in results])
+    steps, evals, found, capped = _walk_lockstep(o, starts, seeds, cap, move)
     return WalkBatch(seeds, starts, steps, evals, found, capped)
 
 
@@ -339,10 +296,9 @@ def re_trials(
     trials: int,
     seed: int,
     cap: int,
-    threads: int | None = None,
 ) -> TrialsSummary:
     """Aggregate independent Random Edge runs with per-trial derived seeds."""
-    return summarize(walk_batch(o, "re", start_policy, trials, seed, cap, threads))
+    return summarize(walk_batch(o, "re", start_policy, trials, seed, cap))
 
 
 def markov_upper_bound(n: int, i: int) -> int:
@@ -378,10 +334,10 @@ def bottom_antipodal(o: Orientation, start: int, cap: int) -> RunStats:
             evals += 1
 
 
-def _not_uso(u: int, v: int, differ: int) -> ValueError:
+def _not_uso(u: int, v: int, differ: int) -> NotUSOError:
     """The pairwise criterion fails: in a USO, the outmaps of two vertices
     differ somewhere on the coordinates ``differ`` where the vertices do."""
-    return ValueError(
+    return NotUSOError(
         f"not a USO: vertices {u} and {v} differ on {format_coord_set(differ)} "
         "but their outmaps agree there"
     )
@@ -401,7 +357,7 @@ def join_pair(
     At each move the two current vertices differ in some coordinate that is
     outgoing for exactly one of them (the smallest such coordinate is used);
     that endpoint steps across it, shrinking the Hamming distance by one, so
-    the number of moves is at most |u xor v|. Raises ``ValueError`` naming
+    the number of moves is at most |u xor v|. Raises ``NotUSOError`` naming
     the pair when no such coordinate exists, which only a non-USO allows.
     """
     if oracle is None:
@@ -566,7 +522,7 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
     coordinate on which the two sink outmaps differ; the side whose sink
     has it outgoing must be re-solved, and the new sink lies in the fresh
     half, a face one dimension below. Recursing on that half yields the
-    Fibonacci-like evaluation count. Raises ``ValueError`` naming the two
+    Fibonacci-like evaluation count. Raises ``NotUSOError`` naming the two
     sinks when their outmaps agree on every coordinate left, which only a
     non-USO allows.
     """
@@ -621,7 +577,7 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     coordinates through the start, so the iteration count is bounded by the
     reachmap size of the start vertex and the reachmaps along the way only
     shrink. The trace records both for inspection. A returned vertex that
-    is not the sink of its face raises ``ValueError``, so every iteration
+    is not the sink of its face raises ``NotUSOError``, so every iteration
     adds a coordinate and the loop ends within n iterations on any table.
     """
     oracle = EvalCounter(o)
@@ -633,7 +589,7 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     while oracle(v) != 0:
         s = oracle(v)
         if s & spanned:
-            raise ValueError(
+            raise NotUSOError(
                 f"not a USO: the seesaw returned vertex {v}, which is not the "
                 f"sink of its face span={format_coord_set(spanned)}"
             )

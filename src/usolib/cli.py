@@ -2,8 +2,9 @@
 
 Subcommands: gen, check, analyze, walk, solve, enum, bench. Exit codes are
 0 on success, 1 on domain failures (invalid orientation files, failed
-validation), 2 on usage errors. All randomness is controlled by --seed and
-outputs are deterministic for fixed flags, independent of USO_THREADS.
+validation, a solver's proof that the input is not a USO), 2 on usage
+errors. All randomness is controlled by --seed and outputs are
+deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import numpy as np
 
 from . import algo, construct, enumeration
 from .bitops import format_coord_set
-from .core import Orientation, first_uso_violation, is_acyclic, is_decomposable
+from .core import (
+    NotUSOError,
+    Orientation,
+    first_uso_violation,
+    is_acyclic,
+    is_decomposable,
+)
 from .io import ParseError, dumps_json, dumps_text, read_orientation
 from .reach import niceness_index, reach_table
 from .rng import SplitMix64, derive_seed
@@ -389,10 +396,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError, NotUSOError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -42,6 +42,11 @@ class FaceSinkError(Exception):
         )
 
 
+class NotUSOError(ValueError):
+    """A sink search or niceness sweep met proof that its table is not a
+    USO."""
+
+
 class ZeroSinksError(FaceSinkError):
     def __init__(self, face: "Face"):
         super().__init__(face, 0)

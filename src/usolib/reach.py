@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bit, full_mask
-from .core import Orientation
+from .core import NotUSOError, Orientation
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
     at most one level and its n edges are scanned once there, so the sweep
     costs O(n 2^n) on top of :func:`reach_table`.
 
-    Raises ``ValueError`` when the table (assumed edge-consistent) does not
+    Raises ``NotUSOError`` when the table (assumed edge-consistent) does not
     have exactly one sink, or when a non-sink vertex has no cover; neither
     happens on a USO.
     """
@@ -168,7 +168,7 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
     size = len(table)
     sinks = [v for v in range(size) if table[v] == 0]
     if len(sinks) != 1:
-        raise ValueError(f"not a USO: {len(sinks)} vertices have an empty outmap")
+        raise NotUSOError(f"not a USO: {len(sinks)} vertices have an empty outmap")
     sink = sinks[0]
     full = full_mask(o.n)
     dists: list[float] = [0] * size
@@ -207,7 +207,7 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
             wits[v] = w
         frontier = list(found)
     if 0 in dists:
-        raise ValueError(f"not a USO: vertex {dists.index(0)} has no cover")
+        raise NotUSOError(f"not a USO: vertex {dists.index(0)} has no cover")
     return NicenessReport(
         n=o.n,
         sink=sink,

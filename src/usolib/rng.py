@@ -1,8 +1,8 @@
 """Seeded pseudo-randomness with counter-based streams.
 
 All randomness in this package flows through a splitmix64 mixer. A stream
-value is a pure function of (seed, index), so scalar loops, vectorized
-batches, and parallel workers produce bit-identical results by construction,
+value is a pure function of (seed, index), so scalar loops and vectorized
+batches produce bit-identical results by construction,
 and per-trial substreams are derived from a master seed the same way on any
 platform.
 """

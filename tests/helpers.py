@@ -237,21 +237,3 @@ def canonical_form_by_loop(o: Orientation) -> Orientation:
         if best is None or candidate < best:
             best = candidate
     return Orientation(o.n, best)
-
-
-def bits_tables_by_loop(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(popcount, offsets, flat) for every mask of n bits, one mask at a
-    time: the set bits of m, ascending, are flat[offsets[m]:][:popcount[m]]."""
-    size = 1 << n
-    pc = np.zeros(size, dtype=np.int64)
-    offs = np.zeros(size, dtype=np.int64)
-    flat: list[int] = []
-    for m in range(size):
-        offs[m] = len(flat)
-        b = m
-        while b:
-            low = b & -b
-            flat.append(low)
-            b ^= low
-        pc[m] = len(flat) - offs[m]
-    return pc, offs, np.array(flat, dtype=np.int64)

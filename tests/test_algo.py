@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import bits_tables_by_loop, reachable_vertices
+from helpers import reachable_vertices
 from usolib.algo import (
-    _bits_tables,
     bottom_antipodal,
     derandomized_re,
     fibonacci_seesaw,
@@ -92,13 +91,15 @@ def test_walk_is_reproducible_and_matches_batch():
     assert again == first
 
 
-def test_walk_batch_independent_of_thread_count():
-    o = klee_minty(7)
-    one = walk_batch(o, "re", "antipodal", 300, seed=5, cap=4**7, threads=1)
-    four = walk_batch(o, "re", "antipodal", 300, seed=5, cap=4**7, threads=4)
-    assert np.array_equal(one.steps, four.steps)
-    assert np.array_equal(one.evaluations, four.evaluations)
-    assert np.array_equal(one.capped, four.capped)
+@pytest.mark.parametrize("algo", ["re", "ba"])
+def test_walk_batch_prefix_equals_smaller_batch(algo):
+    # trial k depends only on the master seed and k, not on the batch size
+    o = cyclic_full_reach(5)
+    big = walk_batch(o, algo, "random", 300, seed=5, cap=8)
+    small = walk_batch(o, algo, "random", 37, seed=5, cap=8)
+    assert big.capped.any() and not big.capped.all()
+    for name in ("seeds", "starts", "steps", "evaluations", "found", "capped"):
+        assert np.array_equal(getattr(big, name)[:37], getattr(small, name))
 
 
 def test_walk_cap_reporting():
@@ -207,38 +208,63 @@ def _scalar_matches_batch(batch, scalar_at, trials) -> None:
         assert scalar.found_sink == (None if found < 0 else found)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
+def _rerun_matches_prefix(o, algo, batch, seed, cap, split) -> None:
+    # the first trials // split trials, run as a batch of their own, equal
+    # the prefix of the full batch (split 1 is a plain rerun)
+    k = batch.steps.size // split
+    part = walk_batch(o, algo, "random", k, seed=seed, cap=cap)
+    for name in ("seeds", "starts", "steps", "evaluations", "found", "capped"):
+        assert np.array_equal(getattr(batch, name)[:k], getattr(part, name))
+
+
+@pytest.mark.parametrize("split", [1, 4])
 @pytest.mark.parametrize(
     "o",
     [klee_minty(6), auso_lower_bound(6), cyclic_full_reach(4)],
     ids=["km6", "auso-lb6", "cyclic-lb4"],
 )
-def test_bottom_antipodal_batch_matches_scalar(o, threads):
-    # more trials than one walk_batch chunk holds, and a cap small enough
-    # that some trials stop at it
+def test_bottom_antipodal_batch_matches_scalar(o, split):
+    # many trials, so the evaluation log is merged many times, and a cap
+    # small enough that some trials stop at it
     trials = 4_000_000 // o.vertex_count() + 500
     cap = 3
-    batch = walk_batch(o, "ba", "random", trials, seed=17, cap=cap, threads=threads)
+    batch = walk_batch(o, "ba", "random", trials, seed=17, cap=cap)
     assert batch.capped.any() and not batch.capped.all()
     # Bottom Antipodal is deterministic given its start vertex
     by_start = {v: bottom_antipodal(o, v, cap) for v in range(o.vertex_count())}
     _scalar_matches_batch(
         batch, lambda k: by_start[int(batch.starts[k])], range(trials)
     )
+    _rerun_matches_prefix(o, "ba", batch, 17, cap, split)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-def test_random_edge_batch_matches_scalar_across_chunks(threads):
+@pytest.mark.parametrize("split", [1, 4])
+def test_random_edge_batch_matches_scalar_across_chunks(split):
     o = cyclic_full_reach(4)
     trials = 4_000_000 // o.vertex_count() + 500
     cap = 5
-    batch = walk_batch(o, "re", "random", trials, seed=23, cap=cap, threads=threads)
+    batch = walk_batch(o, "re", "random", trials, seed=23, cap=cap)
     assert batch.capped.any() and not batch.capped.all()
     sample = range(0, trials, 331)
     _scalar_matches_batch(
         batch,
         lambda k: random_edge_walk(o, int(batch.starts[k]), int(batch.seeds[k]), cap),
         [*sample, trials - 1],
+    )
+    _rerun_matches_prefix(o, "re", batch, 23, cap, split)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_bottom_antipodal_batch_counts_revisits_once(n):
+    # Bottom Antipodal cycles on this family, so long walks revisit vertices
+    # and the evaluation log is merged and deduplicated many times
+    o = cyclic_full_reach(n)
+    trials, cap = 4 << n, 2000
+    batch = walk_batch(o, "ba", "random", trials, seed=29, cap=cap)
+    assert batch.capped.any()
+    assert (batch.evaluations < batch.steps + 1).any()
+    _scalar_matches_batch(
+        batch, lambda k: bottom_antipodal(o, int(batch.starts[k]), cap), range(trials)
     )
 
 
@@ -404,10 +430,3 @@ def test_fs_revisited_bounds_small():
             sizes = trace.reachmap_sizes
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert trace.evaluations <= 10 * 1.62 ** popcount(rt[start])
-
-
-def test_bits_tables_match_loop_oracle():
-    for n in range(1, 17):
-        for fast, slow in zip(_bits_tables(n), bits_tables_by_loop(n)):
-            assert fast.dtype == slow.dtype
-            assert np.array_equal(fast, slow)

@@ -250,6 +250,15 @@ def test_walk_and_solve_reject_other_than_one_sink(tmp_path, capsys, command, ou
     assert f"not a USO: {sinks} vertices have an empty outmap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", range(4))
+def test_solve_exits_1_when_the_seesaw_proves_a_non_uso(tmp_path, capsys, start):
+    # edge-consistent with one sink, but not a USO: a domain failure, not usage
+    path = tmp_path / "bad.uso"
+    path.write_text("uso 3\n" + "".join(f"{s}\n" for s in [5, 6, 6, 5, 3, 2, 1, 0]))
+    assert main(["solve", str(path), "--algo", "fsr", "--start", str(start)]) == 1
+    assert "not a USO" in capsys.readouterr().err
+
+
 def test_enum_count_and_census(tmp_path, capsys):
     assert main(["enum", "--n", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"n": 2, "count": 12}
