@@ -5,7 +5,7 @@ Run:  python3 demos/01_orientations_and_validation.py
 
 from usolib import (
     Face,
-    MultipleSinksError,
+    NotUSOError,
     Orientation,
     face_sink,
     flip_edge,
@@ -49,10 +49,9 @@ four_cycle = Orientation(2, [1, 2, 2, 1])  # directed 4-cycle, no sink at all
 print("valid USO:", validate_uso(four_cycle))
 try:
     face_sink(four_cycle, Face.whole_cube(2))
-except MultipleSinksError as err:
-    print("unexpected:", err)
-except Exception as err:
+except NotUSOError as err:
     print("face_sink refuses:", err)
+    print("certificate: face", err.face, "with", err.count, "sinks")
 
 print()
 print("=== text round-trip ===")

@@ -10,11 +10,8 @@ from .core import (
     MAX_DIMENSION,
     EvalCounter,
     Face,
-    FaceSinkError,
-    MultipleSinksError,
     NotUSOError,
     Orientation,
-    ZeroSinksError,
     canonical_form,
     face_sink,
     is_acyclic,

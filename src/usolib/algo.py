@@ -5,7 +5,11 @@ lockstep engine that takes a step rule),
 join operations, a deterministic replacement for Random Edge built from
 joins, the Fibonacci Seesaw, and the restarted seesaw that is bounded by
 the reachmap of the start vertex. Every algorithm counts distinct vertex
-evaluations through a caching oracle.
+evaluations through a caching oracle. When a join or seesaw step finds no
+way forward, it raises ``NotUSOError`` naming a vertex pair whose outmaps
+agree wherever the vertices differ; only a non-USO has such a pair.
+``find_sink_by_scan``, the reference answer, lives in ``core`` and is
+importable from here.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitops import format_coord_set, full_mask, lowest_coord, popcount
-from .core import EvalCounter, Face, NotUSOError, Orientation
+from .bitops import full_mask, lowest_coord, popcount
+from .core import EvalCounter, Face, NotUSOError, Orientation, find_sink_by_scan
 from .reach import reach_table
 from .rng import (
     derive_seeds_np,
@@ -108,20 +112,11 @@ class WalkBatch:
     capped: np.ndarray
 
 
-def find_sink_by_scan(o: Orientation) -> int:
-    """The unique vertex with empty outmap, by full table scan (the
-    reference answer every algorithm is checked against)."""
-    hits = np.flatnonzero(o.outmap == 0)
-    if hits.size != 1:
-        raise ValueError(f"table has {hits.size} vertices with empty outmap")
-    return int(hits[0])
-
-
 def source_vertex(o: Orientation) -> int:
     """The unique vertex whose outmap is the full coordinate set."""
     hits = np.flatnonzero(o.outmap == np.uint32(full_mask(o.n)))
     if hits.size != 1:
-        raise ValueError(f"table has {hits.size} vertices with full outmap")
+        raise NotUSOError(f"table has {hits.size} vertices with full outmap")
     return int(hits[0])
 
 
@@ -334,15 +329,6 @@ def bottom_antipodal(o: Orientation, start: int, cap: int) -> RunStats:
             evals += 1
 
 
-def _not_uso(u: int, v: int, differ: int) -> NotUSOError:
-    """The pairwise criterion fails: in a USO, the outmaps of two vertices
-    differ somewhere on the coordinates ``differ`` where the vertices do."""
-    return NotUSOError(
-        f"not a USO: vertices {u} and {v} differ on {format_coord_set(differ)} "
-        "but their outmaps agree there"
-    )
-
-
 class JoinResult(NamedTuple):
     vertex: int
     evaluations: int
@@ -369,7 +355,7 @@ def join_pair(
         sv = oracle(v)
         cand = (su ^ sv) & (u ^ v)
         if cand == 0:
-            raise _not_uso(u, v, u ^ v)
+            raise NotUSOError(pair=(u, v))
         b = cand & -cand
         if su & b:
             u ^= b
@@ -512,7 +498,7 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
                 break
             visited.add(z)
             v = z
-    raise AssertionError("search exhausted all radii; input is not a USO")
+    raise NotUSOError("not a USO: the search exhausted all radii")
 
 
 def _fs(oracle: EvalCounter, face: Face) -> int:
@@ -522,35 +508,36 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
     coordinate on which the two sink outmaps differ; the side whose sink
     has it outgoing must be re-solved, and the new sink lies in the fresh
     half, a face one dimension below. Recursing on that half yields the
-    Fibonacci-like evaluation count. Raises ``NotUSOError`` naming the two
-    sinks when their outmaps agree on every coordinate left, which only a
-    non-USO allows.
+    Fibonacci-like evaluation count.
+
+    Every sink kept has all coordinates of its subface incoming. So two
+    sinks whose outmaps agree on the coordinates left, or a re-solved sink
+    that has the extension coordinate outgoing like the sink it replaces,
+    form a pair that only a non-USO allows; ``NotUSOError`` names it.
     """
     if face.dimension == 0:
         oracle(face.anchor)
         return face.anchor
-    v0 = face.anchor
-    v1 = face.anchor | face.span
-    oracle(v0)
-    oracle(v1)
-    sink_a, sink_b = v0, v1
+    sink_a, sink_b = face.anchor, face.anchor | face.span
     spanned = 0
     while True:
         rest = face.span ^ spanned
-        if rest & (rest - 1) == 0:
-            # two antipodal facets remain; one of their sinks is the answer
-            return sink_a if oracle(sink_a) & rest == 0 else sink_b
         sa = oracle(sink_a)
         sb = oracle(sink_b)
         diff = (sa ^ sb) & rest
         if diff == 0:
             # the two sinks differ on all of rest
-            raise _not_uso(sink_a, sink_b, rest)
+            raise NotUSOError(pair=(sink_a, sink_b))
+        if rest & (rest - 1) == 0:
+            # two antipodal facets remain; the one sink with rest incoming
+            return sink_a if sa & rest == 0 else sink_b
         b = diff & -diff
-        if sa & b:
-            sink_a = _fs(oracle, Face(v0 | b, spanned))
-        else:
-            sink_b = _fs(oracle, Face(v1 ^ b, spanned))
+        # re-solve the side whose sink has b outgoing, across b from it
+        old = sink_a if sa & b else sink_b
+        new = _fs(oracle, Face(old ^ b, spanned))
+        if oracle(new) & b:
+            raise NotUSOError(pair=(old, new))
+        sink_a, sink_b = (new, sink_b) if sa & b else (sink_a, new)
         spanned |= b
 
 
@@ -576,9 +563,11 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     The current vertex is always the sink of the face spanned by the used
     coordinates through the start, so the iteration count is bounded by the
     reachmap size of the start vertex and the reachmaps along the way only
-    shrink. The trace records both for inspection. A returned vertex that
-    is not the sink of its face raises ``NotUSOError``, so every iteration
-    adds a coordinate and the loop ends within n iterations on any table.
+    shrink. The trace records both for inspection. A seesaw sink that has
+    the crossed coordinate outgoing, like the vertex it was crossed from,
+    forms with that vertex a pair only a non-USO allows and raises
+    ``NotUSOError``; so every iteration adds a coordinate and the loop ends
+    within n iterations on any table.
     """
     oracle = EvalCounter(o)
     rt = reach_table(o)  # instrumentation, not charged to the oracle
@@ -588,18 +577,16 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     spanned = 0
     while oracle(v) != 0:
         s = oracle(v)
-        if s & spanned:
-            raise NotUSOError(
-                f"not a USO: the seesaw returned vertex {v}, which is not the "
-                f"sink of its face span={format_coord_set(spanned)}"
-            )
         b = s & -s
         before = oracle.evaluations
-        v = _fs(oracle, Face(v ^ b, spanned))
+        w = _fs(oracle, Face(v ^ b, spanned))
+        if oracle(w) & b:
+            raise NotUSOError(pair=(v, w))
         iterations.append(
             (lowest_coord(b), popcount(spanned), oracle.evaluations - before)
         )
         spanned |= b
+        v = w
         sizes.append(popcount(rt[v]))
     trace = SeesawTrace(
         iterations=tuple(iterations),

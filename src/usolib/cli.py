@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen, check, analyze, walk, solve, enum, bench. Exit codes are
-0 on success, 1 on domain failures (invalid orientation files, failed
-validation, a solver's proof that the input is not a USO), 2 on usage
-errors. All randomness is controlled by --seed and outputs are
-deterministic for fixed flags.
+0 on success, 1 on domain failures (invalid orientation files, and every
+``NotUSOError``: a failed check, a table without exactly one sink, a
+solver's proof that the input is not a USO), 2 on usage errors. ``main``
+prints every ``NotUSOError`` as ``error: <message>``. All randomness is
+controlled by --seed and outputs are deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .bitops import format_coord_set
 from .core import (
     NotUSOError,
     Orientation,
+    find_sink_by_scan,
     first_uso_violation,
     is_acyclic,
     is_decomposable,
@@ -131,37 +133,24 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    try:
-        o = read_orientation(args.path)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _require_uso(o: Orientation) -> None:
+    """Raise ``NotUSOError`` naming the first face with other than one sink."""
     violation = first_uso_violation(o)
     if violation is not None:
         face, count = violation
-        print(
-            f"error: not a unique sink orientation: face "
-            f"span={format_coord_set(face.span)} "
-            f"anchor={format_coord_set(face.anchor)} has {count} sinks",
-            file=sys.stderr,
-        )
-        return 1
+        raise NotUSOError(face=face, count=count)
+
+
+def cmd_check(args) -> int:
+    o = read_orientation(args.path)
+    _require_uso(o)
     print(f"ok: valid USO of dimension {o.n}")
     return 0
 
 
 def cmd_analyze(args) -> int:
     o = read_orientation(args.path)
-    violation = first_uso_violation(o)
-    if violation is not None:
-        face, count = violation
-        print(
-            f"error: not a USO: face span={format_coord_set(face.span)} "
-            f"anchor={format_coord_set(face.anchor)} has {count} sinks",
-            file=sys.stderr,
-        )
-        return 1
+    _require_uso(o)
     rt = reach_table(o)
     report = niceness_index(o, rt)
     if args.format == "json":
@@ -216,19 +205,9 @@ def _csv_text(records: list[ExperimentRecord]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
 
 
-def _one_sink(o: Orientation) -> bool:
-    """True iff exactly one vertex has an empty outmap; otherwise prints the
-    reason, because no walk or solver has a sink to find or compare to."""
-    sinks = int(np.count_nonzero(o.outmap == 0))
-    if sinks != 1:
-        print(f"error: not a USO: {sinks} vertices have an empty outmap", file=sys.stderr)
-    return sinks == 1
-
-
 def cmd_walk(args) -> int:
     o = read_orientation(args.path)
-    if not _one_sink(o):
-        return 1
+    find_sink_by_scan(o)  # walks need exactly one sink to stop at
     cap = args.cap if args.cap is not None else 4 ** o.n
     started = time.perf_counter()
     batch = algo.walk_batch(o, args.algo, args.start, args.trials, args.seed, cap)
@@ -256,10 +235,8 @@ def cmd_walk(args) -> int:
 
 def cmd_solve(args) -> int:
     o = read_orientation(args.path)
-    if not _one_sink(o):
-        return 1
+    expected = find_sink_by_scan(o)
     start = algo.resolve_start(o, args.start, args.seed)
-    expected = algo.find_sink_by_scan(o)
     started = time.perf_counter()
     if args.algo == "dre":
         stats = algo.derandomized_re(o, start)

@@ -3,10 +3,10 @@
 An orientation of the n-cube is stored as a dense outmap table: entry v is
 the set of coordinates along which the edges at vertex v point away from v.
 This module provides the table type, faces, one edge-consistency check and
-one unique-sink check (each returns the first violation it finds), a
-topological order with the acyclicity test built on it, the
-decomposability test, and canonicalization under the hypercube
-automorphism group.
+one unique-sink check (each returns the first violation it finds), the
+one sink scan, ``NotUSOError`` with its certificate, a topological order
+with the acyclicity test built on it, the decomposability test, and
+canonicalization under the hypercube automorphism group.
 """
 
 from __future__ import annotations
@@ -30,31 +30,43 @@ from .bitops import (
 MAX_DIMENSION = 24
 
 
-class FaceSinkError(Exception):
-    """A face of the cube does not have exactly one sink."""
+class NotUSOError(ValueError):
+    """Proof that a table is not a unique sink orientation.
 
-    def __init__(self, face: "Face", count: int):
+    The certificate is one of:
+
+    - ``face`` and ``count``: a face with ``count`` != 1 sinks;
+    - ``pair``: two distinct vertices whose outmaps agree on every
+      coordinate where the vertices differ, which breaks the pairwise
+      criterion of Szabo & Welzl.
+
+    Without a certificate the error carries only its message. The message
+    defaults to a description of the certificate.
+    """
+
+    def __init__(
+        self,
+        message: str | None = None,
+        *,
+        face: Face | None = None,
+        count: int | None = None,
+        pair: tuple[int, int] | None = None,
+    ):
+        if message is None and face is not None:
+            message = (
+                f"not a USO: face span={format_coord_set(face.span)} "
+                f"anchor={format_coord_set(face.anchor)} has {count} sinks"
+            )
+        elif message is None and pair is not None:
+            u, v = pair
+            message = (
+                f"not a USO: vertices {u} and {v} differ on "
+                f"{format_coord_set(u ^ v)} but their outmaps agree there"
+            )
+        super().__init__(message)
         self.face = face
         self.count = count
-        super().__init__(
-            f"face span={format_coord_set(face.span)} "
-            f"anchor={format_coord_set(face.anchor)} has {count} sinks"
-        )
-
-
-class NotUSOError(ValueError):
-    """A sink search or niceness sweep met proof that its table is not a
-    USO."""
-
-
-class ZeroSinksError(FaceSinkError):
-    def __init__(self, face: "Face"):
-        super().__init__(face, 0)
-
-
-class MultipleSinksError(FaceSinkError):
-    def __init__(self, face: "Face", count: int):
-        super().__init__(face, count)
+        self.pair = pair
 
 
 def _check_dimension(n: int) -> None:
@@ -214,21 +226,30 @@ def validate_orientation(o: Orientation) -> bool:
 def face_sink(o: Orientation, f: Face) -> int:
     """The unique vertex of ``f`` with no outgoing edge inside ``f``.
 
-    Raises ZeroSinksError or MultipleSinksError when the face violates the
-    unique-sink property; callers use this as the detection mechanism.
+    Raises ``NotUSOError`` with the face and its sink count when the face
+    has other than one sink.
     """
-    found = -1
-    count = 0
-    for v in f.vertices():
-        if o.out(v) & f.span == 0:
-            count += 1
-            if found < 0:
-                found = v
-    if count == 0:
-        raise ZeroSinksError(f)
-    if count > 1:
-        raise MultipleSinksError(f, count)
-    return found
+    sinks = [v for v in f.vertices() if o.out(v) & f.span == 0]
+    if len(sinks) != 1:
+        raise NotUSOError(face=f, count=len(sinks))
+    return sinks[0]
+
+
+def find_sink_by_scan(o: Orientation) -> int:
+    """The unique vertex with empty outmap, by full table scan (the
+    reference answer every algorithm is checked against).
+
+    Raises ``NotUSOError`` with the whole cube and its sink count when
+    other than one vertex has an empty outmap.
+    """
+    hits = np.flatnonzero(o._table == 0)
+    if hits.size != 1:
+        raise NotUSOError(
+            f"not a USO: {hits.size} vertices have an empty outmap",
+            face=Face.whole_cube(o.n),
+            count=int(hits.size),
+        )
+    return int(hits[0])
 
 
 def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bit, full_mask
-from .core import NotUSOError, Orientation
+from .core import NotUSOError, Orientation, find_sink_by_scan
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,7 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
     table = o._table.tolist()
     reach = t.entries
     size = len(table)
-    sinks = [v for v in range(size) if table[v] == 0]
-    if len(sinks) != 1:
-        raise NotUSOError(f"not a USO: {len(sinks)} vertices have an empty outmap")
-    sink = sinks[0]
+    sink = find_sink_by_scan(o)
     full = full_mask(o.n)
     dists: list[float] = [0] * size
     wits: list[int | None] = [None] * size

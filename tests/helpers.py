@@ -2,10 +2,10 @@
 
 Everything here is deliberately written from the definitions, without
 reusing the library's fast paths: a pure-python edge check and face scan,
-the pairwise unique-sink criterion, the Klee-Minty table, per-vertex
-reachability sets, BFS distances, brute-force enumeration over raw edge
-orientations, canonical forms by one loop per automorphism, and the walk's
-bit tables by one loop per mask.
+the pairwise unique-sink criterion, a check of the certificates that
+``NotUSOError`` carries, the Klee-Minty table, per-vertex reachability
+sets, BFS distances, brute-force enumeration over raw edge orientations,
+and canonical forms by one loop per automorphism.
 """
 
 from __future__ import annotations
@@ -203,6 +203,21 @@ def random_consistent_table(n: int, rng: SplitMix64) -> Orientation:
         else:
             table[v ^ bit(j)] |= bit(j)
     return Orientation(n, table)
+
+
+def certificate_holds(o: Orientation, exc) -> bool:
+    """True iff the certificate a ``NotUSOError`` carries is genuine: a pair
+    of distinct vertices whose outmaps agree wherever the vertices differ,
+    or a face with exactly ``count`` (!= 1) sinks, counted vertex by vertex.
+    An error without a certificate holds vacuously."""
+    if exc.pair is not None:
+        u, v = exc.pair
+        return exc.face is None and u != v and (u ^ v) & (o.out(u) ^ o.out(v)) == 0
+    if exc.face is not None:
+        span, anchor = exc.face.span, exc.face.anchor
+        sinks = sum(1 for sub in submasks(span) if o.out(anchor | sub) & span == 0)
+        return sinks == exc.count != 1
+    return True
 
 
 def one_nice_direct(o: Orientation) -> bool:

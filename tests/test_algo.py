@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import reachable_vertices
+from helpers import certificate_holds, random_consistent_table, reachable_vertices
 from usolib.algo import (
     bottom_antipodal,
     derandomized_re,
@@ -27,7 +27,7 @@ from usolib.construct import (
     random_target_combed,
     uniform,
 )
-from usolib.core import Face, Orientation, face_sink
+from usolib.core import Face, NotUSOError, Orientation, face_sink
 from usolib.reach import reach_table
 from usolib.rng import SplitMix64
 
@@ -318,6 +318,39 @@ def test_seesaws_raise_on_non_uso():
             fs_revisited(NOT_USO_3, start)
     for start in range(4, 8):
         assert fs_revisited(NOT_USO_3, start)[0] == 7
+
+
+def test_not_uso_certificates_of_the_joins_and_seesaws_are_genuine():
+    # on random edge-consistent tables, mostly not USOs, every pair a join
+    # or seesaw names must break the pairwise criterion, and the seesaw
+    # never returns a vertex that is not a sink
+    rng = SplitMix64(607)
+    raised = {"join_pair": 0, "fibonacci_seesaw": 0, "fs_revisited": 0}
+
+    def run(name, call, o):
+        try:
+            return call()
+        except NotUSOError as exc:
+            raised[name] += 1
+            assert exc.pair is not None and certificate_holds(o, exc)
+            return None
+
+    for n in range(2, 8):
+        for _ in range(120):
+            o = random_consistent_table(n, rng)
+            size = 1 << n
+            for _ in range(3):
+                u, v = rng.randrange(size), rng.randrange(size)
+                run("join_pair", lambda: join_pair(o, u, v), o)
+            result = run("fibonacci_seesaw", lambda: fibonacci_seesaw(o), o)
+            if result is not None:
+                assert o.out(result[0]) == 0
+            for _ in range(2):
+                start = rng.randrange(size)
+                result = run("fs_revisited", lambda: fs_revisited(o, start), o)
+                if result is not None:
+                    assert o.out(result[0]) == 0
+    assert all(raised.values()), raised
 
 
 def test_join_set_examples():

@@ -4,6 +4,7 @@ from helpers import (
     brute_force_usos,
     bfs_distance_in_face,
     canonical_form_by_loop,
+    certificate_holds,
     cube_edges,
     first_edge_violation_pure,
     orientation_from_edge_bits,
@@ -15,11 +16,11 @@ from usolib.bitops import bit, full_mask, popcount, submasks
 from usolib.core import (
     EvalCounter,
     Face,
-    MultipleSinksError,
+    NotUSOError,
     Orientation,
-    ZeroSinksError,
     canonical_form,
     face_sink,
+    find_sink_by_scan,
     first_edge_violation,
     first_uso_violation,
     hypercube_automorphisms,
@@ -125,10 +126,45 @@ def test_random_flips_preserve_edge_consistency():
 def test_face_sink_examples():
     assert face_sink(uniform(3), Face.whole_cube(3)) == 0b111
     assert face_sink(klee_minty(3), Face.whole_cube(3)) == 0
-    with pytest.raises(MultipleSinksError):
+    with pytest.raises(NotUSOError) as info:
         face_sink(DOUBLE_SINK, Face.whole_cube(2))
-    with pytest.raises(ZeroSinksError):
+    assert info.value.count == 2
+    with pytest.raises(NotUSOError) as info:
         face_sink(FOUR_CYCLE, Face.whole_cube(2))
+    assert info.value.count == 0
+
+
+def test_not_uso_certificates_of_the_sink_scans_are_genuine():
+    # random edge-consistent tables are mostly not USOs; every face the
+    # scans name must have the sink count they report
+    rng = SplitMix64(606)
+    raised = {"face_sink": 0, "find_sink_by_scan": 0}
+    for n in range(2, 8):
+        for _ in range(150):
+            o = random_consistent_table(n, rng)
+            empty = int((o.outmap == 0).sum())
+            try:
+                sink = find_sink_by_scan(o)
+            except NotUSOError as exc:
+                raised["find_sink_by_scan"] += 1
+                assert exc.face == Face.whole_cube(n) and exc.pair is None
+                assert certificate_holds(o, exc)
+                assert str(exc) == f"not a USO: {empty} vertices have an empty outmap"
+            else:
+                assert empty == 1 and o.out(sink) == 0
+            for _ in range(4):
+                span = rng.randrange(full_mask(n)) + 1
+                f = Face(rng.randrange(1 << n), span)
+                try:
+                    sink = face_sink(o, f)
+                except NotUSOError as exc:
+                    raised["face_sink"] += 1
+                    assert exc.face == f and exc.pair is None
+                    assert certificate_holds(o, exc)
+                else:
+                    assert f.contains(sink) and o.out(sink) & span == 0
+                    assert sum(o.out(v) & span == 0 for v in f.vertices()) == 1
+    assert all(raised.values()), raised
 
 
 def test_validate_uso_simple_cases():

@@ -160,7 +160,9 @@ def test_check_names_the_violated_face(tmp_path, capsys):
     path.write_text("uso 2\n1\n2\n2\n1\n")
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "face" in err and "span={1,2}" in err and "0 sinks" in err
+    assert err == "error: not a USO: face span={1,2} anchor={} has 0 sinks\n"
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_check_rejects_corrupted_file(tmp_path, capsys):
@@ -259,6 +261,29 @@ def test_solve_exits_1_when_the_seesaw_proves_a_non_uso(tmp_path, capsys, start)
     assert "not a USO" in capsys.readouterr().err
 
 
+NOT_USO_3 = "uso 3\n" + "".join(f"{s}\n" for s in [5, 6, 6, 5, 3, 2, 1, 0])
+
+
+@pytest.mark.parametrize("command", [["walk", "--algo", "re"], ["solve", "--algo", "dre"]])
+def test_start_source_without_one_full_outmap_exits_1(tmp_path, capsys, command):
+    # one sink (7), but no vertex has the full outmap: a domain failure
+    path = tmp_path / "bad.uso"
+    path.write_text(NOT_USO_3)
+    assert main([command[0], str(path)] + command[1:] + ["--start", "source"]) == 1
+    assert capsys.readouterr().err == "error: table has 0 vertices with full outmap\n"
+
+
+@pytest.mark.parametrize("start", [str(v) for v in range(8)] + ["antipodal", "random"])
+def test_fs_exits_1_on_a_one_sink_non_uso_from_every_start(tmp_path, capsys, start):
+    # the seesaw solves the whole cube whatever the start, so it always
+    # meets the bad 2-face
+    path = tmp_path / "bad.uso"
+    path.write_text(NOT_USO_3)
+    assert main(["solve", str(path), "--algo", "fs", "--start", start]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: not a USO: vertices 1 and 2 differ on {1,2} but their outmaps agree there\n"
+
+
 def test_enum_count_and_census(tmp_path, capsys):
     assert main(["enum", "--n", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"n": 2, "count": 12}
@@ -273,17 +298,15 @@ def test_enum_heavy_guard(capsys):
     capsys.readouterr()
 
 
-def test_enum_deterministic_across_runs(tmp_path, monkeypatch):
+def test_enum_deterministic_across_runs(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    monkeypatch.setenv("USO_THREADS", "1")
     assert main(["enum", "--n", "3", "--census", "--out", str(a)]) == 0
-    monkeypatch.setenv("USO_THREADS", "4")
     assert main(["enum", "--n", "3", "--census", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bench_deterministic_and_sorted(tmp_path, monkeypatch, capsys):
+def test_bench_deterministic_and_sorted(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     args = [
@@ -299,9 +322,7 @@ def test_bench_deterministic_and_sorted(tmp_path, monkeypatch, capsys):
         "--seed",
         "7",
     ]
-    monkeypatch.setenv("USO_THREADS", "1")
     assert main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("USO_THREADS", "3")
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
