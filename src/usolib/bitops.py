@@ -7,7 +7,7 @@ intersection and symmetric difference are ``|``, ``&`` and ``^``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 
 def bit(coord: int) -> int:
@@ -93,3 +93,28 @@ def mask_deposit(value: int, positions: int) -> int:
 def format_coord_set(mask: int) -> str:
     """Human-readable coordinate set, e.g. ``{1,3}`` or ``{}``."""
     return "{" + ",".join(str(c) for c in coords(mask)) + "}"
+
+
+def coord_set_formatter(n: int) -> Callable[[int], str]:
+    """:func:`format_coord_set` for masks below 2**n, as two table lookups.
+
+    One table names the subsets of the low ceil(n/2) coordinates, the other
+    those of the rest. Both are built by doubling, so they hold O(2**(n/2))
+    strings, not 2**n.
+    """
+
+    def inner(first: int, count: int) -> list[str]:
+        names = [""]
+        for c in range(first, first + count):
+            names += [f"{s},{c}" if s else str(c) for s in names]
+        return names
+
+    half = (n + 1) // 2
+    low, high = inner(1, half), inner(half + 1, n - half)
+    low_mask = full_mask(half)
+
+    def name(mask: int) -> str:
+        lo, hi = low[mask & low_mask], high[mask >> half]
+        return "{" + lo + "," + hi + "}" if lo and hi else "{" + lo + hi + "}"
+
+    return name

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algo, construct, enumeration
-from .bitops import format_coord_set
+from .bitops import coord_set_formatter
 from .core import (
     NotUSOError,
     Orientation,
@@ -168,15 +168,14 @@ def cmd_analyze(args) -> int:
         f"niceness_index: {report.niceness_index}",
         "vertex outmap reachmap cover_distance witness",
     ]
-    for v in range(o.vertex_count()):
+    name = coord_set_formatter(o.n)
+    for v, (s, r) in enumerate(zip(o.outmap.tolist(), rt.entries)):
         if v == report.sink:
             cover, wit = "-", "-"
         else:
             cover = str(int(report.cover_distance[v]))
             wit = str(report.witness[v])
-        lines.append(
-            f"{v} {format_coord_set(o.out(v))} {format_coord_set(rt[v])} {cover} {wit}"
-        )
+        lines.append(f"{v} {name(s)} {name(r)} {cover} {wit}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -7,6 +7,14 @@ one unique-sink check (each returns the first violation it finds), the
 one sink scan, ``NotUSOError`` with its certificate, a topological order
 with the acyclicity test built on it, the decomposability test, and
 canonicalization under the hypercube automorphism group.
+
+The unique-sink check uses the face-sink recurrence of Szabo & Welzl: when
+both facets of a face along its top coordinate j have one sink, the face's
+sinks are the facet sinks with j incoming. It keeps one sink per face, so
+it costs O(3^n) time. Its low coordinates run as one array sweep of at
+most ``_SWEEP_ENTRIES`` = 2^22 int32 sinks (16 MiB), or 2^n when n > 22;
+the high coordinates run depth first over their spans on arrays no
+larger than that.
 """
 
 from __future__ import annotations
@@ -22,12 +30,17 @@ from .bitops import (
     coords,
     format_coord_set,
     full_mask,
+    mask_deposit,
     popcount,
     submasks,
 )
 
 #: Largest dimension for which dense tables are supported (2**n entries).
 MAX_DIMENSION = 24
+
+#: Most int32 face sinks the low-coordinate sweep of
+#: :func:`first_uso_violation` holds in one array (16 MiB).
+_SWEEP_ENTRIES = 1 << 22
 
 
 class NotUSOError(ValueError):
@@ -252,21 +265,102 @@ def find_sink_by_scan(o: Orientation) -> int:
     return int(hits[0])
 
 
+def _join(table: np.ndarray, b: int, a: np.ndarray, c: np.ndarray):
+    """Sinks of the faces joined along coordinate bit ``b`` from the facet
+    sinks ``a`` (b clear) and ``c`` (b set): the one of the two with b
+    incoming. Also returns the sink count of every face where both or
+    neither have b incoming (-1 elsewhere), or None when there is none.
+    """
+    in_a = (table[a] & b) == 0
+    joined = np.where(in_a, a, c)
+    bad = in_a == ((table[c] & b) == 0)
+    if not bad.any():
+        return joined, None
+    return joined, np.where(bad, 2 * in_a, -1)
+
+
+def _least_face(
+    counts: np.ndarray, m: int, n: int, fixed: int, free: int
+) -> tuple[Face, int]:
+    """The least face, by span then anchor, among the entries of ``counts``
+    that are not -1, with its count.
+
+    Entry [r, t] is the face whose span is ``fixed`` plus the coordinates
+    where the base-3 code t (m digits, coordinate 1 lowest) has digit 2,
+    and whose anchor is r deposited into the coordinates ``free`` plus the
+    coordinates where t has digit 1. ``free`` lies above coordinate m.
+    """
+    rows, codes = np.nonzero(counts >= 0)
+    span = np.zeros_like(codes)
+    anchor = np.zeros_like(codes)
+    t = codes
+    for i in range(m):
+        t, d = np.divmod(t, 3)
+        span |= (d == 2).astype(np.int64) << i
+        anchor |= (d == 1).astype(np.int64) << i
+    # depositing rows into ``free`` keeps their order and misses the low bits
+    i = int(np.argmin((span << n) | (rows << m) | anchor))
+    face = Face(mask_deposit(int(rows[i]), free) | int(anchor[i]), fixed | int(span[i]))
+    return face, int(counts[rows[i], codes[i]])
+
+
 def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
-    """First face (ordered by span then anchor) with sink count != 1."""
+    """First face (ordered by span then anchor) with sink count != 1.
+
+    Recurrence over the top coordinate j of a span: when both facets of a
+    face along j have one sink, the face's sinks are the facet sinks with j
+    incoming, so it has 0, 1 or 2. One int32 sink per face costs O(3^n)
+    over all faces. The first bad face has only good proper subfaces, so it
+    is found with its exact count. A face computed from a bad face's entry
+    (one of its facet sinks) may look bad too, but it has that face as a
+    proper subface, so it comes later in span order and is never reported.
+
+    Coordinates 1..k run as one sweep over an array x[h, t]: h holds the
+    vertex bits above coordinate j and t is a base-3 face code over
+    coordinates 1..j (digit 0, 1 or "in span"). k is the largest value with
+    3^k * 2^(n-k) <= ``_SWEEP_ENTRIES`` (every coordinate up to n = 13).
+    Spans with a higher top all exceed those with top j, so the sweep stops
+    at the first step that finds a bad face. The coordinates k+1..n follow
+    depth first over their spans T -> T + {j}, j > top(T); each node holds
+    a (2^(n-k-|T|), 3^k) array and spans not below the least bad face found
+    are pruned.
+    """
     n = o.n
     full = full_mask(n)
     table = o._table
-    verts = np.arange(table.size)
-    for span in range(1, full + 1):
-        sinks = (table & span) == 0
-        anchors = verts & ~span
-        counts = np.bincount(anchors[sinks], minlength=table.size)
-        bad = np.flatnonzero(counts[anchors] != 1)
-        if bad.size:
-            a = int(anchors[bad[0]])
-            return Face(a, span), int(counts[a])
-    return None
+    k = 0
+    while k < n and 3 ** (k + 1) << (n - k - 1) <= _SWEEP_ENTRIES:
+        k += 1
+    x = np.arange(1 << n, dtype=np.int32).reshape(-1, 1)
+    for j in range(1, k + 1):
+        b = bit(j)
+        pairs = x.reshape(-1, 2, x.shape[1])
+        a, c = pairs[:, 0], pairs[:, 1]
+        joined, counts = _join(table, b, a, c)
+        if counts is not None:
+            return _least_face(counts, j - 1, n, b, full ^ (2 * b - 1))
+        x = np.concatenate([a, c, joined], axis=1)
+
+    best = None
+
+    def descend(y: np.ndarray, span: int, free: int) -> None:
+        # rows of y hold the vertex bits at the coordinates ``free``
+        nonlocal best
+        for j in range(max(k, span.bit_length()) + 1, n + 1):
+            b = bit(j)
+            child = span | b
+            if best is not None and best[0].span < child:
+                return  # every span below here is at least child
+            pairs = y.reshape(-1, 2, 1 << popcount(free & (b - 1)), y.shape[1])
+            joined, counts = _join(table, b, pairs[:, 0], pairs[:, 1])
+            joined = joined.reshape(-1, y.shape[1])
+            if counts is not None:
+                # the pruning above leaves only spans below ``best``
+                best = _least_face(counts.reshape(joined.shape), k, n, child, free ^ b)
+            descend(joined, child, free ^ b)
+
+    descend(x, 0, full ^ full_mask(k))
+    return best
 
 
 def validate_uso(o: Orientation) -> bool:

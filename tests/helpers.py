@@ -2,10 +2,11 @@
 
 Everything here is deliberately written from the definitions, without
 reusing the library's fast paths: a pure-python edge check and face scan,
-the pairwise unique-sink criterion, a check of the certificates that
-``NotUSOError`` carries, the Klee-Minty table, per-vertex reachability
-sets, BFS distances, brute-force enumeration over raw edge orientations,
-and canonical forms by one loop per automorphism.
+the numpy face scan that names the first bad face in O(4^n), the pairwise
+unique-sink criterion, an edge flip that ignores the USO property, a check
+of the certificates that ``NotUSOError`` carries, the Klee-Minty table,
+per-vertex reachability sets, BFS distances, brute-force enumeration over
+raw edge orientations, and canonical forms by one loop per automorphism.
 """
 
 from __future__ import annotations
@@ -47,6 +48,32 @@ def uso_by_face_scan_pure(o: Orientation) -> bool:
             if count != 1:
                 return False
     return True
+
+
+def first_uso_violation_by_face_scan(o: Orientation) -> tuple[Face, int] | None:
+    """First face (ordered by span then anchor) with sink count != 1, by
+    one sink count per anchor for every span: O(4^n)."""
+    n = o.n
+    full = full_mask(n)
+    table = o.outmap
+    verts = np.arange(table.size)
+    for span in range(1, full + 1):
+        sinks = (table & span) == 0
+        anchors = verts & ~span
+        counts = np.bincount(anchors[sinks], minlength=table.size)
+        bad = np.flatnonzero(counts[anchors] != 1)
+        if bad.size:
+            a = int(anchors[bad[0]])
+            return Face(a, span), int(counts[a])
+    return None
+
+
+def flipped_edge(o: Orientation, v: int, j: int) -> Orientation:
+    """``o`` with the edge at vertex v along coordinate j reversed, whether
+    or not the result is a USO."""
+    table = o.outmap.copy()
+    table[[v, v ^ bit(j)]] ^= bit(j)
+    return Orientation(o.n, table)
 
 
 def uso_by_pairwise(o: Orientation) -> bool:

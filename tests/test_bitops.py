@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from usolib.bitops import (
     bit,
     coord_list,
+    coord_set_formatter,
     format_coord_set,
     from_coords,
     full_mask,
@@ -32,6 +33,12 @@ def test_coords_roundtrip():
     assert lowest_coord(mask) == 1
     assert format_coord_set(mask) == "{1,3,6}"
     assert format_coord_set(0) == "{}"
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_coord_set_formatter_matches_format_coord_set(n):
+    name = coord_set_formatter(n)
+    assert [name(m) for m in range(1 << n)] == [format_coord_set(m) for m in range(1 << n)]
 
 
 def test_submasks_enumerates_all_subsets_in_order():

@@ -1,5 +1,10 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import usolib.core
 from helpers import (
     brute_force_usos,
     bfs_distance_in_face,
@@ -7,6 +12,8 @@ from helpers import (
     certificate_holds,
     cube_edges,
     first_edge_violation_pure,
+    first_uso_violation_by_face_scan,
+    flipped_edge,
     orientation_from_edge_bits,
     random_consistent_table,
     uso_by_face_scan_pure,
@@ -182,13 +189,78 @@ def test_validate_uso_agrees_with_face_scan_exhaustively_small():
     # every edge orientation of the 1- and 2-cube, and of the 3-cube
     for n in (1, 2, 3):
         edges = cube_edges(n)
-        import itertools
-
         for bits in itertools.product((0, 1), repeat=len(edges)):
             o = orientation_from_edge_bits(n, edges, bits)
             expect = uso_by_face_scan_pure(o)
             assert validate_uso(o) == expect
             assert uso_by_pairwise(o) == expect
+            assert first_uso_violation(o) == first_uso_violation_by_face_scan(o)
+
+
+def limit_sweep(monkeypatch, n, sweep):
+    """Let the sweep of ``first_uso_violation`` cover the coordinates its
+    module bound allows ("bound"), the low half of them ("half") or none
+    ("none"); the depth-first part searches the rest."""
+    k = {"bound": None, "half": n // 2, "none": 0}[sweep]
+    if k is not None:
+        monkeypatch.setattr(usolib.core, "_SWEEP_ENTRIES", 3**k << (n - k))
+
+
+@pytest.mark.parametrize("sweep", ["bound", "half", "none"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_first_uso_violation_matches_face_scan_random_tables(monkeypatch, n, sweep):
+    limit_sweep(monkeypatch, n, sweep)
+    rng = SplitMix64(300 + n)
+    for _ in range(40):
+        o = random_consistent_table(n, rng)
+        assert first_uso_violation(o) == first_uso_violation_by_face_scan(o)
+        # arbitrary outmaps, mostly not edge-consistent
+        o = Orientation(n, [rng.randrange(1 << n) for _ in range(1 << n)])
+        assert first_uso_violation(o) == first_uso_violation_by_face_scan(o)
+
+
+@pytest.mark.parametrize("sweep", ["bound", "half", "none"])
+@pytest.mark.parametrize("n", range(4, 11))
+def test_first_uso_violation_matches_face_scan_on_flipped_fmos(monkeypatch, n, sweep):
+    limit_sweep(monkeypatch, n, sweep)
+    rng = SplitMix64(400 + n)
+    for _ in range(10):
+        j = rng.randrange(n) + 1
+        o = flipped_edge(random_fmo(n, rng), rng.randrange(1 << n), j)
+        expect = first_uso_violation_by_face_scan(o)
+        assert expect is None or expect[0].span & bit(j)
+        assert first_uso_violation(o) == expect
+        # after a second flip one step can find bad faces whose array order
+        # is not their (span, anchor) order
+        o = flipped_edge(o, rng.randrange(1 << n), rng.randrange(n) + 1)
+        assert first_uso_violation(o) == first_uso_violation_by_face_scan(o)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_first_uso_violation_depth_first_part_at_n14(seed):
+    # the sweep covers coordinates 1..13 at n = 14; flipping an edge along
+    # coordinate 14 leaves every face without it in its span intact, so the
+    # first bad face is found depth first
+    rng = SplitMix64(seed)
+    o = flipped_edge(random_fmo(14, rng), rng.randrange(1 << 14), 14)
+    expect = first_uso_violation_by_face_scan(o)
+    assert expect is not None and expect[0].span & bit(14)
+    assert first_uso_violation(o) == expect
+
+
+def test_first_uso_violation_accepts_klee_minty_16():
+    assert first_uso_violation(klee_minty(16)) is None
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**64 - 1), flip=st.booleans())
+def test_first_uso_violation_matches_face_scan_hypothesis(n, seed, flip):
+    rng = SplitMix64(seed)
+    if flip:
+        o = flipped_edge(random_fmo(n, rng), rng.randrange(1 << n), rng.randrange(n) + 1)
+    else:
+        o = random_consistent_table(n, rng)
+    assert first_uso_violation(o) == first_uso_violation_by_face_scan(o)
 
 
 @pytest.mark.parametrize("n,samples", [(4, 6000), (5, 4000)])

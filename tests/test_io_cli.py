@@ -2,10 +2,15 @@ import json
 
 import pytest
 
-from helpers import first_edge_violation_pure, random_consistent_table
-from usolib.bitops import bit
+from helpers import (
+    first_edge_violation_pure,
+    first_uso_violation_by_face_scan,
+    flipped_edge,
+    random_consistent_table,
+)
+from usolib.bitops import bit, format_coord_set
 from usolib.cli import main
-from usolib.construct import cyclic_full_reach, klee_minty, uniform
+from usolib.construct import cyclic_full_reach, klee_minty, random_fmo, uniform
 from usolib.core import Orientation
 from usolib.io import (
     ParseError,
@@ -163,6 +168,25 @@ def test_check_names_the_violated_face(tmp_path, capsys):
     assert err == "error: not a USO: face span={1,2} anchor={} has 0 sinks\n"
     assert main(["analyze", str(path)]) == 1
     assert capsys.readouterr().err == err
+
+
+def test_check_and_analyze_name_a_face_found_depth_first(tmp_path, capsys):
+    # at n = 14 the USO check sweeps coordinates 1..13 and searches spans
+    # with coordinate 14 depth first; an edge flipped along 14 is found there
+    rng = SplitMix64(4)
+    o = flipped_edge(random_fmo(14, rng), rng.randrange(1 << 14), 14)
+    face, count = first_uso_violation_by_face_scan(o)
+    assert face.span & bit(14)
+    path = tmp_path / "flipped.uso"
+    write_orientation(o, path)
+    expected = (
+        f"error: not a USO: face span={format_coord_set(face.span)} "
+        f"anchor={format_coord_set(face.anchor)} has {count} sinks\n"
+    )
+    for command in ("check", "analyze"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected)
 
 
 def test_check_rejects_corrupted_file(tmp_path, capsys):
