@@ -6,7 +6,10 @@ This module provides the table type, faces, one edge-consistency check and
 one unique-sink check (each returns the first violation it finds), the
 one sink scan, ``NotUSOError`` with its certificate, a topological order
 with the acyclicity test built on it, the decomposability test, and
-canonicalization under the hypercube automorphism group.
+canonicalization under the hypercube automorphism group. The
+decomposability test runs as one kernel over a (B, 2^n) stack of tables
+(:func:`decomposable_rows`), so the census classifies all its tables in one
+call; :func:`is_decomposable` calls it on a stack of one.
 
 The unique-sink check uses the face-sink recurrence of Szabo & Welzl: when
 both facets of a face along its top coordinate j have one sink, the face's
@@ -27,7 +30,6 @@ import numpy as np
 
 from .bitops import (
     bit,
-    coords,
     format_coord_set,
     full_mask,
     mask_deposit,
@@ -398,47 +400,56 @@ def is_acyclic(o: Orientation) -> bool:
     return topological_order(o) is not None
 
 
-def _combed_direction(o: Orientation, f: Face, j: int) -> int:
-    """-1 if coordinate j is not combed in face f; else 0/1 for the shared
-    direction bit (1 means edges point from the j=0 side to the j=1 side)."""
-    b = bit(j)
-    lower = Face(f.anchor, f.span & ~b)
-    direction = -1
-    for v in lower.vertices():
-        d = 1 if o.out(v) & b else 0
-        if direction < 0:
-            direction = d
-        elif d != direction:
-            return -1
-    return direction
+def decomposable_rows(tables: np.ndarray) -> np.ndarray:
+    """Which rows of a (B, 2^n) stack of edge-consistent tables are
+    decomposable: every face of dimension >= 1 has a combed coordinate.
+
+    With d(v) = s(v) xor v, bit j of d(v) is the direction of the j-edge at
+    v, the same at both endpoints, so j is combed in a face F exactly when
+    bit j of d is constant on F (Szabo & Welzl's combed coordinates).
+    Having a combed coordinate in every face is inherited by subfaces, so
+    splitting each face along its lowest combed coordinate decides it,
+    with no backtracking over coordinates and no memo: level k holds up to
+    B 2^k faces as rows of the d values of their 2^(n-k) vertices in
+    ascending order, and a face with no combed coordinate marks its table
+    false and drops its table's faces. Faces of dimension 1 are always
+    combed, so there are at most n - 1 levels. On a row that is not
+    edge-consistent, d reads no edge direction and the row's answer says
+    nothing about its edges.
+    """
+    size = tables.shape[1]
+    d = tables ^ np.arange(size, dtype=np.uint32)
+    span = np.full(len(d), size - 1, dtype=np.uint32)
+    owner = np.arange(len(d))
+    ok = np.ones(len(d), dtype=bool)
+    while d.shape[1] > 2 and owner.size:
+        combed = span & (np.bitwise_and.reduce(d, axis=1) | ~np.bitwise_or.reduce(d, axis=1))
+        ok[owner[combed == 0]] = False
+        keep = ok[owner]
+        d, span, owner, combed = d[keep], span[keep], owner[keep], combed[keep]
+        low = combed & ~(combed - np.uint32(1))
+        # a face vertex has the split coordinate set exactly when bit
+        # rank(low in span) of its position in the row is set
+        rank = np.bitwise_count(span & (low - np.uint32(1)))
+        lower = (np.arange(d.shape[1]) >> rank[:, None]) & 1 == 0
+        half = d.shape[1] // 2
+        d = np.concatenate([d[lower].reshape(-1, half), d[~lower].reshape(-1, half)])
+        span = np.tile(span ^ low, 2)
+        owner = np.tile(owner, 2)
+    return ok
 
 
 def is_decomposable(o: Orientation) -> bool:
-    """True iff every face of dimension >= 1 contains a combed coordinate.
+    """True iff every face of dimension >= 1 contains a combed coordinate:
+    :func:`decomposable_rows` on a stack of one.
 
-    Recursive: a combed coordinate splits a face into two halves which are
-    checked independently; results are memoized per face.
+    The table is assumed edge-consistent (see :func:`first_edge_violation`).
+    On a table that is not, bit j of s(v) xor v is no longer the direction
+    of an edge, and the answer only says whether the splits find, in every
+    face they reach, a j whose bit is constant on all the face's vertices:
+    ``Orientation(2, [1, 1, 1, 1])``, for one, is not decomposable.
     """
-    memo: dict[Face, bool] = {}
-
-    def check(f: Face) -> bool:
-        if f.dimension <= 1:
-            return True
-        cached = memo.get(f)
-        if cached is not None:
-            return cached
-        result = False
-        for j in coords(f.span):
-            if _combed_direction(o, f, j) < 0:
-                continue
-            rest = f.span & ~bit(j)
-            if check(Face(f.anchor, rest)) and check(Face(f.anchor | bit(j), rest)):
-                result = True
-                break
-        memo[f] = result
-        return result
-
-    return check(Face.whole_cube(o.n))
+    return bool(decomposable_rows(o._table[None])[0])
 
 
 def _permute_mask_table(n: int, perm: tuple[int, ...]) -> list[int]:
@@ -475,11 +486,10 @@ def hypercube_automorphisms(n: int):
 @lru_cache(maxsize=None)
 def _automorphism_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverse vertex maps, coordinate maps) of every automorphism of Q^n,
-    one row each, shape (2**n * n!, 2**n), in the smallest dtype that fits."""
+    one row each, shape (2**n * n!, 2**n), as uint8."""
     vertex_maps, coord_maps = zip(*hypercube_automorphisms(n))
-    dtype = np.min_scalar_type((1 << n) - 1)
-    inverse = np.argsort(np.array(vertex_maps), axis=1).astype(dtype)
-    return inverse, np.array(coord_maps, dtype=dtype)
+    inverse = np.argsort(np.array(vertex_maps), axis=1).astype(np.uint8)
+    return inverse, np.array(coord_maps, dtype=np.uint8)
 
 
 def canonical_form(o: Orientation) -> Orientation:
@@ -491,12 +501,12 @@ def canonical_form(o: Orientation) -> Orientation:
     reflections. Restricted to n <= 6; the group has size 2**n * n!.
 
     The image of the table under automorphism g is coord_map_g applied to
-    table[inverse_g]; all images are formed in one gather and the least is
-    picked by ``np.lexsort``.
+    table[inverse_g]. All images are formed in one gather, as uint8 rows;
+    viewed as fixed-width byte strings they compare lexicographically, so
+    one ``argmin`` picks the least.
     """
     if o.n > 6:
         raise ValueError("canonical_form supports n <= 6 only")
     inverse, coord_maps = _automorphism_arrays(o.n)
     images = np.take_along_axis(coord_maps, o._table[inverse], axis=1)
-    best = np.lexsort(images.T[::-1])[0]
-    return Orientation(o.n, images[best])
+    return Orientation(o.n, images[images.view(f"S{1 << o.n}")[:, 0].argmin()])

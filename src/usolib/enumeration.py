@@ -5,19 +5,26 @@ present in the vertex are forced by edge consistency with lower neighbors;
 the remaining bits are branched over and pruned with the pairwise criterion
 against all fixed vertices, which at a full assignment is exactly the
 unique-sink property.
+
+The census classifies every generated USO: decomposability on one
+(B, 2^n) stack of all the tables, niceness and the isomorphism class one
+orientation at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .bitops import submasks
 from .core import (
     Orientation,
     canonical_form,
-    is_acyclic,
-    is_decomposable,
+    decomposable_rows,
+    topological_order,
     validate_uso,
 )
 from .reach import niceness_index
@@ -122,6 +129,11 @@ class Census:
 def census(n: int) -> Census:
     """Full classification of all n-dimensional USOs; n <= 3 only.
 
+    Decomposability is one :func:`~usolib.core.decomposable_rows` call on
+    the (B, 2^n) stack of all the tables. Decomposable implies acyclic, so
+    Kahn's :func:`~usolib.core.topological_order` runs only on the rows the
+    decomposability test rejects. :func:`~usolib.reach.niceness_index` and
+    :func:`~usolib.core.canonical_form` classify each orientation in turn.
     Classifying the millions of 4-dimensional USOs is out of reach for this
     routine (use :func:`enumerate_all` with ``heavy=True`` for the bare
     count there).
@@ -130,37 +142,25 @@ def census(n: int) -> Census:
         raise ValueError(
             "census supports n <= 3; use enumerate_all(n, heavy=True) for counts"
         )
-    total = 0
-    acyclic_count = 0
-    decomposable_count = 0
-    histogram: dict[int, int] = {}
-    iso: dict[str, int] = {}
-
-    def visit(o: Orientation) -> None:
-        nonlocal total, acyclic_count, decomposable_count
-        total += 1
-        if is_acyclic(o):
-            acyclic_count += 1
-        if is_decomposable(o):
-            decomposable_count += 1
-        idx = niceness_index(o).niceness_index
-        histogram[idx] = histogram.get(idx, 0) + 1
-        key = " ".join(str(x) for x in canonical_form(o).outmap.tolist())
-        iso[key] = iso.get(key, 0) + 1
-
-    enumerate_all(n, visit)
-    result = Census(
-        n=n,
-        total_uso=total,
-        acyclic=acyclic_count,
-        cyclic=total - acyclic_count,
-        decomposable=decomposable_count,
-        niceness_histogram=histogram,
-        iso_classes=iso,
+    orientations: list[Orientation] = []
+    enumerate_all(n, orientations.append)
+    decomposable = decomposable_rows(np.stack([o.outmap for o in orientations]))
+    acyclic = int(decomposable.sum()) + sum(
+        topological_order(orientations[i]) is not None for i in np.flatnonzero(~decomposable)
     )
-    assert result.decomposable <= result.acyclic
-    assert sum(histogram.values()) == total
-    return result
+    histogram = Counter(niceness_index(o).niceness_index for o in orientations)
+    orbits = Counter(
+        " ".join(map(str, canonical_form(o).outmap.tolist())) for o in orientations
+    )
+    return Census(
+        n=n,
+        total_uso=len(orientations),
+        acyclic=acyclic,
+        cyclic=len(orientations) - acyclic,
+        decomposable=int(decomposable.sum()),
+        niceness_histogram=dict(histogram),
+        iso_classes=dict(orbits),
+    )
 
 
 def recurrence_check(n: int) -> bool:

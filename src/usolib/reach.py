@@ -15,8 +15,8 @@ topological order, so cyclic tables and non-USOs take the same path.
 Cover distances follow a recurrence over the reach table, because a vertex
 reachable from v never has a larger reachmap than v: d(v) = 1 when some
 out-neighbour's reachmap differs from R(v), and otherwise 1 + min d(w) over
-the out-neighbours w. :func:`niceness_index` evaluates it in one level sweep
-of O(n 2^n) on top of :func:`reach_table`.
+the out-neighbours w. :func:`niceness_index` evaluates it in one numpy
+level sweep of O(n 2^n) on top of :func:`reach_table`.
 """
 
 from __future__ import annotations
@@ -26,19 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bit, full_mask
+from .bitops import bit
 from .core import NotUSOError, Orientation, find_sink_by_scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachTable:
-    """Reachmap of every vertex; entry v is a coordinate bitmask."""
+    """Reachmap of every vertex; entry v is a coordinate bitmask, held in a
+    read-only uint32 array."""
 
     n: int
-    entries: tuple[int, ...]
+    entries: np.ndarray
 
     def __getitem__(self, v: int) -> int:
-        return self.entries[v]
+        return int(self.entries[v])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -76,8 +77,9 @@ def reach_table(o: Orientation) -> ReachTable:
     Starting from R = s, each sweep visits the coordinates j = 1..n and ORs
     R(v xor e_j) into R(v) wherever j is in s(v). The update is in place,
     so one sweep carries information along any path whose coordinates
-    descend; the loop stops after the first sweep that changes nothing.
-    R only grows and stays inside the true reachmaps, so the fixed point is
+    descend; the loop stops after the first sweep that changes nothing,
+    which is the first that leaves the sum of R unchanged, since R only
+    gains bits. R stays inside the true reachmaps, so the fixed point is
     exactly the reachmap on any table (acyclic, cyclic, or not a USO), and
     every sweep but the last sets a new bit: at most n 2^n + 1 sweeps.
     Measured counts, the final unchanged sweep included, at n = 11, 14 and
@@ -87,16 +89,18 @@ def reach_table(o: Orientation) -> ReachTable:
     """
     table = o._table
     reach = table.copy()
+    total = reach.sum()
     while True:
-        before = reach.copy()
         for j in range(1, o.n + 1):
             b = bit(j)
             # row r pairs vertex 2br + c (coordinate j clear) with 2br + b + c
             pairs = reach.reshape(-1, 2, b)
             out_j = ((table & np.uint32(b)) != 0).reshape(-1, 2, b)
             np.bitwise_or(pairs, pairs[:, ::-1], out=pairs, where=out_j)
-        if np.array_equal(reach, before):
-            return ReachTable(o.n, tuple(reach.tolist()))
+        total, before = reach.sum(), total
+        if total == before:
+            reach.setflags(write=False)
+            return ReachTable(o.n, reach)
 
 
 def cover_distance(o: Orientation, t: ReachTable, v: int) -> int:
@@ -144,18 +148,21 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
     the minimal distance.
 
     A vertex reachable from v never has a larger reachmap than v, so one
-    level sweep over the reach table replaces a search per vertex:
+    numpy level sweep over the reach table replaces a search per vertex:
 
     - d(v) = 1 when some out-neighbour w has R(w) != R(v); the witness is
-      the smallest such w;
-    - otherwise every out-neighbour shares R(v), d(v) = 1 + min d(w) over
+      the smallest such w. Level 1 compares every vertex with its
+      neighbour along each coordinate in turn.
+    - Otherwise every out-neighbour shares R(v), d(v) = 1 + min d(w) over
       the out-neighbours, and the witness is the smallest witness among the
-      out-neighbours with d(w) = d(v) - 1.
+      out-neighbours with d(w) = d(v) - 1. Level L >= 2 gathers, coordinate
+      by coordinate, the unassigned in-neighbours of the level L - 1
+      frontier, an array of vertex indices.
 
-    Level L >= 2 is found from level L - 1 by following in-edges, and the
-    sweep ends at the first level that assigns nothing. Every vertex joins
-    at most one level and its n edges are scanned once there, so the sweep
-    costs O(n 2^n) on top of :func:`reach_table`.
+    The sweep ends once every vertex but the sink has a distance, or at the
+    first level that assigns nothing. Every vertex joins at most one
+    frontier and its n edges are scanned once there, so the sweep costs
+    O(n 2^n) on top of :func:`reach_table`.
 
     Raises ``NotUSOError`` when the table (assumed edge-consistent) does not
     have exactly one sink, or when a non-sink vertex has no cover; neither
@@ -163,52 +170,48 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
     """
     if t is None:
         t = reach_table(o)
-    table = o._table.tolist()
-    reach = t.entries
+    table, reach = o._table, t.entries
     size = len(table)
     sink = find_sink_by_scan(o)
-    full = full_mask(o.n)
-    dists: list[float] = [0] * size
-    wits: list[int | None] = [None] * size
-    dists[sink] = math.inf
-    frontier = []
-    for v in range(size):
-        rv = reach[v]
-        best = size
-        s = table[v]
-        while s:
-            low = s & -s
-            s ^= low
-            w = v ^ low
-            if w < best and reach[w] != rv:
-                best = w
-        if best < size:
-            dists[v] = 1
-            wits[v] = best
-            frontier.append(v)
+    vertices = np.arange(size, dtype=np.int32)
+    # distances and witnesses; the sink keeps distance 0 and witness 2^n
+    wits = np.full(size, size, dtype=np.int32)
+    for j in range(1, o.n + 1):
+        b = bit(j)
+        w = vertices ^ b
+        cover = ((table & np.uint32(b)) != 0) & (reach != reach[w])
+        np.minimum(wits, np.where(cover, w, size), out=wits)
+    dists = (wits < size).astype(np.int32)
+    frontier = np.flatnonzero(dists)
+    unassigned = size - 1 - frontier.size
     level = 1
-    while frontier:
+    while frontier.size and unassigned:
         level += 1
-        found: dict[int, int] = {}
-        for u in frontier:
-            wu = wits[u]
-            s = full ^ table[u]
-            while s:
-                low = s & -s
-                s ^= low
-                v = u ^ low
-                if dists[v] == 0 and found.get(v, size) > wu:
-                    found[v] = wu
-        for v, w in found.items():
+        found = []
+        front_wits = wits[frontier]
+        for j in range(1, o.n + 1):
+            b = bit(j)
+            v = frontier ^ b
+            dv = dists[v]
+            into = ((table[v] & np.uint32(b)) != 0) & ((dv == 0) | (dv == level))
+            v = v[into]
+            found.append(v[dv[into] == 0])
             dists[v] = level
-            wits[v] = w
-        frontier = list(found)
-    if 0 in dists:
-        raise NotUSOError(f"not a USO: vertex {dists.index(0)} has no cover")
+            wits[v] = np.minimum(wits[v], front_wits[into])
+        frontier = np.concatenate(found)
+        unassigned -= frontier.size
+    if unassigned:
+        uncovered = dists == 0
+        uncovered[sink] = False
+        raise NotUSOError(f"not a USO: vertex {np.flatnonzero(uncovered)[0]} has no cover")
+    cover = dists.tolist()
+    witness = wits.tolist()
+    cover[sink] = math.inf
+    witness[sink] = None
     return NicenessReport(
         n=o.n,
         sink=sink,
-        cover_distance=tuple(dists),
-        witness=tuple(wits),
-        niceness_index=level - 1,
+        cover_distance=tuple(cover),
+        witness=tuple(witness),
+        niceness_index=int(dists.max()),
     )

@@ -6,12 +6,15 @@ the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
 of the certificates that ``NotUSOError`` carries, the Klee-Minty table,
 per-vertex reachability sets, BFS distances, brute-force enumeration over
-raw edge orientations, and canonical forms by one loop per automorphism.
+raw edge orientations, canonical forms by one loop per automorphism, the
+memoised decomposability recursion over faces, acyclicity from
+reachability, and the pure-python cover-distance level sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -279,3 +282,101 @@ def canonical_form_by_loop(o: Orientation) -> Orientation:
         if best is None or candidate < best:
             best = candidate
     return Orientation(o.n, best)
+
+
+def _combed_direction(o: Orientation, f: Face, j: int) -> int:
+    """-1 if coordinate j is not combed in face f; else 0/1 for the shared
+    direction bit (1 means edges point from the j=0 side to the j=1 side)."""
+    b = bit(j)
+    lower = Face(f.anchor, f.span & ~b)
+    direction = -1
+    for v in lower.vertices():
+        d = 1 if o.out(v) & b else 0
+        if direction < 0:
+            direction = d
+        elif d != direction:
+            return -1
+    return direction
+
+
+def is_decomposable_by_recursion(o: Orientation) -> bool:
+    """Decomposability from the definition: a face of dimension >= 2 is
+    decomposable when some combed coordinate splits it into two
+    decomposable halves; tries every combed coordinate, memoised per face."""
+    memo: dict[Face, bool] = {}
+
+    def check(f: Face) -> bool:
+        if f.dimension <= 1:
+            return True
+        cached = memo.get(f)
+        if cached is not None:
+            return cached
+        result = False
+        for j in coords(f.span):
+            if _combed_direction(o, f, j) < 0:
+                continue
+            rest = f.span & ~bit(j)
+            if check(Face(f.anchor, rest)) and check(Face(f.anchor | bit(j), rest)):
+                result = True
+                break
+        memo[f] = result
+        return result
+
+    return check(Face.whole_cube(o.n))
+
+
+def is_acyclic_by_reachability(o: Orientation) -> bool:
+    """True iff no out-neighbour of any vertex reaches that vertex back."""
+    for v in range(o.vertex_count()):
+        s = o.out(v)
+        for j in coords(s):
+            if (reachable_vertices(o, v ^ bit(j)) >> v) & 1:
+                return False
+    return True
+
+
+def niceness_by_python_sweep(o: Orientation, reach) -> tuple:
+    """(sink, cover distances, witnesses, niceness index) by the level sweep
+    over the reach table ``reach`` (indexable by vertex) in pure python:
+    level 1 takes the smallest out-neighbour with another reachmap, level
+    L the smallest witness among out-neighbours at level L - 1, found by
+    following in-edges from the level L - 1 frontier. The sink's entries are
+    ``math.inf`` and None. Raises ValueError on other than one sink or on a
+    vertex without cover."""
+    table = [o.out(v) for v in range(o.vertex_count())]
+    size = len(table)
+    sinks = [v for v in range(size) if table[v] == 0]
+    if len(sinks) != 1:
+        raise ValueError(f"{len(sinks)} sinks")
+    sink = sinks[0]
+    full = full_mask(o.n)
+    dists: list[float] = [0] * size
+    wits: list[int | None] = [None] * size
+    dists[sink] = math.inf
+    frontier = []
+    for v in range(size):
+        best = size
+        for j in coords(table[v]):
+            w = v ^ bit(j)
+            if w < best and reach[w] != reach[v]:
+                best = w
+        if best < size:
+            dists[v] = 1
+            wits[v] = best
+            frontier.append(v)
+    level = 1
+    while frontier:
+        level += 1
+        found: dict[int, int] = {}
+        for u in frontier:
+            for j in coords(full ^ table[u]):
+                v = u ^ bit(j)
+                if dists[v] == 0 and found.get(v, size) > wits[u]:
+                    found[v] = wits[u]
+        for v, w in found.items():
+            dists[v] = level
+            wits[v] = w
+        frontier = list(found)
+    if 0 in dists:
+        raise ValueError(f"vertex {dists.index(0)} has no cover")
+    return sink, tuple(dists), tuple(wits), level - 1

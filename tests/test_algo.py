@@ -463,3 +463,12 @@ def test_fs_revisited_bounds_small():
             sizes = trace.reachmap_sizes
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert trace.evaluations <= 10 * 1.62 ** popcount(rt[start])
+
+
+def test_solvers_return_the_scan_sink_on_every_3_cube_uso(all_usos_3):
+    for o in all_usos_3:
+        sink = find_sink_by_scan(o)
+        assert fibonacci_seesaw(o)[0] == sink
+        for start in range(8):
+            assert derandomized_re(o, start).found_sink == sink
+            assert fs_revisited(o, start)[0] == sink

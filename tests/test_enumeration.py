@@ -4,9 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import uso_by_face_scan_pure
+from helpers import (
+    canonical_form_by_loop,
+    cover_search_bfs,
+    is_acyclic_by_reachability,
+    is_decomposable_by_recursion,
+    reachmap_bruteforce,
+    uso_by_face_scan_pure,
+)
 from usolib.core import canonical_form, is_acyclic
-from usolib.enumeration import census, enumerate_all, recurrence_check
+from usolib.enumeration import Census, census, enumerate_all, recurrence_check
 from usolib.reach import niceness_index
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,6 +95,39 @@ def test_census_3_structure(census_3, all_usos_3):
 def test_census_matches_golden_files(census_3):
     for n, c in ((1, census(1)), (2, census(2)), (3, census_3)):
         assert c.to_json_obj() == _golden_json(f"census_n{n}.json")
+
+
+def _census_by_oracles(n: int) -> Census:
+    """The census built table by table from the definition-level oracles."""
+    orientations: list = []
+    enumerate_all(n, orientations.append)
+    acyclic = sum(is_acyclic_by_reachability(o) for o in orientations)
+    histogram: dict[int, int] = {}
+    iso: dict[str, int] = {}
+    for o in orientations:
+        reach = [reachmap_bruteforce(o, v) for v in range(o.vertex_count())]
+        index = max(
+            cover_search_bfs(o, reach, v)[0]
+            for v in range(o.vertex_count())
+            if o.out(v) != 0
+        )
+        histogram[index] = histogram.get(index, 0) + 1
+        key = " ".join(map(str, canonical_form_by_loop(o).outmap.tolist()))
+        iso[key] = iso.get(key, 0) + 1
+    return Census(
+        n=n,
+        total_uso=len(orientations),
+        acyclic=acyclic,
+        cyclic=len(orientations) - acyclic,
+        decomposable=sum(is_decomposable_by_recursion(o) for o in orientations),
+        niceness_histogram=histogram,
+        iso_classes=iso,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_census_matches_per_table_oracles(n, census_3):
+    assert (census_3 if n == 3 else census(n)) == _census_by_oracles(n)
 
 
 def test_recurrence_check():

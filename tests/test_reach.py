@@ -61,7 +61,7 @@ def test_reach_table_matches_per_vertex_traversal(make):
 
 def _assert_reach_table_is_bruteforce(o):
     expected = [reachmap_bruteforce(o, v) for v in range(o.vertex_count())]
-    assert list(reach_table(o).entries) == expected
+    assert reach_table(o).entries.tolist() == expected
 
 
 def test_reach_table_oracle_all_usos_3(all_usos_3):
