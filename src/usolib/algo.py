@@ -1,7 +1,7 @@
 """Sink-finding algorithms and their instrumentation.
 
-Random Edge and Bottom Antipodal (seeded walks, scalar and batched in one
-lockstep engine that takes a step rule),
+Random Edge and Bottom Antipodal (seeded walks run by one lockstep engine
+that takes a step rule; the single-walk functions are batches of one),
 join operations, a deterministic replacement for Random Edge built from
 joins, the Fibonacci Seesaw, and the restarted seesaw that is bounded by
 the reachmap of the start vertex. Every algorithm counts distinct vertex
@@ -23,10 +23,10 @@ from .bitops import full_mask, lowest_coord, popcount
 from .core import EvalCounter, Face, NotUSOError, Orientation, find_sink_by_scan
 from .reach import reach_table
 from .rng import (
+    _MASK64,
     derive_seeds_np,
     start_value,
     start_values_np,
-    stream_value,
     stream_values_np,
 )
 
@@ -120,42 +120,35 @@ def source_vertex(o: Orientation) -> int:
     return int(hits[0])
 
 
+def _one_walk(o: Orientation, algo: str, start: int, seed: int, cap: int) -> RunStats:
+    """One walk: a batch of one trial through :func:`_walk_lockstep` with
+    the ``algo`` step rule; the stats keep ``seed`` as given."""
+    starts = np.array([resolve_start(o, int(start))], dtype=np.int64)
+    seeds = np.array([seed & _MASK64], dtype=np.uint64)
+    steps, evals, found, capped = _walk_lockstep(
+        o, starts, seeds, cap, _STEP_RULES[algo]
+    )
+    sink = int(found[0]) if found[0] >= 0 else None
+    return RunStats(int(steps[0]), int(evals[0]), sink, seed, bool(capped[0]))
+
+
 def random_edge_walk(o: Orientation, start: int, seed: int, cap: int) -> RunStats:
     """Random walk choosing a uniformly random outgoing edge at each step.
 
     Deterministic given (seed, start): step t consumes value t of the seeded
-    stream. Walks that hit the cap report capped=True with no sink.
+    stream. Walks that hit the cap report capped=True with no sink. This is
+    a batch of one trial of the engine under :func:`walk_batch`, so it pays
+    the engine's per-step numpy overhead: about 15 times the time of a
+    per-step Python loop on cubes of dimension 3 to 8. Use
+    :func:`walk_batch` for many trials.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    v = start
-    steps = 0
-    visited = 1 << v
-    evals = 1
-    while True:
-        s = o.out(v)
-        if s == 0:
-            return RunStats(steps, evals, v, seed, False)
-        if steps >= cap:
-            return RunStats(steps, evals, None, seed, True)
-        z = stream_value(seed, steps)
-        bits = []
-        b = s
-        while b:
-            low = b & -b
-            bits.append(low)
-            b ^= low
-        v ^= bits[z % len(bits)]
-        steps += 1
-        if not (visited >> v) & 1:
-            visited |= 1 << v
-            evals += 1
+    return _one_walk(o, "re", start, seed, cap)
 
 
 def _random_edge_move(s, seeds, active, t):
     """Random Edge step rule: step t crosses the outgoing edge picked by
-    value t of each trial's stream, as :func:`random_edge_walk` does: clear
-    the k = z mod |s| lowest set bits of s and keep the lowest one left."""
+    value z of each trial's stream at index t: clear the k = z mod |s|
+    lowest set bits of s and keep the lowest one left."""
     k = stream_values_np(seeds[active], t) % np.bitwise_count(s)
     for i in range(int(k.max())):
         s = np.where(k > i, s & (s - 1), s)
@@ -175,7 +168,8 @@ def _walk_lockstep(
     o: Orientation, starts: np.ndarray, seeds: np.ndarray, cap: int, move
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All trials advance in lockstep, each step xoring in the mask the
-    step rule ``move`` picks; bit-identical to the per-trial walks.
+    step rule ``move`` picks; trial k's walk depends only on its start and
+    seed, so it is the same walk as a batch of that one trial.
 
     Every vertex a trial enters is logged as the key trial * 2^n + vertex.
     The log is folded into the sorted distinct keys ``seen`` whenever it
@@ -183,6 +177,8 @@ def _walk_lockstep(
     (trial, vertex) pairs rather than the steps; a trial's evaluations are
     its number of distinct keys.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     n = o.n
     table = o.outmap
     count = starts.size
@@ -308,25 +304,11 @@ def bottom_antipodal(o: Orientation, start: int, cap: int) -> RunStats:
     """Iterate v <- v xor s(v) until the sink or the cap.
 
     Termination on cyclic orientations is not guaranteed, so the cap is
-    mandatory; hitting it is reported, not raised.
+    mandatory; hitting it is reported, not raised. Like
+    :func:`random_edge_walk`, a batch of one trial of the engine, about 15
+    times slower per call than a per-step Python loop.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    v = start
-    steps = 0
-    visited = 1 << v
-    evals = 1
-    while True:
-        s = o.out(v)
-        if s == 0:
-            return RunStats(steps, evals, v, 0, False)
-        if steps >= cap:
-            return RunStats(steps, evals, None, 0, True)
-        v ^= s
-        steps += 1
-        if not (visited >> v) & 1:
-            visited |= 1 << v
-            evals += 1
+    return _one_walk(o, "ba", start, 0, cap)
 
 
 class JoinResult(NamedTuple):

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,36 +35,6 @@ from .rng import SplitMix64, derive_seed
 FAMILIES = ("uniform", "km", "fmo", "target-combed", "cyclic-lb", "auso-lb", "product")
 
 CSV_HEADER = "family,n,seed,steps,evaluations,capped"
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One algorithm run, as persisted by walk/bench."""
-
-    family: str
-    n: int
-    seed: int
-    algorithm: str
-    steps: int
-    evaluations: int
-    capped: bool
-
-    def csv_row(self) -> str:
-        # fixed 6-column format; timing is reported only in JSON output so
-        # that repeated runs stay byte-identical
-        capped = "true" if self.capped else "false"
-        return f"{self.family},{self.n},{self.seed},{self.steps},{self.evaluations},{capped}"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-            "steps": self.steps,
-            "evaluations": self.evaluations,
-            "capped": self.capped,
-        }
 
 
 def build_family(family: str, n: int, seed: int) -> Orientation:
@@ -180,28 +149,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _records_from_batch(
-    batch: algo.WalkBatch, label: str, n: int, algorithm: str
-) -> list[ExperimentRecord]:
-    records = []
-    for k in range(batch.steps.size):
-        records.append(
-            ExperimentRecord(
-                family=label,
-                n=n,
-                seed=int(batch.seeds[k]),
-                algorithm=algorithm,
-                steps=int(batch.steps[k]),
-                evaluations=int(batch.evaluations[k]),
-                capped=bool(batch.capped[k]),
-            )
-        )
-    return records
+def _csv_rows(batch: algo.WalkBatch, label: str, n: int) -> list[str]:
+    """One fixed 6-column row per trial, in ascending seed order. Timing is
+    reported only in JSON output so that repeated runs stay byte-identical."""
+    order = np.argsort(batch.seeds, kind="stable")
+    columns = (batch.seeds, batch.steps, batch.evaluations, batch.capped)
+    return [
+        f"{label},{n},{seed},{steps},{evals},{'true' if capped else 'false'}"
+        for seed, steps, evals, capped in zip(*(c[order].tolist() for c in columns))
+    ]
 
 
-def _csv_text(records: list[ExperimentRecord]) -> str:
-    rows = sorted(records, key=lambda r: (r.family, r.n, r.seed))
-    return "\n".join([CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
+def _csv_text(rows: list[str]) -> str:
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def cmd_walk(args) -> int:
@@ -213,7 +173,7 @@ def cmd_walk(args) -> int:
     wall_ms = int((time.perf_counter() - started) * 1000)
     label = args.label or Path(args.path).stem
     if args.format == "csv":
-        _emit(_csv_text(_records_from_batch(batch, label, o.n, args.algo)), args.out)
+        _emit(_csv_text(_csv_rows(batch, label, o.n)), args.out)
         return 0
     summary = algo.summarize(batch)
     obj = {
@@ -227,7 +187,15 @@ def cmd_walk(args) -> int:
         "summary": summary.to_json_obj(),
     }
     if args.trials == 1:
-        obj["run"] = _records_from_batch(batch, label, o.n, args.algo)[0].to_json_obj()
+        obj["run"] = {
+            "family": label,
+            "n": o.n,
+            "seed": int(batch.seeds[0]),
+            "algorithm": args.algo,
+            "steps": int(batch.steps[0]),
+            "evaluations": int(batch.evaluations[0]),
+            "capped": bool(batch.capped[0]),
+        }
     _emit(_json_dumps(obj), args.out)
     return 0
 
@@ -274,16 +242,16 @@ def cmd_bench(args) -> int:
     lo, hi = args.n
     if lo > hi:
         raise ValueError(f"empty dimension range {lo}..{hi}")
-    records: list[ExperimentRecord] = []
+    rows: list[str] = []
     means: list[tuple[int, float]] = []
     for n in range(lo, hi + 1):
         instance_seed = derive_seed(args.seed, n)
         o = build_family(args.family, n, instance_seed)
         cap = args.cap if args.cap is not None else 4**n
         batch = algo.walk_batch(o, args.algo, args.start, args.trials, instance_seed, cap)
-        records.extend(_records_from_batch(batch, args.family, n, args.algo))
+        rows.extend(_csv_rows(batch, args.family, n))
         means.append((n, float(batch.steps.mean())))
-    _emit(_csv_text(records), args.out)
+    _emit(_csv_text(rows), args.out)
     if len(means) >= 2 and all(m > 0 for _, m in means):
         xs = np.log([n for n, _ in means])
         ys = np.log([m for _, m in means])

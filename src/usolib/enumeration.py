@@ -25,7 +25,6 @@ from .core import (
     canonical_form,
     decomposable_rows,
     topological_order,
-    validate_uso,
 )
 from .reach import niceness_index
 
@@ -48,15 +47,8 @@ def enumerate_all(
     visitor: Visitor | None = None,
     *,
     heavy: bool = False,
-    branch_descending: bool = False,
-    verify: bool = False,
 ) -> int:
-    """Visit every USO of dimension ``n`` exactly once; returns the count.
-
-    ``branch_descending`` reverses the branching order (the visit order
-    changes, the visited set must not). ``verify`` re-checks every complete
-    table with :func:`validate_uso` before visiting it.
-    """
+    """Visit every USO of dimension ``n`` exactly once; returns the count."""
     _check_enumerable(n, heavy)
     size = 1 << n
     full = size - 1
@@ -66,12 +58,9 @@ def enumerate_all(
     def assign(v: int) -> None:
         nonlocal count
         if v == size:
-            o = Orientation(n, table)
-            if verify and not validate_uso(o):
-                return
             count += 1
             if visitor is not None:
-                visitor(o)
+                visitor(Orientation(n, table))
             return
         forced = 0
         b = v
@@ -80,10 +69,8 @@ def enumerate_all(
             b ^= low
             if not table[v ^ low] & low:
                 forced |= low
-        candidates = [forced | f for f in submasks(full & ~v)]
-        if branch_descending:
-            candidates.reverse()
-        for cand in candidates:
+        for f in submasks(full & ~v):
+            cand = forced | f
             ok = True
             for u in range(v):
                 if not (table[u] ^ cand) & (u ^ v):

@@ -5,7 +5,8 @@ reusing the library's fast paths: a pure-python edge check and face scan,
 the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
 of the certificates that ``NotUSOError`` carries, the Klee-Minty table,
-per-vertex reachability sets, BFS distances, brute-force enumeration over
+per-vertex reachability sets, BFS distances, the Random Edge and Bottom
+Antipodal walks as plain per-step loops, brute-force enumeration over
 raw edge orientations, canonical forms by one loop per automorphism, the
 memoised decomposability recursion over faces, acyclicity from
 reachability, and the pure-python cover-distance level sweep.
@@ -18,9 +19,10 @@ import math
 
 import numpy as np
 
+from usolib.algo import RunStats
 from usolib.bitops import bit, coords, full_mask, submasks
 from usolib.core import Face, Orientation, hypercube_automorphisms
-from usolib.rng import SplitMix64
+from usolib.rng import SplitMix64, stream_value
 
 
 def first_edge_violation_pure(o: Orientation) -> tuple[int, int] | None:
@@ -233,6 +235,60 @@ def random_consistent_table(n: int, rng: SplitMix64) -> Orientation:
         else:
             table[v ^ bit(j)] |= bit(j)
     return Orientation(n, table)
+
+
+def random_edge_walk_by_loop(
+    o: Orientation, start: int, seed: int, cap: int
+) -> RunStats:
+    """Random Edge one step at a time: step t crosses the outgoing edge
+    with index (value t of the seed's stream) mod |s(v)|, counted from the
+    lowest coordinate; the evaluations are the distinct vertices entered."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    v = start
+    steps = 0
+    visited = 1 << v
+    evals = 1
+    while True:
+        s = o.out(v)
+        if s == 0:
+            return RunStats(steps, evals, v, seed, False)
+        if steps >= cap:
+            return RunStats(steps, evals, None, seed, True)
+        z = stream_value(seed, steps)
+        bits = []
+        b = s
+        while b:
+            low = b & -b
+            bits.append(low)
+            b ^= low
+        v ^= bits[z % len(bits)]
+        steps += 1
+        if not (visited >> v) & 1:
+            visited |= 1 << v
+            evals += 1
+
+
+def bottom_antipodal_by_loop(o: Orientation, start: int, cap: int) -> RunStats:
+    """Bottom Antipodal one step at a time: v <- v xor s(v) until the sink
+    or the cap."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    v = start
+    steps = 0
+    visited = 1 << v
+    evals = 1
+    while True:
+        s = o.out(v)
+        if s == 0:
+            return RunStats(steps, evals, v, 0, False)
+        if steps >= cap:
+            return RunStats(steps, evals, None, 0, True)
+        v ^= s
+        steps += 1
+        if not (visited >> v) & 1:
+            visited |= 1 << v
+            evals += 1
 
 
 def certificate_holds(o: Orientation, exc) -> bool:

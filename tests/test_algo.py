@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import certificate_holds, random_consistent_table, reachable_vertices
+from helpers import (
+    bottom_antipodal_by_loop,
+    certificate_holds,
+    random_consistent_table,
+    random_edge_walk_by_loop,
+    reachable_vertices,
+)
 from usolib.algo import (
     bottom_antipodal,
     derandomized_re,
@@ -82,10 +88,19 @@ def test_walk_is_reproducible_and_matches_batch():
     o = random_fmo(6, SplitMix64(3))
     batch = walk_batch(o, "re", "random", 64, seed=99, cap=4**6)
     for k in (0, 1, 13, 63):
-        scalar = random_edge_walk(o, int(batch.starts[k]), int(batch.seeds[k]), 4**6)
-        assert scalar.steps == int(batch.steps[k])
-        assert scalar.evaluations == int(batch.evaluations[k])
-        assert (scalar.found_sink is None) == bool(batch.capped[k])
+        start, seed = int(batch.starts[k]), int(batch.seeds[k])
+        oracle = random_edge_walk_by_loop(o, start, seed, 4**6)
+        assert oracle.steps == int(batch.steps[k])
+        assert oracle.evaluations == int(batch.evaluations[k])
+        assert (oracle.found_sink is None) == bool(batch.capped[k])
+        assert random_edge_walk(o, start, seed, 4**6) == oracle
+    # seeds are taken mod 2^64, including those at or above 2^63 and negative
+    # ones; the stats keep the seed as given
+    for seed in (2**63, 12345678901234567890, 2**64 - 1, 2**64 + 5, -1, -3):
+        for start, cap in ((0, 4**6), (21, 3), (63, 1)):
+            oracle = random_edge_walk_by_loop(o, start, seed, cap)
+            assert random_edge_walk(o, start, seed, cap) == oracle
+            assert oracle.seed == seed
     again = random_edge_walk(o, int(batch.starts[0]), int(batch.seeds[0]), 4**6)
     first = random_edge_walk(o, int(batch.starts[0]), int(batch.seeds[0]), 4**6)
     assert again == first
@@ -107,6 +122,14 @@ def test_walk_cap_reporting():
     o = cyclic_full_reach(4)
     stats = random_edge_walk(o, source_vertex(o), seed=8, cap=1)
     assert stats.capped and stats.found_sink is None and stats.steps == 1
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        random_edge_walk(o, 0, seed=8, cap=0)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        bottom_antipodal(o, 0, cap=-3)
+    with pytest.raises(ValueError, match="out of range"):
+        random_edge_walk(o, 16, seed=8, cap=5)
+    with pytest.raises(ValueError, match="out of range"):
+        bottom_antipodal(o, -1, cap=5)
 
 
 def test_re_trials_summary_shape():
@@ -198,14 +221,15 @@ def test_bottom_antipodal_can_hit_cap():
     assert stats.capped or stats.found_sink == find_sink_by_scan(o)
 
 
-def _scalar_matches_batch(batch, scalar_at, trials) -> None:
+def _scalar_matches_batch(batch, oracle_at, trials) -> None:
+    # oracle_at(k) is trial k run by a per-step loop from tests/helpers.py
     for k in trials:
-        scalar = scalar_at(k)
-        assert scalar.steps == int(batch.steps[k])
-        assert scalar.evaluations == int(batch.evaluations[k])
-        assert scalar.capped == bool(batch.capped[k])
+        oracle = oracle_at(k)
+        assert oracle.steps == int(batch.steps[k])
+        assert oracle.evaluations == int(batch.evaluations[k])
+        assert oracle.capped == bool(batch.capped[k])
         found = int(batch.found[k])
-        assert scalar.found_sink == (None if found < 0 else found)
+        assert oracle.found_sink == (None if found < 0 else found)
 
 
 def _rerun_matches_prefix(o, algo, batch, seed, cap, split) -> None:
@@ -231,7 +255,8 @@ def test_bottom_antipodal_batch_matches_scalar(o, split):
     batch = walk_batch(o, "ba", "random", trials, seed=17, cap=cap)
     assert batch.capped.any() and not batch.capped.all()
     # Bottom Antipodal is deterministic given its start vertex
-    by_start = {v: bottom_antipodal(o, v, cap) for v in range(o.vertex_count())}
+    by_start = {v: bottom_antipodal_by_loop(o, v, cap) for v in range(o.vertex_count())}
+    assert all(bottom_antipodal(o, v, cap) == by_start[v] for v in by_start)
     _scalar_matches_batch(
         batch, lambda k: by_start[int(batch.starts[k])], range(trials)
     )
@@ -248,7 +273,9 @@ def test_random_edge_batch_matches_scalar_across_chunks(split):
     sample = range(0, trials, 331)
     _scalar_matches_batch(
         batch,
-        lambda k: random_edge_walk(o, int(batch.starts[k]), int(batch.seeds[k]), cap),
+        lambda k: random_edge_walk_by_loop(
+            o, int(batch.starts[k]), int(batch.seeds[k]), cap
+        ),
         [*sample, trials - 1],
     )
     _rerun_matches_prefix(o, "re", batch, 23, cap, split)
@@ -264,7 +291,9 @@ def test_bottom_antipodal_batch_counts_revisits_once(n):
     assert batch.capped.any()
     assert (batch.evaluations < batch.steps + 1).any()
     _scalar_matches_batch(
-        batch, lambda k: bottom_antipodal(o, int(batch.starts[k]), cap), range(trials)
+        batch,
+        lambda k: bottom_antipodal_by_loop(o, int(batch.starts[k]), cap),
+        range(trials),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -356,6 +357,48 @@ def test_bench_deterministic_and_sorted(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     keys = [(r[0], int(r[1]), int(r[2])) for r in rows]
     assert keys == sorted(keys)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_walk_and_bench_bytes_are_pinned(tmp_path, capsys):
+    # sha256 prefixes of outputs with capped and uncapped trials; any change
+    # to the walks, the seeds, the row order or the formatting shows here
+    bench = ["bench", "--family", "cyclic-lb", "--algo", "re", "--n", "3..6"]
+    assert main(bench + ["--trials", "200", "--seed", "7", "--cap", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(",true\n") == 5
+    assert _digest(out) == "48f927c20f0c79b8"
+
+    path = tmp_path / "c5.uso"
+    assert main(["gen", "--family", "cyclic-lb", "--n", "5", "--out", str(path)]) == 0
+    walk = ["walk", str(path), "--algo", "ba", "--start", "random", "--trials", "300"]
+    assert main(walk + ["--cap", "7", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(",true\n") == 95
+    assert _digest(out) == "1711a6900914ba11"
+
+    assert main(["walk", str(path), "--algo", "re", "--trials", "1", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert _digest("".join(line for line in lines if "wall_ms" not in line)) == (
+        "2b0bccca78b1540a"
+    )
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("command", ["walk", "bench"])
+def test_walk_and_bench_reject_a_cap_below_1(tmp_path, capsys, command, cap):
+    path = tmp_path / "km4.uso"
+    assert main(["gen", "--family", "km", "--n", "4", "--out", str(path)]) == 0
+    if command == "walk":
+        argv = ["walk", str(path), "--trials", "2", "--format", "csv"]
+    else:
+        argv = ["bench", "--family", "km", "--n", "4", "--trials", "2"]
+    assert main(argv + ["--algo", "re", "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: cap must be >= 1\n")
 
 
 def test_gen_stdout_and_json_format(capsys):
