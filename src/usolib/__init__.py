@@ -16,7 +16,6 @@ from .core import (
     face_sink,
     is_acyclic,
     is_decomposable,
-    outmap_of,
     validate_orientation,
     validate_uso,
 )

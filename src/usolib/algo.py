@@ -41,15 +41,6 @@ class RunStats:
     seed: int
     capped: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "steps": self.steps,
-            "evaluations": self.evaluations,
-            "found_sink": self.found_sink,
-            "seed": self.seed,
-            "capped": self.capped,
-        }
-
 
 @dataclass(frozen=True)
 class SeesawTrace:
@@ -87,17 +78,6 @@ class TrialsSummary:
     quantiles: dict[str, float]
     capped_runs: int
     evaluations_mean: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean": self.mean,
-            "variance": self.variance,
-            "max": self.max,
-            "quantiles": self.quantiles,
-            "capped_runs": self.capped_runs,
-            "evaluations_mean": self.evaluations_mean,
-        }
 
 
 @dataclass(frozen=True)
@@ -367,19 +347,29 @@ class NeighborJoinResult(NamedTuple):
     evaluations: int
 
 
+def _single_bits(mask: int):
+    """The one-bit masks of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def neighbor_join(
     o: Orientation, v: int, oracle: EvalCounter | None = None
 ) -> NeighborJoinResult:
     """Join all out-neighbors of ``v`` using at most |s(v)| evaluations
     beyond knowing s(v) itself.
 
-    Keeps a set of active coordinates (initially s(v)) and the matching
-    out-neighbors. A coordinate l is dropped as soon as some other active
-    neighbor u has l incoming, because the neighbor across l then has a
-    path to u inside their shared 2-face. If an active neighbor becomes the
-    sink of the face spanned by the active coordinates, it joins everything;
-    otherwise every remaining neighbor is the source of its face and the
-    vertex across all active coordinates is returned.
+    Evaluates every out-neighbor, then shrinks the active coordinates ac
+    (initially s(v)) to a fixed point. Each pass visits the coordinates
+    active at its start in ascending order. A still active l whose neighbor
+    v ^ l has no active coordinate outgoing is the sink of the face spanned
+    by ac, so it joins everything and is returned. Otherwise ac keeps only
+    l and the coordinates outgoing at v ^ l: the neighbor across a dropped
+    coordinate has a path to v ^ l inside their shared 2-face. When a pass
+    drops nothing, every active neighbor is the source of its face, and the
+    vertex across all of ac is returned.
     """
     if oracle is None:
         oracle = EvalCounter(o)
@@ -387,51 +377,32 @@ def neighbor_join(
     if sv == 0:
         raise ValueError("neighbor_join is undefined at the sink")
     before = oracle.evaluations
-    neighbor_out = {}
-    b = sv
-    while b:
-        low = b & -b
-        b ^= low
-        neighbor_out[low] = oracle(v ^ low)
+    out = {l: oracle(v ^ l) for l in _single_bits(sv)}
     ac = sv
     while True:
-        changed = False
-        snapshot = []
-        b = ac
-        while b:
-            low = b & -b
-            b ^= low
-            snapshot.append(low)
-        for lu in snapshot:
-            if not ac & lu:
-                continue
-            su = neighbor_out[lu]
-            if su & ac == 0:
-                return NeighborJoinResult(v ^ lu, oracle.evaluations - before)
-            for l in snapshot:
-                if l == lu or not ac & l:
-                    continue
-                if not su & l:
-                    ac ^= l
-                    changed = True
-            if su & ac == 0:
-                return NeighborJoinResult(v ^ lu, oracle.evaluations - before)
-        if not changed:
-            break
-    return NeighborJoinResult(v ^ ac, oracle.evaluations - before)
+        start = ac
+        for l in _single_bits(start):
+            if ac & l:
+                if out[l] & ac == 0:
+                    return NeighborJoinResult(v ^ l, oracle.evaluations - before)
+                ac &= out[l] | l
+        if ac == start:
+            return NeighborJoinResult(v ^ ac, oracle.evaluations - before)
 
 
 def derandomized_re(o: Orientation, start: int) -> RunStats:
     """Deterministic sink search driven by joins.
 
-    Round structure, at covering radius i: collect the ball of vertices
-    within directed distance i-1 of the current vertex, join each member's
-    out-neighborhood, then join those results into a single vertex z that
-    everything within distance i can reach. On an orientation where the
-    current vertex is i-covered, z has a strictly smaller reachmap, so at
-    most n productive rounds happen per radius. When a round makes no
-    certifiable progress (z repeats an earlier vertex), the radius is
-    deepened; radius n always suffices. ``steps`` counts join rounds.
+    Round structure, at covering radius i: search the vertices within
+    directed distance i-1 of the current vertex, returning at once if one
+    is the sink; join each one's out-neighborhood, then join those results,
+    in ascending order, into a single vertex z that everything within
+    distance i can reach. On an orientation where the current vertex is
+    i-covered, z has a strictly smaller reachmap, so at most n productive
+    rounds happen per radius. When z repeats a vertex of this radius, the
+    radius is deepened; radius n always suffices. ``steps`` counts join
+    rounds. On USOs the radius has not been seen to deepen; only non-USO
+    tables have reached that branch.
     """
     oracle = EvalCounter(o)
     if oracle(start) == 0:
@@ -441,45 +412,28 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
     for radius in range(1, o.n + 1):
         visited = {v}
         while True:
-            ball = [v]
             seen = {v}
             frontier = [v]
-            sink = None
             for _ in range(radius - 1):
                 nxt = []
                 for u in frontier:
-                    s = oracle(u)
-                    while s:
-                        low = s & -s
-                        s ^= low
-                        w = u ^ low
-                        if w in seen:
-                            continue
-                        seen.add(w)
-                        if oracle(w) == 0:
-                            sink = w
-                            break
-                        nxt.append(w)
-                        ball.append(w)
-                    if sink is not None:
-                        break
-                if sink is not None:
-                    break
+                    for l in _single_bits(oracle(u)):
+                        w = u ^ l
+                        if w not in seen:
+                            seen.add(w)
+                            if oracle(w) == 0:
+                                return RunStats(rounds, oracle.evaluations, w, 0, False)
+                            nxt.append(w)
                 frontier = nxt
-            if sink is not None:
-                return RunStats(rounds, oracle.evaluations, sink, 0, False)
-            joined = set()
-            for u in sorted(ball):
-                joined.add(neighbor_join(o, u, oracle).vertex)
+            joined = {neighbor_join(o, u, oracle).vertex for u in seen}
             z = join_set(o, sorted(joined), oracle)
             rounds += 1
             if oracle(z) == 0:
                 return RunStats(rounds, oracle.evaluations, z, 0, False)
-            if z == v or z in visited:
-                v = z
+            v = z
+            if z in visited:
                 break
             visited.add(z)
-            v = z
     raise NotUSOError("not a USO: the search exhausted all radii")
 
 

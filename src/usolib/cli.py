@@ -11,6 +11,7 @@ controlled by --seed and outputs are deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -184,7 +185,7 @@ def cmd_walk(args) -> int:
         "master_seed": args.seed,
         "start": str(args.start),
         "wall_ms": wall_ms,
-        "summary": summary.to_json_obj(),
+        "summary": dataclasses.asdict(summary),
     }
     if args.trials == 1:
         obj["run"] = {
@@ -208,7 +209,7 @@ def cmd_solve(args) -> int:
     if args.algo == "dre":
         stats = algo.derandomized_re(o, start)
         sink = stats.found_sink
-        payload: dict = {"run": stats.to_json_obj()}
+        payload: dict = {"run": dataclasses.asdict(stats)}
     elif args.algo == "fs":
         sink, evaluations = algo.fibonacci_seesaw(o)
         payload = {"evaluations": evaluations}

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .bitops import bit, full_mask, mask_deposit, mask_extract, popcount
+from .bitops import bit, full_mask, mask_deposit, popcount
 from .core import Face, Orientation, _check_dimension
 from .rng import SplitMix64
 
@@ -98,14 +98,14 @@ def validate_matching(n: int, m: Matching) -> None:
         occupied.add(u)
 
 
-def flip_matching(n: int, m: Matching, forward_base: bool = True) -> Orientation:
-    """Uniform orientation with every matching edge reversed (an FMO).
+def flip_matching(n: int, m: Matching) -> Orientation:
+    """Forward-uniform orientation with every matching edge reversed (an
+    FMO).
 
     FMOs are always USOs; they may be cyclic.
     """
     validate_matching(n, m)
-    base = uniform(n, forward=forward_base)
-    table = base.outmap.copy()
+    table = uniform(n).outmap.copy()
     for v, j in m:
         b = np.uint32(bit(j))
         table[v] ^= b
@@ -129,25 +129,21 @@ def random_maximal_matching(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     return picked
 
 
-def random_fmo(n: int, rng: SplitMix64, forward_base: bool = True) -> Orientation:
+def random_fmo(n: int, rng: SplitMix64) -> Orientation:
     """FMO over a random maximal matching."""
-    return flip_matching(n, random_maximal_matching(n, rng), forward_base)
+    return flip_matching(n, random_maximal_matching(n, rng))
 
 
-def product(
-    frame: Orientation,
-    fibers: Sequence[Orientation],
-    frame_coords: int | None = None,
-) -> Orientation:
+def product(frame: Orientation, fibers: Sequence[Orientation]) -> Orientation:
     """Combine a frame orientation with one fiber orientation per frame
     vertex.
 
-    The result lives on frame.n + fiber.n coordinates; ``frame_coords``
-    selects which result coordinates the frame occupies (default: the top
-    frame.n coordinates). The outmap of a combined vertex is the frame
-    outmap of its frame part together with the outmap, under the fiber
-    selected by the frame part, of its fiber part. The result is a USO when
-    all inputs are, and acyclic when all inputs are.
+    The result lives on fiber.n + frame.n coordinates, the frame on the top
+    frame.n of them: vertex u * 2^fiber.n + w has outmap s_frame(u) shifted
+    above the fiber coordinates, together with the outmap of w under fiber
+    u. So the table is the fibers' tables, one after another, each with its
+    frame outmap added. The result is a USO when all inputs are, and
+    acyclic when all inputs are.
     """
     if len(fibers) != frame.vertex_count():
         raise ValueError(
@@ -158,21 +154,9 @@ def product(
         raise ValueError("all fibers must share one coordinate set")
     n = frame.n + fiber_dim
     _check_dimension(n)
-    full = full_mask(n)
-    if frame_coords is None:
-        frame_coords = full ^ full_mask(fiber_dim)
-    if popcount(frame_coords) != frame.n or frame_coords & ~full:
-        raise ValueError("frame coordinate set does not match frame dimension")
-    fiber_coords = full ^ frame_coords
-
-    table = np.zeros(1 << n, dtype=np.uint32)
-    for v in range(1 << n):
-        u = mask_extract(v, frame_coords)
-        w = mask_extract(v, fiber_coords)
-        s = mask_deposit(frame.out(u), frame_coords) | mask_deposit(
-            fibers[u].out(w), fiber_coords
-        )
-        table[v] = s
+    table = np.concatenate(
+        [f.outmap | np.uint32(s << fiber_dim) for f, s in zip(fibers, frame.outmap.tolist())]
+    )
     return Orientation(n, table, copy=False)
 
 
@@ -252,7 +236,7 @@ def cyclic_full_reach(n: int) -> Orientation:
     for i in range(1, n + 1):
         j = (i % n) + 1
         edges.append((full ^ bit(i), j))
-    return flip_matching(n, edges, forward_base=True)
+    return flip_matching(n, edges)
 
 
 def auso_lower_bound(n: int) -> Orientation:

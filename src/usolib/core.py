@@ -159,7 +159,10 @@ class Orientation:
         return self._table
 
     def out(self, v: int) -> int:
-        """Outmap of vertex ``v`` as a plain int."""
+        """Outmap of vertex ``v`` as a plain int; a vertex outside the cube
+        raises ``ValueError`` rather than wrapping around."""
+        if not 0 <= v < self._table.size:
+            raise ValueError(f"vertex {v} out of range for dimension {self.n}")
         return int(self._table[v])
 
     def vertex_count(self) -> int:
@@ -203,13 +206,6 @@ class EvalCounter:
 
     def known(self, v: int) -> bool:
         return v in self._cache
-
-
-def outmap_of(o: Orientation, v: int) -> int:
-    """Outmap lookup with range checking."""
-    if not 0 <= v < o.vertex_count():
-        raise ValueError(f"vertex {v} out of range for dimension {o.n}")
-    return o.out(v)
 
 
 def first_edge_violation(o: Orientation) -> tuple[int, int] | None:

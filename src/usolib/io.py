@@ -25,14 +25,15 @@ class ParseError(ValueError):
 _first_inconsistent_vertex = first_edge_violation
 
 
-def _finish(n: int, values: list[int], lineno_of_vertex) -> Orientation:
+def _finish(n: int, values: list[int], where) -> Orientation:
+    """The orientation of ``values``; an edge-inconsistent table raises,
+    naming the place of the first bad vertex v as ``where(v)``."""
     o = Orientation(n, values)
     bad = first_edge_violation(o)
     if bad is not None:
         v, j = bad
         raise ParseError(
-            f"line {lineno_of_vertex(v)}: edge-inconsistent table "
-            f"(vertex {v}, coordinate {j})"
+            f"{where(v)}: edge-inconsistent table (vertex {v}, coordinate {j})"
         )
     return o
 
@@ -69,7 +70,7 @@ def loads_text(text: str) -> Orientation:
         if not 0 <= value <= full_mask(n):
             raise ParseError(f"line {k + 2}: outmap value {value} out of range")
         values.append(value)
-    return _finish(n, values, lambda v: v + 2)
+    return _finish(n, values, lambda v: f"line {v + 2}")
 
 
 def dumps_text(o: Orientation) -> str:
@@ -88,14 +89,17 @@ def loads_json(text: str) -> Orientation:
         raise ParseError("JSON object must have 'n' and 'outmap' fields")
     n = obj["n"]
     outmap = obj["outmap"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+    # type() rather than isinstance(): JSON true and false are bools, and
+    # bool is a subclass of int
+    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
         raise ParseError(f"'n' must be an integer in 1..{MAX_DIMENSION}")
     if not isinstance(outmap, list) or len(outmap) != 1 << n:
         raise ParseError(f"'outmap' must be a list of {1 << n} integers")
+    top = full_mask(n)
     for k, value in enumerate(outmap):
-        if not isinstance(value, int) or not 0 <= value <= full_mask(n):
-            raise ParseError(f"outmap entry {k} out of range")
-    return _finish(n, outmap, lambda v: v + 2)
+        if type(value) is not int or not 0 <= value <= top:
+            raise ParseError(f"outmap entry {k} is not an integer in 0..{top}")
+    return _finish(n, outmap, lambda v: f"outmap entry {v}")
 
 
 def dumps_json(o: Orientation) -> str:

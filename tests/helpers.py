@@ -6,10 +6,12 @@ the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
 of the certificates that ``NotUSOError`` carries, the Klee-Minty table,
 per-vertex reachability sets, BFS distances, the Random Edge and Bottom
-Antipodal walks as plain per-step loops, brute-force enumeration over
-raw edge orientations, canonical forms by one loop per automorphism, the
-memoised decomposability recursion over faces, acyclicity from
-reachability, and the pure-python cover-distance level sweep.
+Antipodal walks as plain per-step loops, the neighbor join and the
+derandomized Random Edge as nested loops over snapshots and a ball list,
+brute-force enumeration over raw edge orientations, canonical forms by one
+loop per automorphism, the memoised decomposability recursion over faces,
+acyclicity from reachability, and the pure-python cover-distance level
+sweep.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ import math
 
 import numpy as np
 
-from usolib.algo import RunStats
+from usolib.algo import NeighborJoinResult, RunStats, join_set
 from usolib.bitops import bit, coords, full_mask, submasks
-from usolib.core import Face, Orientation, hypercube_automorphisms
+from usolib.core import (
+    EvalCounter,
+    Face,
+    NotUSOError,
+    Orientation,
+    hypercube_automorphisms,
+)
 from usolib.rng import SplitMix64, stream_value
 
 
@@ -289,6 +297,122 @@ def bottom_antipodal_by_loop(o: Orientation, start: int, cap: int) -> RunStats:
         if not (visited >> v) & 1:
             visited |= 1 << v
             evals += 1
+
+
+def neighbor_join_by_snapshots(
+    o: Orientation, v: int, oracle: EvalCounter | None = None
+) -> NeighborJoinResult:
+    """Join all out-neighbors of ``v`` using at most |s(v)| evaluations
+    beyond knowing s(v) itself.
+
+    Keeps a set of active coordinates (initially s(v)) and the matching
+    out-neighbors. A coordinate l is dropped as soon as some other active
+    neighbor u has l incoming, because the neighbor across l then has a
+    path to u inside their shared 2-face. If an active neighbor becomes the
+    sink of the face spanned by the active coordinates, it joins everything;
+    otherwise every remaining neighbor is the source of its face and the
+    vertex across all active coordinates is returned.
+    """
+    if oracle is None:
+        oracle = EvalCounter(o)
+    sv = oracle(v)
+    if sv == 0:
+        raise ValueError("neighbor_join is undefined at the sink")
+    before = oracle.evaluations
+    neighbor_out = {}
+    b = sv
+    while b:
+        low = b & -b
+        b ^= low
+        neighbor_out[low] = oracle(v ^ low)
+    ac = sv
+    while True:
+        changed = False
+        snapshot = []
+        b = ac
+        while b:
+            low = b & -b
+            b ^= low
+            snapshot.append(low)
+        for lu in snapshot:
+            if not ac & lu:
+                continue
+            su = neighbor_out[lu]
+            if su & ac == 0:
+                return NeighborJoinResult(v ^ lu, oracle.evaluations - before)
+            for l in snapshot:
+                if l == lu or not ac & l:
+                    continue
+                if not su & l:
+                    ac ^= l
+                    changed = True
+            if su & ac == 0:
+                return NeighborJoinResult(v ^ lu, oracle.evaluations - before)
+        if not changed:
+            break
+    return NeighborJoinResult(v ^ ac, oracle.evaluations - before)
+
+
+def derandomized_re_by_loops(o: Orientation, start: int) -> RunStats:
+    """Deterministic sink search driven by joins.
+
+    Round structure, at covering radius i: collect the ball of vertices
+    within directed distance i-1 of the current vertex, join each member's
+    out-neighborhood, then join those results into a single vertex z that
+    everything within distance i can reach. On an orientation where the
+    current vertex is i-covered, z has a strictly smaller reachmap, so at
+    most n productive rounds happen per radius. When a round makes no
+    certifiable progress (z repeats an earlier vertex), the radius is
+    deepened; radius n always suffices. ``steps`` counts join rounds.
+    """
+    oracle = EvalCounter(o)
+    if oracle(start) == 0:
+        return RunStats(0, oracle.evaluations, start, 0, False)
+    v = start
+    rounds = 0
+    for radius in range(1, o.n + 1):
+        visited = {v}
+        while True:
+            ball = [v]
+            seen = {v}
+            frontier = [v]
+            sink = None
+            for _ in range(radius - 1):
+                nxt = []
+                for u in frontier:
+                    s = oracle(u)
+                    while s:
+                        low = s & -s
+                        s ^= low
+                        w = u ^ low
+                        if w in seen:
+                            continue
+                        seen.add(w)
+                        if oracle(w) == 0:
+                            sink = w
+                            break
+                        nxt.append(w)
+                        ball.append(w)
+                    if sink is not None:
+                        break
+                if sink is not None:
+                    break
+                frontier = nxt
+            if sink is not None:
+                return RunStats(rounds, oracle.evaluations, sink, 0, False)
+            joined = set()
+            for u in sorted(ball):
+                joined.add(neighbor_join_by_snapshots(o, u, oracle).vertex)
+            z = join_set(o, sorted(joined), oracle)
+            rounds += 1
+            if oracle(z) == 0:
+                return RunStats(rounds, oracle.evaluations, z, 0, False)
+            if z == v or z in visited:
+                v = z
+                break
+            visited.add(z)
+            v = z
+    raise NotUSOError("not a USO: the search exhausted all radii")
 
 
 def certificate_holds(o: Orientation, exc) -> bool:

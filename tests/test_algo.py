@@ -4,6 +4,8 @@ import pytest
 from helpers import (
     bottom_antipodal_by_loop,
     certificate_holds,
+    derandomized_re_by_loops,
+    neighbor_join_by_snapshots,
     random_consistent_table,
     random_edge_walk_by_loop,
     reachable_vertices,
@@ -436,6 +438,41 @@ def test_derandomized_re_finds_sink_on_all_families():
             stats = derandomized_re(o, start)
             assert stats.found_sink == sink
             assert not stats.capped
+
+
+def _outcome(f, *args):
+    """Result of ``f(*args)``, or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, NotUSOError) as exc:
+        return type(exc), str(exc)
+
+
+def _radius_deepens(o, start):
+    """True iff derandomized_re leaves radius 1: at radius 1 each round
+    moves to the neighbor join of the current vertex, so the radius deepens
+    exactly when those joins revisit a vertex before reaching the sink."""
+    visited = set()
+    v = start
+    while o.out(v) and v not in visited:
+        visited.add(v)
+        v = neighbor_join_by_snapshots(o, v).vertex
+    return o.out(v) != 0
+
+
+def test_join_solvers_match_the_loop_oracles(all_usos_3):
+    # non-USO tables are the only ones seen to deepen the radius
+    rng = SplitMix64(31)
+    tables = list(all_usos_3)
+    for n in range(2, 7):
+        tables += [random_consistent_table(n, rng) for _ in range(40)]
+    deepened = 0
+    for o in tables:
+        for v in range(o.vertex_count()):
+            assert _outcome(neighbor_join, o, v) == _outcome(neighbor_join_by_snapshots, o, v)
+            assert _outcome(derandomized_re, o, v) == _outcome(derandomized_re_by_loops, o, v)
+            deepened += _radius_deepens(o, v)
+    assert deepened > 0
 
 
 def test_fibonacci_seesaw_base_cases():

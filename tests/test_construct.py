@@ -102,7 +102,6 @@ def test_three_flips_build_the_cyclic_3_uso():
 
 def test_flip_matching_empty_is_uniform():
     assert flip_matching(3, []) == uniform(3)
-    assert flip_matching(3, [], forward_base=False) == uniform(3, forward=False)
 
 
 def test_flip_matching_reproduces_cyclic_construction():
@@ -161,23 +160,11 @@ def test_product_reconstructs_klee_minty():
     assert is_decomposable(km3)
 
 
-def test_product_with_explicit_frame_coords():
-    frame = uniform(1)
-    fibers = [klee_minty(2), klee_minty(2)]
-    o = product(frame, fibers, frame_coords=0b010)  # frame occupies coordinate 2
-    assert validate_uso(o)
-    # forward frame: coordinate 2 is outgoing exactly on the lower side
-    for v in range(8):
-        assert bool(o.out(v) & 0b010) == (v & 0b010 == 0)
-
-
 def test_product_errors():
     with pytest.raises(ValueError):
         product(uniform(1), [uniform(2)])  # wrong fiber count
     with pytest.raises(ValueError):
         product(uniform(1), [uniform(2), uniform(3)])  # mismatched fibers
-    with pytest.raises(ValueError):
-        product(uniform(1), [uniform(2), uniform(2)], frame_coords=0b11)
 
 
 def test_product_preserves_uso_and_acyclicity_sampled():

@@ -33,7 +33,6 @@ from usolib.core import (
     hypercube_automorphisms,
     is_acyclic,
     is_decomposable,
-    outmap_of,
     topological_order,
     validate_orientation,
     validate_uso,
@@ -46,6 +45,7 @@ from usolib.construct import (
     random_fmo,
     uniform,
 )
+from usolib.algo import derandomized_re, fs_revisited, join_pair
 from usolib.cli import FAMILIES, build_family
 from usolib.rng import SplitMix64
 
@@ -83,11 +83,28 @@ def test_orientation_table_is_immutable():
 
 def test_outmap_of_examples():
     o = uniform(3)
-    assert outmap_of(o, 0) == 0b111
-    assert outmap_of(o, 0b111) == 0
-    assert outmap_of(klee_minty(2), 0b10) == 0b11
+    assert o.out(0) == 0b111
+    assert o.out(0b111) == 0
+    assert klee_minty(2).out(0b10) == 0b11
     with pytest.raises(ValueError):
-        outmap_of(o, 8)
+        o.out(8)
+
+
+@pytest.mark.parametrize(
+    "call, v",
+    [
+        (lambda: derandomized_re(klee_minty(3), -1), -1),
+        (lambda: fs_revisited(klee_minty(3), -2), -2),
+        (lambda: face_sink(klee_minty(3), Face(-8, 3)), -8),
+        (lambda: flip_edge(uniform(3), -1, 1), -1),
+        (lambda: join_pair(klee_minty(3), -1, 3), -1),
+    ],
+    ids=["derandomized_re", "fs_revisited", "face_sink", "flip_edge", "join_pair"],
+)
+def test_negative_vertices_raise_instead_of_wrapping(call, v):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"vertex {v} out of range for dimension 3"
 
 
 def test_validate_orientation():

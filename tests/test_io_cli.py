@@ -76,13 +76,13 @@ def test_text_loader_rejects_edge_inconsistent_table():
 def test_loader_names_the_first_inconsistent_edge():
     # the coordinate-1 edge between vertices 2 and 3 is incoming at both
     table = [3, 2, 0, 0]
-    expect = "line 4: edge-inconsistent table (vertex 2, coordinate 1)"
+    expect = "edge-inconsistent table (vertex 2, coordinate 1)"
     with pytest.raises(ParseError) as err:
         loads_text("uso 2\n" + "\n".join(map(str, table)) + "\n")
-    assert str(err.value) == expect
+    assert str(err.value) == "line 4: " + expect
     with pytest.raises(ParseError) as err:
         loads_json(json.dumps({"n": 2, "outmap": table}))
-    assert str(err.value) == expect
+    assert str(err.value) == "outmap entry 2: " + expect
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -96,13 +96,13 @@ def test_loader_error_text_matches_pure_edge_check(n):
         if bad is None:
             continue
         v, j = bad
-        expect = f"line {v + 2}: edge-inconsistent table (vertex {v}, coordinate {j})"
+        expect = f"edge-inconsistent table (vertex {v}, coordinate {j})"
         with pytest.raises(ParseError) as err:
             loads_text(f"uso {n}\n" + "\n".join(map(str, table)) + "\n")
-        assert str(err.value) == expect
+        assert str(err.value) == f"line {v + 2}: {expect}"
         with pytest.raises(ParseError) as err:
             loads_json(json.dumps({"n": n, "outmap": table}))
-        assert str(err.value) == expect
+        assert str(err.value) == f"outmap entry {v}: {expect}"
 
 
 def test_json_parse_errors():
@@ -114,6 +114,11 @@ def test_json_parse_errors():
         loads_json('{"n": 2, "outmap": [0, 1, 2]}')
     with pytest.raises(ParseError):
         loads_json('{"n": 1, "outmap": [1, 1]}')
+    # JSON booleans are Python bools, which isinstance() counts as ints
+    with pytest.raises(ParseError, match="'n' must be an integer"):
+        loads_json('{"n": true, "outmap": [1, 0]}')
+    with pytest.raises(ParseError, match="outmap entry 0 is not an integer"):
+        loads_json('{"n": 1, "outmap": [true, false]}')
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +390,32 @@ def test_walk_and_bench_bytes_are_pinned(tmp_path, capsys):
     assert _digest("".join(line for line in lines if "wall_ms" not in line)) == (
         "2b0bccca78b1540a"
     )
+
+
+@pytest.mark.parametrize(
+    "family, solve, digest",
+    [
+        (["cyclic-lb", "--n", "7"], ["--algo", "dre", "--start", "0"], "0bfb25548f892f30"),
+        (
+            ["fmo", "--n", "9", "--seed", "3"],
+            ["--algo", "dre", "--start", "random", "--seed", "11"],
+            "698155bfa670ae8b",
+        ),
+        (
+            ["target-combed", "--n", "10", "--seed", "4"],
+            ["--algo", "dre", "--start", "777"],
+            "cae20edbe6ed4f4d",
+        ),
+        (["cyclic-lb", "--n", "7"], ["--algo", "fsr", "--start", "5"], "eeb394a2cb0acbe0"),
+    ],
+)
+def test_solve_bytes_are_pinned(tmp_path, capsys, family, solve, digest):
+    # sha256 prefixes of the solve output without its wall_ms line
+    path = tmp_path / "o.uso"
+    assert main(["gen", "--family", *family, "--out", str(path)]) == 0
+    assert main(["solve", str(path), *solve]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert _digest("".join(line for line in lines if "wall_ms" not in line)) == digest
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
