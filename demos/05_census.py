@@ -1,8 +1,9 @@
 """Exhaustive small-dimension census.
 
-Every USO of dimensions 1..3 is generated by a pruned backtracking search
-and classified: acyclic or cyclic, decomposable or not, niceness index, and
-isomorphism class under the full automorphism group of the cube.
+Every USO of dimensions 1..3 is generated by lifting pairs of facet USOs
+one dimension at a time, and classified: acyclic or cyclic, decomposable or
+not, niceness index, and isomorphism class under the full automorphism group
+of the cube.
 
 Run:  python3 demos/05_census.py
 """

@@ -41,10 +41,6 @@ def coords(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def coord_list(mask: int) -> list[int]:
-    return list(coords(mask))
-
-
 def from_coords(items: Iterable[int]) -> int:
     out = 0
     for c in items:
@@ -62,23 +58,9 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-def mask_extract(value: int, positions: int) -> int:
-    """Compress the bits of ``value`` selected by ``positions`` into the low
-    bits, preserving order (software PEXT)."""
-    out = 0
-    shift = 0
-    while positions:
-        low = positions & -positions
-        if value & low:
-            out |= 1 << shift
-        shift += 1
-        positions ^= low
-    return out
-
-
 def mask_deposit(value: int, positions: int) -> int:
     """Scatter the low bits of ``value`` into the bit slots selected by
-    ``positions`` (software PDEP); inverse of :func:`mask_extract`."""
+    ``positions`` (software PDEP)."""
     out = 0
     shift = 0
     while positions:

@@ -234,7 +234,7 @@ def cmd_enum(args) -> int:
         result = enumeration.census(args.n)
         _emit(_json_dumps(result.to_json_obj()), args.out)
     else:
-        count = enumeration.enumerate_all(args.n, heavy=args.heavy)
+        count = enumeration.enumerate_all(args.n)
         _emit(_json_dumps({"n": args.n, "count": count}), args.out)
     return 0
 
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum", help="enumerate small-dimension USOs")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--heavy", action="store_true")
     p.add_argument("--census", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_enum)

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .bitops import bit, full_mask, mask_deposit, popcount
-from .core import Face, Orientation, _check_dimension
+from .core import Face, Orientation, _check_dimension, _check_vertex
 from .rng import SplitMix64
 
 #: Edges are written (vertex, coordinate) and denote the edge between
@@ -89,8 +89,7 @@ def validate_matching(n: int, m: Matching) -> None:
     for v, j in m:
         if j < 1 or j > n:
             raise ValueError(f"coordinate {j} out of range for dimension {n}")
-        if not 0 <= v < (1 << n):
-            raise ValueError(f"vertex {v} out of range for dimension {n}")
+        _check_vertex(n, v)
         u = v ^ bit(j)
         if v in occupied or u in occupied:
             raise ValueError(f"matching reuses a vertex of edge ({v}, {j})")

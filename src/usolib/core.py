@@ -89,6 +89,12 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
 
 
+def _check_vertex(n: int, v: int) -> None:
+    """Raise ``ValueError`` unless ``v`` is a vertex of the n-cube."""
+    if not 0 <= v < 1 << n:
+        raise ValueError(f"vertex {v} out of range for dimension {n}")
+
+
 @dataclass(frozen=True)
 class Face:
     """Subcube spanned by ``span`` through the vertex ``anchor``.
@@ -161,8 +167,7 @@ class Orientation:
     def out(self, v: int) -> int:
         """Outmap of vertex ``v`` as a plain int; a vertex outside the cube
         raises ``ValueError`` rather than wrapping around."""
-        if not 0 <= v < self._table.size:
-            raise ValueError(f"vertex {v} out of range for dimension {self.n}")
+        _check_vertex(self.n, v)
         return int(self._table[v])
 
     def vertex_count(self) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bit
-from .core import NotUSOError, Orientation, find_sink_by_scan
+from .core import NotUSOError, Orientation, _check_vertex, find_sink_by_scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +39,7 @@ class ReachTable:
     entries: np.ndarray
 
     def __getitem__(self, v: int) -> int:
+        _check_vertex(self.n, v)
         return int(self.entries[v])
 
     def __len__(self) -> int:
@@ -51,6 +52,7 @@ def reachmap(o: Orientation, v: int) -> int:
     Plain breadth-first traversal; the bulk variant :func:`reach_table` is
     preferred when many vertices are needed.
     """
+    _check_vertex(o.n, v)
     seen = 1 << v
     frontier = [v]
     acc = 0

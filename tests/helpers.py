@@ -8,10 +8,10 @@ of the certificates that ``NotUSOError`` carries, the Klee-Minty table,
 per-vertex reachability sets, BFS distances, the Random Edge and Bottom
 Antipodal walks as plain per-step loops, the neighbor join and the
 derandomized Random Edge as nested loops over snapshots and a ball list,
-brute-force enumeration over raw edge orientations, canonical forms by one
-loop per automorphism, the memoised decomposability recursion over faces,
-acyclicity from reachability, and the pure-python cover-distance level
-sweep.
+enumeration by pruned backtracking and by brute force over raw edge
+orientations, software PEXT, canonical forms by one loop per automorphism,
+the memoised decomposability recursion over faces, acyclicity from
+reachability, and the pure-python cover-distance level sweep.
 """
 
 from __future__ import annotations
@@ -31,6 +31,21 @@ from usolib.core import (
     hypercube_automorphisms,
 )
 from usolib.rng import SplitMix64, stream_value
+
+
+def mask_extract(value: int, positions: int) -> int:
+    """Compress the bits of ``value`` selected by ``positions`` into the low
+    bits, preserving order (software PEXT); the inverse of
+    ``bitops.mask_deposit``."""
+    out = 0
+    shift = 0
+    while positions:
+        low = positions & -positions
+        if value & low:
+            out |= 1 << shift
+        shift += 1
+        positions ^= low
+    return out
 
 
 def first_edge_violation_pure(o: Orientation) -> tuple[int, int] | None:
@@ -143,6 +158,46 @@ def orientation_from_edge_bits(n: int, edges, bits) -> Orientation:
         else:
             table[v ^ bit(j)] |= bit(j)
     return Orientation(n, table)
+
+
+def enumerate_all_by_backtracking(n: int, visitor=None) -> int:
+    """Every USO of dimension n, vertex by vertex: bits on coordinates
+    already in the vertex are forced by edge consistency with lower
+    neighbors, the rest are branched over in ascending order and pruned
+    with the pairwise criterion against all fixed vertices."""
+    size = 1 << n
+    full = size - 1
+    table = [0] * size
+    count = 0
+
+    def assign(v: int) -> None:
+        nonlocal count
+        if v == size:
+            count += 1
+            if visitor is not None:
+                visitor(Orientation(n, table))
+            return
+        forced = 0
+        b = v
+        while b:
+            low = b & -b
+            b ^= low
+            if not table[v ^ low] & low:
+                forced |= low
+        for f in submasks(full & ~v):
+            cand = forced | f
+            ok = True
+            for u in range(v):
+                if not (table[u] ^ cand) & (u ^ v):
+                    ok = False
+                    break
+            if ok:
+                table[v] = cand
+                assign(v + 1)
+        table[v] = 0
+
+    assign(0)
+    return count
 
 
 def brute_force_usos(n: int):

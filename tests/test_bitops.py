@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import mask_extract
 from usolib.bitops import (
     bit,
-    coord_list,
+    coords,
     coord_set_formatter,
     format_coord_set,
     from_coords,
     full_mask,
     lowest_coord,
     mask_deposit,
-    mask_extract,
     popcount,
     submasks,
 )
@@ -28,7 +28,7 @@ def test_bit_and_full_mask():
 def test_coords_roundtrip():
     mask = from_coords([1, 3, 6])
     assert mask == 0b100101
-    assert coord_list(mask) == [1, 3, 6]
+    assert list(coords(mask)) == [1, 3, 6]
     assert popcount(mask) == 3
     assert lowest_coord(mask) == 1
     assert format_coord_set(mask) == "{1,3,6}"

@@ -47,6 +47,7 @@ from usolib.construct import (
 )
 from usolib.algo import derandomized_re, fs_revisited, join_pair
 from usolib.cli import FAMILIES, build_family
+from usolib.reach import reach_table, reachmap
 from usolib.rng import SplitMix64
 
 # edge-consistent non-USO tables used below: a directed 4-cycle on the
@@ -98,8 +99,20 @@ def test_outmap_of_examples():
         (lambda: face_sink(klee_minty(3), Face(-8, 3)), -8),
         (lambda: flip_edge(uniform(3), -1, 1), -1),
         (lambda: join_pair(klee_minty(3), -1, 3), -1),
+        (lambda: reach_table(klee_minty(3))[-1], -1),
+        (lambda: reach_table(klee_minty(3))[8], 8),
+        (lambda: reachmap(klee_minty(3), -1), -1),
     ],
-    ids=["derandomized_re", "fs_revisited", "face_sink", "flip_edge", "join_pair"],
+    ids=[
+        "derandomized_re",
+        "fs_revisited",
+        "face_sink",
+        "flip_edge",
+        "join_pair",
+        "reach_table-negative",
+        "reach_table-past-end",
+        "reachmap",
+    ],
 )
 def test_negative_vertices_raise_instead_of_wrapping(call, v):
     with pytest.raises(ValueError) as err:

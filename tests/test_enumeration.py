@@ -1,20 +1,22 @@
 import json
-import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import (
     canonical_form_by_loop,
     cover_search_bfs,
+    enumerate_all_by_backtracking,
     is_acyclic_by_reachability,
     is_decomposable_by_recursion,
     reachmap_bruteforce,
     uso_by_face_scan_pure,
 )
-from usolib.core import canonical_form, is_acyclic, validate_uso
-from usolib.enumeration import Census, census, enumerate_all, recurrence_check
+from usolib.core import Orientation, canonical_form, is_acyclic, validate_uso
+from usolib.enumeration import Census, _uso_stack, census, enumerate_all, recurrence_check
 from usolib.reach import niceness_index
+from usolib.rng import SplitMix64
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,8 +51,6 @@ def test_dimension_guards():
         enumerate_all(0)
     with pytest.raises(ValueError):
         enumerate_all(5)
-    with pytest.raises(ValueError):
-        enumerate_all(4)  # needs the heavy flag
     with pytest.raises(ValueError):
         census(4)
 
@@ -135,12 +135,36 @@ def test_recurrence_check():
         recurrence_check(4)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("USO_HEAVY_TESTS"),
-    reason="takes ~2 minutes; set USO_HEAVY_TESTS=1 to run",
-)
-def test_heavy_count_dimension_4():
-    assert enumerate_all(4, heavy=True) == 5_541_744
+def test_count_dimension_4():
+    assert enumerate_all(4) == 5_541_744
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lift_visits_the_backtracking_order(n):
+    lifted: list[Orientation] = []
+    searched: list[Orientation] = []
+    assert enumerate_all(n, lifted.append) == enumerate_all_by_backtracking(n, searched.append)
+    assert [o.outmap.tolist() for o in lifted] == [o.outmap.tolist() for o in searched]
+
+
+def test_lift_stack_dimension_4():
+    stack = _uso_stack(4)
+    assert stack.shape == (5_541_744, 16)
+    assert enumerate_all(4) == len(stack)
+    # vertex 0 is the most significant 4-bit digit; strictly increasing
+    # keys mean distinct rows in lexicographic order
+    key = np.zeros(len(stack), dtype=np.uint64)
+    for v in range(16):
+        key |= stack[:, v].astype(np.uint64) << np.uint64(4 * (15 - v))
+    assert (key[1:] > key[:-1]).all()
+    # every edge is outgoing at exactly one of its two endpoints
+    vertices = np.arange(16)
+    for j in range(4):
+        b = np.uint8(1 << j)
+        assert (((stack ^ stack[:, vertices ^ b]) & b) == b).all()
+    rng = SplitMix64(4)
+    for _ in range(2000):
+        assert validate_uso(Orientation(4, stack[rng.randrange(len(stack))]))
 
 
 def test_recurrence_values(census_3):

@@ -324,7 +324,10 @@ def test_enum_count_and_census(tmp_path, capsys):
 
 
 def test_enum_heavy_guard(capsys):
-    assert main(["enum", "--n", "4"]) == 2
+    assert main(["enum", "--n", "4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 4, "count": 5541744}
+    assert main(["enum", "--n", "5"]) == 2
+    assert main(["enum", "--n", "4", "--heavy"]) == 2
     capsys.readouterr()
 
 
