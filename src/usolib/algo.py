@@ -43,27 +43,27 @@ class RunStats:
 
 
 @dataclass(frozen=True)
-class SeesawTrace:
-    """Per-iteration record of the restarted seesaw.
+class SeesawStep:
+    """One iteration of the restarted seesaw: the coordinate crossed, the
+    dimension of the face solved beyond it, and the evaluations spent."""
 
-    ``iterations`` holds (coordinate, solved-face dimension, evaluations
-    spent in that solve); ``reachmap_sizes`` holds the reachmap size of the
-    current vertex before the first and after every iteration.
-    """
-
-    iterations: tuple[tuple[int, int, int], ...]
-    reachmap_sizes: tuple[int, ...]
+    coordinate: int
+    face_dimension: int
     evaluations: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "iterations": [
-                {"coordinate": c, "face_dimension": d, "evaluations": e}
-                for c, d, e in self.iterations
-            ],
-            "reachmap_sizes": list(self.reachmap_sizes),
-            "evaluations": self.evaluations,
-        }
+
+@dataclass(frozen=True)
+class SeesawTrace:
+    """Per-iteration record of the restarted seesaw; the CLI writes it with
+    ``dataclasses.asdict``.
+
+    ``reachmap_sizes`` holds the reachmap size of the current vertex before
+    the first and after every iteration.
+    """
+
+    iterations: tuple[SeesawStep, ...]
+    reachmap_sizes: tuple[int, ...]
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -477,18 +477,14 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
         spanned |= b
 
 
-def fibonacci_seesaw(
-    o: Orientation, face: Face | None = None, oracle: EvalCounter | None = None
-) -> tuple[int, int]:
+def fibonacci_seesaw(o: Orientation, face: Face | None = None) -> tuple[int, int]:
     """Sink of ``face`` (default: the whole cube) and the number of distinct
     evaluations spent."""
     if face is None:
         face = Face.whole_cube(o.n)
-    if oracle is None:
-        oracle = EvalCounter(o)
-    before = oracle.evaluations
+    oracle = EvalCounter(o)
     sink = _fs(oracle, face)
-    return sink, oracle.evaluations - before
+    return sink, oracle.evaluations
 
 
 def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
@@ -508,7 +504,7 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     oracle = EvalCounter(o)
     rt = reach_table(o)  # instrumentation, not charged to the oracle
     v = start
-    iterations: list[tuple[int, int, int]] = []
+    iterations: list[SeesawStep] = []
     sizes = [popcount(rt[v])]
     spanned = 0
     while oracle(v) != 0:
@@ -519,7 +515,7 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
         if oracle(w) & b:
             raise NotUSOError(pair=(v, w))
         iterations.append(
-            (lowest_coord(b), popcount(spanned), oracle.evaluations - before)
+            SeesawStep(lowest_coord(b), popcount(spanned), oracle.evaluations - before)
         )
         spanned |= b
         v = w

@@ -34,7 +34,10 @@ def lowest_coord(mask: int) -> int:
 
 
 def coords(mask: int) -> Iterator[int]:
-    """Coordinates of ``mask`` in ascending order."""
+    """Coordinates of ``mask`` in ascending order; a negative mask raises
+    ``ValueError``, since it has infinitely many."""
+    if mask < 0:
+        raise ValueError(f"coordinate sets are nonnegative masks, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length()

@@ -123,29 +123,31 @@ def cmd_analyze(args) -> int:
     _require_uso(o)
     rt = reach_table(o)
     report = niceness_index(o, rt)
+    acyclic, decomposable = is_acyclic(o), is_decomposable(o)
     if args.format == "json":
         obj = report.to_json_obj()
-        obj["acyclic"] = is_acyclic(o)
-        obj["decomposable"] = is_decomposable(o)
+        obj["acyclic"] = acyclic
+        obj["decomposable"] = decomposable
         _emit(_json_dumps(obj), args.out)
         return 0
     lines = [
         f"n: {o.n}",
         f"uso: true",
-        f"acyclic: {'true' if is_acyclic(o) else 'false'}",
-        f"decomposable: {'true' if is_decomposable(o) else 'false'}",
+        f"acyclic: {'true' if acyclic else 'false'}",
+        f"decomposable: {'true' if decomposable else 'false'}",
         f"sink: {report.sink}",
         f"niceness_index: {report.niceness_index}",
         "vertex outmap reachmap cover_distance witness",
     ]
     name = coord_set_formatter(o.n)
-    for v, (s, r) in enumerate(zip(o.outmap.tolist(), rt.entries.tolist())):
-        if v == report.sink:
-            cover, wit = "-", "-"
-        else:
-            cover = str(int(report.cover_distance[v]))
-            wit = str(report.witness[v])
-        lines.append(f"{v} {name(s)} {name(r)} {cover} {wit}")
+    columns = (o.outmap, rt.entries, report.cover_distance, report.witness)
+    rows = len(lines)
+    lines += [
+        f"{v} {name(s)} {name(r)} {d} {w}"
+        for v, (s, r, d, w) in enumerate(zip(*(c.tolist() for c in columns)))
+    ]
+    # the sink has no cover: its outmap and reachmap are empty
+    lines[rows + report.sink] = f"{report.sink} {{}} {{}} - -"
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -215,7 +217,7 @@ def cmd_solve(args) -> int:
         payload = {"evaluations": evaluations}
     else:  # fsr
         sink, trace = algo.fs_revisited(o, start)
-        payload = {"trace": trace.to_json_obj()}
+        payload = {"trace": dataclasses.asdict(trace)}
     wall_ms = int((time.perf_counter() - started) * 1000)
     obj = {
         "algorithm": args.algo,

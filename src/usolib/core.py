@@ -140,21 +140,26 @@ class Orientation:
 
     The table is held in a read-only numpy array; every construction that
     changes an orientation returns a new instance. The constructor checks
-    value ranges only; edge consistency is a separate predicate so that
-    deliberately broken tables can be represented and rejected.
+    only that the entries are integers (by dtype, so floats and booleans
+    raise rather than truncate) within range; edge consistency is a
+    separate predicate so that deliberately broken tables can be
+    represented and rejected.
     """
 
     __slots__ = ("n", "_table")
 
     def __init__(self, n: int, outmap, *, copy: bool = True):
         _check_dimension(n)
-        table = np.array(outmap, dtype=np.uint32, copy=True if copy else None)
+        table = np.asarray(outmap)
         if table.shape != (1 << n,):
             raise ValueError(
                 f"outmap table must have {1 << n} entries, got {table.shape}"
             )
-        if table.size and int(table.max()) > full_mask(n):
+        if table.dtype.kind not in "iu":
+            raise ValueError(f"outmap table must hold integers, got dtype {table.dtype}")
+        if int(table.min()) < 0 or int(table.max()) > full_mask(n):
             raise ValueError("outmap entry out of range for dimension")
+        table = np.array(table, dtype=np.uint32, copy=True if copy else None)
         table.setflags(write=False)
         self.n = n
         self._table = table

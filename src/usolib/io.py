@@ -61,13 +61,14 @@ def loads_text(text: str) -> Orientation:
             f"line {len(lines)}: expected {expected} outmap lines for n={n}, "
             f"got {len(body)}"
         )
+    top = full_mask(n)
     values = []
     for k, raw in enumerate(body):
         try:
             value = int(raw)
         except ValueError:
             raise ParseError(f"line {k + 2}: not a decimal outmap value: {raw!r}") from None
-        if not 0 <= value <= full_mask(n):
+        if not 0 <= value <= top:
             raise ParseError(f"line {k + 2}: outmap value {value} out of range")
         values.append(value)
     return _finish(n, values, lambda v: f"line {v + 2}")

@@ -21,7 +21,6 @@ level sweep of O(n 2^n) on top of :func:`reach_table`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,40 +104,31 @@ def reach_table(o: Orientation) -> ReachTable:
             return ReachTable(o.n, reach)
 
 
-def cover_distance(o: Orientation, t: ReachTable, v: int) -> int:
-    """Minimum i such that some vertex at directed distance <= i from ``v``
-    has a reachmap properly contained in ``v``'s.
-
-    A view of :func:`niceness_index` over the given reach table.
-    """
-    if o.out(v) == 0:
-        raise ValueError("cover_distance is undefined for the global sink")
-    return niceness_index(o, t).cover_distance[v]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NicenessReport:
     """Cover distance and witness per vertex, plus the global maximum.
 
-    The sink's entries are ``math.inf`` and ``None``; the niceness index is
-    the maximum cover distance over the non-sink vertices.
+    ``cover_distance`` and ``witness`` are the level sweep's read-only int32
+    arrays of 2^n entries; the sink's entries are 0 and -1. The niceness
+    index is the maximum cover distance, which is taken over the non-sink
+    vertices.
     """
 
     n: int
     sink: int
-    cover_distance: tuple[float, ...]
-    witness: tuple[int | None, ...]
+    cover_distance: np.ndarray
+    witness: np.ndarray
     niceness_index: int
 
     def to_json_obj(self) -> dict:
+        cover, witness = self.cover_distance.tolist(), self.witness.tolist()
+        cover[self.sink] = witness[self.sink] = None
         return {
             "n": self.n,
             "sink": self.sink,
             "niceness_index": self.niceness_index,
-            "cover_distance": [
-                None if math.isinf(d) else int(d) for d in self.cover_distance
-            ],
-            "witness": list(self.witness),
+            "cover_distance": cover,
+            "witness": witness,
         }
 
 
@@ -147,7 +137,8 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
 
     ``t`` is the orientation's reach table; it is computed when omitted.
     Witnesses are deterministic: the smallest vertex index among covers at
-    the minimal distance.
+    the minimal distance. The report holds the sweep's own distance and
+    witness arrays (int32, read-only), with 0 and -1 at the sink.
 
     A vertex reachable from v never has a larger reachmap than v, so one
     numpy level sweep over the reach table replaces a search per vertex:
@@ -176,7 +167,8 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
     size = len(table)
     sink = find_sink_by_scan(o)
     vertices = np.arange(size, dtype=np.int32)
-    # distances and witnesses; the sink keeps distance 0 and witness 2^n
+    # distances and witnesses; the sink keeps distance 0, and witness 2^n
+    # until the sweep ends
     wits = np.full(size, size, dtype=np.int32)
     for j in range(1, o.n + 1):
         b = bit(j)
@@ -206,14 +198,7 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
         uncovered = dists == 0
         uncovered[sink] = False
         raise NotUSOError(f"not a USO: vertex {np.flatnonzero(uncovered)[0]} has no cover")
-    cover = dists.tolist()
-    witness = wits.tolist()
-    cover[sink] = math.inf
-    witness[sink] = None
-    return NicenessReport(
-        n=o.n,
-        sink=sink,
-        cover_distance=tuple(cover),
-        witness=tuple(witness),
-        niceness_index=int(dists.max()),
-    )
+    wits[sink] = -1
+    dists.setflags(write=False)
+    wits.setflags(write=False)
+    return NicenessReport(o.n, sink, dists, wits, int(dists.max()))

@@ -96,9 +96,6 @@ class SplitMix64:
             raise ValueError("randrange bound must be positive")
         return self.next_u64() % k
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)

@@ -11,7 +11,8 @@ derandomized Random Edge as nested loops over snapshots and a ball list,
 enumeration by pruned backtracking and by brute force over raw edge
 orientations, software PEXT, canonical forms by one loop per automorphism,
 the memoised decomposability recursion over faces, acyclicity from
-reachability, and the pure-python cover-distance level sweep.
+reachability, the pure-python cover-distance level sweep, and the exact
+Random Edge expectations as one linear solve.
 """
 
 from __future__ import annotations
@@ -575,9 +576,9 @@ def niceness_by_python_sweep(o: Orientation, reach) -> tuple:
     over the reach table ``reach`` (indexable by vertex) in pure python:
     level 1 takes the smallest out-neighbour with another reachmap, level
     L the smallest witness among out-neighbours at level L - 1, found by
-    following in-edges from the level L - 1 frontier. The sink's entries are
-    ``math.inf`` and None. Raises ValueError on other than one sink or on a
-    vertex without cover."""
+    following in-edges from the level L - 1 frontier. Distances and
+    witnesses are lists, with 0 and -1 at the sink. Raises ValueError on
+    other than one sink or on a vertex without cover."""
     table = [o.out(v) for v in range(o.vertex_count())]
     size = len(table)
     sinks = [v for v in range(size) if table[v] == 0]
@@ -614,4 +615,23 @@ def niceness_by_python_sweep(o: Orientation, reach) -> tuple:
         frontier = list(found)
     if 0 in dists:
         raise ValueError(f"vertex {dists.index(0)} has no cover")
-    return sink, tuple(dists), tuple(wits), level - 1
+    dists[sink], wits[sink] = 0, -1
+    return sink, dists, wits, level - 1
+
+
+def re_expectation_by_solve(o: Orientation) -> np.ndarray:
+    """Expected number of Random Edge steps to the sink from every vertex,
+    for n <= 8: E(sink) = 0 and E(v) = 1 + the mean of E(v xor e_j) over
+    j in s(v), solved as one linear system by ``np.linalg.solve``."""
+    if o.n > 8:
+        raise ValueError(f"a dense solve is meant for n <= 8, got {o.n}")
+    size = o.vertex_count()
+    system = np.eye(size)
+    steps = np.ones(size)
+    for v in range(size):
+        s = o.out(v)
+        if s == 0:
+            steps[v] = 0.0
+        for j in coords(s):
+            system[v, v ^ bit(j)] -= 1 / s.bit_count()
+    return np.linalg.solve(system, steps)

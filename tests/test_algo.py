@@ -8,6 +8,7 @@ from helpers import (
     neighbor_join_by_snapshots,
     random_consistent_table,
     random_edge_walk_by_loop,
+    re_expectation_by_solve,
     reachable_vertices,
 )
 from usolib.algo import (
@@ -27,6 +28,7 @@ from usolib.algo import (
     walk_batch,
 )
 from usolib.bitops import bit, coords, full_mask, popcount
+from usolib.cli import FAMILIES, build_family
 from usolib.construct import (
     auso_lower_bound,
     cyclic_full_reach,
@@ -167,6 +169,32 @@ def test_re_easy_on_the_cyclic_lower_bound_family():
     summary = re_trials(o, "antipodal", 1000, seed=21, cap=4**8)
     assert summary.capped_runs == 0
     assert summary.mean < 8**3
+
+
+def test_re_expectation_on_klee_minty_3():
+    o = klee_minty(3)
+    expected = re_expectation_by_solve(o)
+    # the sink is 000, so the antipodal start is 111
+    assert expected[resolve_start(o, "antipodal")] == pytest.approx(3.5, abs=1e-12)
+    assert expected[find_sink_by_scan(o)] == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_re_sample_means_match_the_exact_expectation(family):
+    # Bound: the mean of 2000 walks lies within 5 standard errors of the
+    # exact expectation (the worst seen over these 41 cases is about 2.2).
+    # When every walk has the same length the standard error is 0, and the
+    # mean must equal the expectation up to the solve's rounding.
+    trials = 2000
+    for n in range(4 if family == "auso-lb" else 3, 9):
+        o = build_family(family, n, n)
+        expected = re_expectation_by_solve(o)[resolve_start(o, "antipodal")]
+        steps = walk_batch(o, "re", "antipodal", trials, 17, 4**n).steps
+        stderr = steps.std(ddof=1) / np.sqrt(trials)
+        if stderr == 0:
+            assert steps.mean() == pytest.approx(expected, abs=1e-9)
+        else:
+            assert abs(steps.mean() - expected) <= 5 * stderr, (family, n)
 
 
 def test_markov_upper_bound_values():

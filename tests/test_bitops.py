@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import mask_extract
+from usolib.core import Face
 from usolib.bitops import (
     bit,
     coords,
@@ -33,6 +34,15 @@ def test_coords_roundtrip():
     assert lowest_coord(mask) == 1
     assert format_coord_set(mask) == "{1,3,6}"
     assert format_coord_set(0) == "{}"
+
+
+def test_negative_masks_raise():
+    # a negative mask has infinitely many set bits; Face(-1, 3) keeps the
+    # anchor -4 once the span bits are cleared
+    with pytest.raises(ValueError, match="got -4"):
+        format_coord_set(-4)
+    with pytest.raises(ValueError, match="got -4"):
+        repr(Face(-1, 3))
 
 
 @pytest.mark.parametrize("n", range(1, 12))

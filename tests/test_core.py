@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,27 @@ def test_orientation_rejects_bad_tables():
         Orientation(2, [0, 1, 2])
     with pytest.raises(ValueError):
         Orientation(2, [0, 1, 2, 4])
+
+
+def test_orientation_rejects_non_integer_tables():
+    with pytest.raises(ValueError, match="dtype float64"):
+        Orientation(2, [0.9, 1, 3, 0])
+    with pytest.raises(ValueError, match="dtype bool"):
+        Orientation(2, [True, False, False, True])
+    # range is checked before the uint32 cast, which would wrap these
+    with pytest.raises(ValueError, match="out of range"):
+        Orientation(2, [1, 0, 3, -1])
+    with pytest.raises(ValueError, match="out of range"):
+        Orientation(2, np.array([1, 0, 3, 2 - (1 << 32)], dtype=np.int64))
+    # the constructions' uint32 arrays, the loaders' int lists and the
+    # enumerator's uint8 rows are all accepted
+    for table in (
+        np.array([1, 0, 3, 2], dtype=np.uint32),
+        [1, 0, 3, 2],
+        np.array([1, 0, 3, 2], dtype=np.uint8),
+    ):
+        assert Orientation(2, table).outmap.tolist() == [1, 0, 3, 2]
+        assert Orientation(2, table).outmap.dtype == np.uint32
 
 
 def test_orientation_table_is_immutable():

@@ -1,5 +1,4 @@
-import math
-
+import numpy as np
 import pytest
 
 from helpers import cover_search_bfs, random_consistent_table, reachmap_bruteforce
@@ -14,7 +13,7 @@ from usolib.construct import (
     uniform,
 )
 from usolib.core import Orientation, is_acyclic, validate_orientation
-from usolib.reach import cover_distance, niceness_index, reach_table, reachmap
+from usolib.reach import niceness_index, reach_table, reachmap
 from usolib.rng import SplitMix64
 
 
@@ -117,38 +116,31 @@ def test_reachmap_edge_monotonicity(all_usos_3):
 
 def test_cover_distance_immediate_cover():
     o = klee_minty(4)
-    t = reach_table(o)
+    rep = niceness_index(o, reach_table(o))
     # vertex {1} steps straight to the sink, whose reachmap is empty
-    assert cover_distance(o, t, 0b0001) == 1
-
-
-def test_cover_distance_rejects_sink():
-    o = klee_minty(3)
-    t = reach_table(o)
-    with pytest.raises(ValueError):
-        cover_distance(o, t, 0)
+    assert rep.cover_distance[0b0001] == 1
 
 
 def test_cover_distance_cyclic_bottom_vertex():
     for n in (3, 4, 5):
         o = cyclic_full_reach(n)
-        t = reach_table(o)
-        assert cover_distance(o, t, 0) == n
+        assert niceness_index(o, reach_table(o)).cover_distance[0] == n
 
 
 def test_cover_distance_auso_lower_bound_bottom_vertex():
     for n in (4, 5, 6):
         o = auso_lower_bound(n)
-        t = reach_table(o)
-        assert cover_distance(o, t, 0) == n - 2
+        assert niceness_index(o, reach_table(o)).cover_distance[0] == n - 2
 
 
 def test_niceness_reports():
     rep = niceness_index(klee_minty(3))
     assert rep.niceness_index == 1
     assert rep.sink == 0
-    assert math.isinf(rep.cover_distance[0])
-    assert rep.witness[0] is None
+    assert (rep.cover_distance[0], rep.witness[0]) == (0, -1)
+    for entries in (rep.cover_distance, rep.witness):
+        assert entries.dtype == np.int32 and entries.shape == (8,)
+        assert not entries.flags.writeable
     assert niceness_index(cyclic_full_reach(3)).niceness_index == 3
 
 
@@ -200,10 +192,13 @@ def test_niceness_report_json():
 def _assert_matches_bfs_oracle(o):
     t = reach_table(o)
     rep = niceness_index(o, t)
-    assert rep == niceness_index(o)
+    again = niceness_index(o)
+    assert (rep.n, rep.sink, rep.niceness_index) == (again.n, again.sink, again.niceness_index)
+    assert np.array_equal(rep.cover_distance, again.cover_distance)
+    assert np.array_equal(rep.witness, again.witness)
     for v in range(o.vertex_count()):
         if v == rep.sink:
-            assert math.isinf(rep.cover_distance[v]) and rep.witness[v] is None
+            assert (rep.cover_distance[v], rep.witness[v]) == (0, -1)
         else:
             assert (rep.cover_distance[v], rep.witness[v]) == cover_search_bfs(o, t, v)
 
