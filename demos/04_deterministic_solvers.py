@@ -11,6 +11,7 @@ Run:  python3 demos/04_deterministic_solvers.py
 """
 
 from usolib import (
+    EvalCounter,
     auso_lower_bound,
     derandomized_re,
     fibonacci_seesaw,
@@ -20,6 +21,7 @@ from usolib import (
     join_set,
     klee_minty,
     neighbor_join,
+    popcount,
     source_vertex,
 )
 from usolib.bitops import format_coord_set
@@ -28,14 +30,19 @@ from usolib.rng import SplitMix64
 
 print("=== joins ===")
 km = klee_minty(4)
-res = join_pair(km, 0b0011, 0b1100)
-print(f"join of {{1,2}} and {{3,4}}: vertex {format_coord_set(res.vertex)}"
-      f" after {res.moves} moves, {res.evaluations} evaluations")
+# a join's cost is read from the EvalCounter it is given; it always moves
+# once per coordinate where its two inputs differ
+oracle = EvalCounter(km)
+w = join_pair(km, 0b0011, 0b1100, oracle)
+print(f"join of {{1,2}} and {{3,4}}: vertex {format_coord_set(w)}"
+      f" after {popcount(0b0011 ^ 0b1100)} moves, {oracle.evaluations} evaluations")
 w = join_set(km, [1, 2, 4, 8])
 print("join of all four unit vertices:", format_coord_set(w))
-nj = neighbor_join(km, 0b1010)
-print(f"neighbor-join at {{2,4}}: vertex {format_coord_set(nj.vertex)}"
-      f" with {nj.evaluations} extra evaluations")
+oracle = EvalCounter(km)
+oracle(0b1010)
+w = neighbor_join(km, 0b1010, oracle)
+print(f"neighbor-join at {{2,4}}: vertex {format_coord_set(w)}"
+      f" with {oracle.evaluations - 1} extra evaluations")
 
 print()
 print("=== derandomized Random Edge ===")

@@ -19,7 +19,7 @@ from .core import (
     validate_orientation,
     validate_uso,
 )
-from .reach import NicenessReport, ReachTable, niceness_index, reach_table, reachmap
+from .reach import NicenessReport, ReachTable, niceness_index, reach_table
 from .construct import (
     FlipPreconditionViolated,
     HypersinkViolated,

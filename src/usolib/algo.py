@@ -15,7 +15,6 @@ importable from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -291,27 +290,20 @@ def bottom_antipodal(o: Orientation, start: int, cap: int) -> RunStats:
     return _one_walk(o, "ba", start, 0, cap)
 
 
-class JoinResult(NamedTuple):
-    vertex: int
-    evaluations: int
-    moves: int
-
-
 def join_pair(
     o: Orientation, u: int, v: int, oracle: EvalCounter | None = None
-) -> JoinResult:
+) -> int:
     """A vertex reachable from both ``u`` and ``v`` by directed paths.
 
     At each move the two current vertices differ in some coordinate that is
     outgoing for exactly one of them (the smallest such coordinate is used);
-    that endpoint steps across it, shrinking the Hamming distance by one, so
-    the number of moves is at most |u xor v|. Raises ``NotUSOError`` naming
-    the pair when no such coordinate exists, which only a non-USO allows.
+    that endpoint steps across it, clearing one bit of u xor v, so the join
+    takes exactly |u xor v| moves and at most |u xor v| + 1 evaluations,
+    counted by ``oracle``. Raises ``NotUSOError`` naming the pair when no
+    such coordinate exists, which only a non-USO allows.
     """
     if oracle is None:
         oracle = EvalCounter(o)
-    before = oracle.evaluations
-    moves = 0
     while u != v:
         su = oracle(u)
         sv = oracle(v)
@@ -323,13 +315,10 @@ def join_pair(
             u ^= b
         else:
             v ^= b
-        moves += 1
-    return JoinResult(u, oracle.evaluations - before, moves)
+    return u
 
 
-def join_set(
-    o: Orientation, vertices, oracle: EvalCounter | None = None
-) -> int:
+def join_set(o: Orientation, vertices, oracle: EvalCounter | None = None) -> int:
     """Fold of :func:`join_pair`: a vertex every input can reach."""
     items = list(vertices)
     if not items:
@@ -338,13 +327,8 @@ def join_set(
         oracle = EvalCounter(o)
     w = items[0]
     for x in items[1:]:
-        w = join_pair(o, w, x, oracle).vertex
+        w = join_pair(o, w, x, oracle)
     return w
-
-
-class NeighborJoinResult(NamedTuple):
-    vertex: int
-    evaluations: int
 
 
 def _single_bits(mask: int):
@@ -355,11 +339,9 @@ def _single_bits(mask: int):
         mask ^= low
 
 
-def neighbor_join(
-    o: Orientation, v: int, oracle: EvalCounter | None = None
-) -> NeighborJoinResult:
+def neighbor_join(o: Orientation, v: int, oracle: EvalCounter | None = None) -> int:
     """Join all out-neighbors of ``v`` using at most |s(v)| evaluations
-    beyond knowing s(v) itself.
+    beyond knowing s(v) itself, counted by ``oracle``.
 
     Evaluates every out-neighbor, then shrinks the active coordinates ac
     (initially s(v)) to a fixed point. Each pass visits the coordinates
@@ -376,7 +358,6 @@ def neighbor_join(
     sv = oracle(v)
     if sv == 0:
         raise ValueError("neighbor_join is undefined at the sink")
-    before = oracle.evaluations
     out = {l: oracle(v ^ l) for l in _single_bits(sv)}
     ac = sv
     while True:
@@ -384,10 +365,10 @@ def neighbor_join(
         for l in _single_bits(start):
             if ac & l:
                 if out[l] & ac == 0:
-                    return NeighborJoinResult(v ^ l, oracle.evaluations - before)
+                    return v ^ l
                 ac &= out[l] | l
         if ac == start:
-            return NeighborJoinResult(v ^ ac, oracle.evaluations - before)
+            return v ^ ac
 
 
 def derandomized_re(o: Orientation, start: int) -> RunStats:
@@ -425,7 +406,7 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
                                 return RunStats(rounds, oracle.evaluations, w, 0, False)
                             nxt.append(w)
                 frontier = nxt
-            joined = {neighbor_join(o, u, oracle).vertex for u in seen}
+            joined = {neighbor_join(o, u, oracle) for u in seen}
             z = join_set(o, sorted(joined), oracle)
             rounds += 1
             if oracle(z) == 0:

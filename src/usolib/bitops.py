@@ -26,8 +26,16 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def _check_mask(mask: int) -> None:
+    """Raise ``ValueError`` for a negative mask, which has infinitely many
+    coordinates."""
+    if mask < 0:
+        raise ValueError(f"coordinate sets are nonnegative masks, got {mask}")
+
+
 def lowest_coord(mask: int) -> int:
     """Smallest coordinate in a nonempty mask."""
+    _check_mask(mask)
     if mask == 0:
         raise ValueError("empty coordinate set")
     return (mask & -mask).bit_length()
@@ -36,8 +44,7 @@ def lowest_coord(mask: int) -> int:
 def coords(mask: int) -> Iterator[int]:
     """Coordinates of ``mask`` in ascending order; a negative mask raises
     ``ValueError``, since it has infinitely many."""
-    if mask < 0:
-        raise ValueError(f"coordinate sets are nonnegative masks, got {mask}")
+    _check_mask(mask)
     while mask:
         low = mask & -mask
         yield low.bit_length()
@@ -53,6 +60,7 @@ def from_coords(items: Iterable[int]) -> int:
 
 def submasks(mask: int) -> Iterator[int]:
     """All subsets of ``mask``, in increasing numeric order."""
+    _check_mask(mask)
     sub = 0
     while True:
         yield sub
@@ -64,6 +72,7 @@ def submasks(mask: int) -> Iterator[int]:
 def mask_deposit(value: int, positions: int) -> int:
     """Scatter the low bits of ``value`` into the bit slots selected by
     ``positions`` (software PDEP)."""
+    _check_mask(positions)
     out = 0
     shift = 0
     while positions:

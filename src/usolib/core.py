@@ -29,6 +29,7 @@ from itertools import permutations
 import numpy as np
 
 from .bitops import (
+    _check_mask,
     bit,
     format_coord_set,
     full_mask,
@@ -100,13 +101,15 @@ class Face:
     """Subcube spanned by ``span`` through the vertex ``anchor``.
 
     The anchor is normalized (span bits cleared), so two faces are equal
-    exactly when they contain the same vertex set.
+    exactly when they contain the same vertex set. A negative span raises
+    ``ValueError``.
     """
 
     anchor: int
     span: int
 
     def __post_init__(self) -> None:
+        _check_mask(self.span)
         object.__setattr__(self, "anchor", self.anchor & ~self.span)
 
     @property
@@ -458,44 +461,25 @@ def is_decomposable(o: Orientation) -> bool:
     return bool(decomposable_rows(o._table[None])[0])
 
 
-def _permute_mask_table(n: int, perm: tuple[int, ...]) -> list[int]:
-    """table[mask] = image of mask under the coordinate permutation
-    perm (0-based: bit i goes to bit perm[i])."""
-    size = 1 << n
-    table = [0] * size
-    single = [1 << perm[i] for i in range(n)]
-    for mask in range(size):
-        m = mask
-        out = 0
-        while m:
-            low = m & -m
-            out |= single[low.bit_length() - 1]
-            m ^= low
-        table[mask] = out
-    return table
-
-
-def hypercube_automorphisms(n: int):
-    """Yield (vertex_map, coord_map) tables for every automorphism of Q^n.
-
-    Automorphisms are coordinate permutations composed with coordinate-wise
-    reflections: phi(v) = pi(v) xor m. ``vertex_map[v]`` gives phi(v) and
-    ``coord_map[mask]`` gives pi(mask).
-    """
-    size = 1 << n
-    for perm in permutations(range(n)):
-        pmask = _permute_mask_table(n, perm)
-        for m in range(size):
-            yield [pmask[v] ^ m for v in range(size)], pmask
-
-
 @lru_cache(maxsize=None)
 def _automorphism_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverse vertex maps, coordinate maps) of every automorphism of Q^n,
-    one row each, shape (2**n * n!, 2**n), as uint8."""
-    vertex_maps, coord_maps = zip(*hypercube_automorphisms(n))
-    inverse = np.argsort(np.array(vertex_maps), axis=1).astype(np.uint8)
-    return inverse, np.array(coord_maps, dtype=np.uint8)
+    one row each, shape (2**n * n!, 2**n), as uint8.
+
+    The automorphisms are v -> pi(v) xor m for a coordinate permutation pi
+    and a reflection mask m; row (pi, m) holds the inverse w -> pi^-1(w xor
+    m) and the coordinate map pi. Rows run over the permutations in
+    ``itertools.permutations`` order, and over m within each.
+    """
+    size = 1 << n
+    masks = np.arange(size)
+    bits = (masks[:, None] >> np.arange(n)) & 1  # bits[mask, i] = bit i of mask
+    perms = np.array(list(permutations(range(n))))
+    # bit i of a mask goes to bit perm[i], and back under the inverse
+    coord_maps = (bits @ (1 << perms.T)).T.astype(np.uint8)
+    inverse_maps = (bits @ (1 << np.argsort(perms, axis=1).T)).T.astype(np.uint8)
+    inverse = inverse_maps[:, masks[:, None] ^ masks].reshape(-1, size)
+    return inverse, np.repeat(coord_maps, size, axis=0)
 
 
 def canonical_form(o: Orientation) -> Orientation:

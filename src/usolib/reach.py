@@ -32,7 +32,8 @@ from .core import NotUSOError, Orientation, _check_vertex, find_sink_by_scan
 @dataclass(frozen=True, eq=False)
 class ReachTable:
     """Reachmap of every vertex; entry v is a coordinate bitmask, held in a
-    read-only uint32 array."""
+    read-only uint32 array. ``t[v]`` is the reachmap of v as an int; a
+    vertex outside the cube raises ``ValueError``."""
 
     n: int
     entries: np.ndarray
@@ -43,32 +44,6 @@ class ReachTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def reachmap(o: Orientation, v: int) -> int:
-    """Union of outmaps over all vertices reachable from ``v``.
-
-    Plain breadth-first traversal; the bulk variant :func:`reach_table` is
-    preferred when many vertices are needed.
-    """
-    _check_vertex(o.n, v)
-    seen = 1 << v
-    frontier = [v]
-    acc = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            s = o.out(u)
-            acc |= s
-            while s:
-                low = s & -s
-                s ^= low
-                w = u ^ low
-                if not (seen >> w) & 1:
-                    seen |= 1 << w
-                    nxt.append(w)
-        frontier = nxt
-    return acc
 
 
 def reach_table(o: Orientation) -> ReachTable:

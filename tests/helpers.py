@@ -9,10 +9,11 @@ per-vertex reachability sets, BFS distances, the Random Edge and Bottom
 Antipodal walks as plain per-step loops, the neighbor join and the
 derandomized Random Edge as nested loops over snapshots and a ball list,
 enumeration by pruned backtracking and by brute force over raw edge
-orientations, software PEXT, canonical forms by one loop per automorphism,
-the memoised decomposability recursion over faces, acyclicity from
-reachability, the pure-python cover-distance level sweep, and the exact
-Random Edge expectations as one linear solve.
+orientations, software PEXT, the cube's automorphisms as Python lists,
+canonical forms by one loop per automorphism, the memoised decomposability
+recursion over faces, acyclicity from reachability, the pure-python
+cover-distance level sweep, and the exact Random Edge expectations as one
+linear solve.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ import math
 
 import numpy as np
 
-from usolib.algo import NeighborJoinResult, RunStats, join_set
+from usolib.algo import RunStats, join_set
 from usolib.bitops import bit, coords, full_mask, submasks
-from usolib.core import (
-    EvalCounter,
-    Face,
-    NotUSOError,
-    Orientation,
-    hypercube_automorphisms,
-)
+from usolib.core import EvalCounter, Face, NotUSOError, Orientation
 from usolib.rng import SplitMix64, stream_value
 
 
@@ -357,9 +352,9 @@ def bottom_antipodal_by_loop(o: Orientation, start: int, cap: int) -> RunStats:
 
 def neighbor_join_by_snapshots(
     o: Orientation, v: int, oracle: EvalCounter | None = None
-) -> NeighborJoinResult:
+) -> int:
     """Join all out-neighbors of ``v`` using at most |s(v)| evaluations
-    beyond knowing s(v) itself.
+    beyond knowing s(v) itself, counted by ``oracle``.
 
     Keeps a set of active coordinates (initially s(v)) and the matching
     out-neighbors. A coordinate l is dropped as soon as some other active
@@ -374,7 +369,6 @@ def neighbor_join_by_snapshots(
     sv = oracle(v)
     if sv == 0:
         raise ValueError("neighbor_join is undefined at the sink")
-    before = oracle.evaluations
     neighbor_out = {}
     b = sv
     while b:
@@ -395,7 +389,7 @@ def neighbor_join_by_snapshots(
                 continue
             su = neighbor_out[lu]
             if su & ac == 0:
-                return NeighborJoinResult(v ^ lu, oracle.evaluations - before)
+                return v ^ lu
             for l in snapshot:
                 if l == lu or not ac & l:
                     continue
@@ -403,10 +397,10 @@ def neighbor_join_by_snapshots(
                     ac ^= l
                     changed = True
             if su & ac == 0:
-                return NeighborJoinResult(v ^ lu, oracle.evaluations - before)
+                return v ^ lu
         if not changed:
             break
-    return NeighborJoinResult(v ^ ac, oracle.evaluations - before)
+    return v ^ ac
 
 
 def derandomized_re_by_loops(o: Orientation, start: int) -> RunStats:
@@ -458,7 +452,7 @@ def derandomized_re_by_loops(o: Orientation, start: int) -> RunStats:
                 return RunStats(rounds, oracle.evaluations, sink, 0, False)
             joined = set()
             for u in sorted(ball):
-                joined.add(neighbor_join_by_snapshots(o, u, oracle).vertex)
+                joined.add(neighbor_join_by_snapshots(o, u, oracle))
             z = join_set(o, sorted(joined), oracle)
             rounds += 1
             if oracle(z) == 0:
@@ -503,6 +497,37 @@ def one_nice_direct(o: Orientation) -> bool:
         if not ok:
             return False
     return True
+
+
+def _permute_mask_table(n: int, perm: tuple[int, ...]) -> list[int]:
+    """table[mask] = image of mask under the coordinate permutation
+    perm (0-based: bit i goes to bit perm[i])."""
+    size = 1 << n
+    table = [0] * size
+    single = [1 << perm[i] for i in range(n)]
+    for mask in range(size):
+        m = mask
+        out = 0
+        while m:
+            low = m & -m
+            out |= single[low.bit_length() - 1]
+            m ^= low
+        table[mask] = out
+    return table
+
+
+def hypercube_automorphisms(n: int):
+    """Yield (vertex_map, coord_map) tables for every automorphism of Q^n.
+
+    Automorphisms are coordinate permutations composed with coordinate-wise
+    reflections: phi(v) = pi(v) xor m. ``vertex_map[v]`` gives phi(v) and
+    ``coord_map[mask]`` gives pi(mask).
+    """
+    size = 1 << n
+    for perm in itertools.permutations(range(n)):
+        pmask = _permute_mask_table(n, perm)
+        for m in range(size):
+            yield [pmask[v] ^ m for v in range(size)], pmask
 
 
 def canonical_form_by_loop(o: Orientation) -> Orientation:

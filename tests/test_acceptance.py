@@ -34,7 +34,14 @@ from usolib.construct import (
     random_target_combed,
     uniform,
 )
-from usolib.core import Face, canonical_form, is_acyclic, is_decomposable, validate_uso
+from usolib.core import (
+    EvalCounter,
+    Face,
+    canonical_form,
+    is_acyclic,
+    is_decomposable,
+    validate_uso,
+)
 from usolib.enumeration import census, enumerate_all
 from usolib.reach import niceness_index, reach_table
 from usolib.rng import SplitMix64, derive_seed
@@ -230,19 +237,22 @@ def test_criterion_06_join_suite():
             reach_sets = [reachable_vertices(o, v) for v in range(size)]
             for u in range(size):
                 for v in range(size):
-                    res = join_pair(o, u, v)
-                    pair_ok &= res.moves <= popcount(u ^ v)
-                    pair_ok &= bool((reach_sets[u] >> res.vertex) & 1)
-                    pair_ok &= bool((reach_sets[v] >> res.vertex) & 1)
+                    oracle = EvalCounter(o)
+                    w = join_pair(o, u, v, oracle)
+                    pair_ok &= oracle.evaluations <= (popcount(u ^ v) + 1 if u != v else 0)
+                    pair_ok &= bool((reach_sets[u] >> w) & 1)
+                    pair_ok &= bool((reach_sets[v] >> w) & 1)
             for v in range(size):
                 s = o.out(v)
                 if s == 0:
                     continue
                 neighbors = [v ^ bit(j) for j in coords(s)]
-                res = neighbor_join(o, v)
-                neighbor_ok &= res.evaluations <= popcount(s)
+                oracle = EvalCounter(o)
+                oracle(v)
+                z = neighbor_join(o, v, oracle)
+                neighbor_ok &= oracle.evaluations - 1 <= popcount(s)
                 for w in neighbors:
-                    neighbor_ok &= bool((reach_sets[w] >> res.vertex) & 1)
+                    neighbor_ok &= bool((reach_sets[w] >> z) & 1)
                 joined = join_set(o, neighbors)
                 for w in neighbors:
                     set_ok &= bool((reach_sets[w] >> joined) & 1)

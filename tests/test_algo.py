@@ -37,7 +37,7 @@ from usolib.construct import (
     random_target_combed,
     uniform,
 )
-from usolib.core import Face, NotUSOError, Orientation, face_sink
+from usolib.core import EvalCounter, Face, NotUSOError, Orientation, face_sink
 from usolib.reach import reach_table
 from usolib.rng import SplitMix64
 
@@ -329,13 +329,13 @@ def test_bottom_antipodal_batch_counts_revisits_once(n):
 
 def test_join_pair_identical_vertices():
     o = klee_minty(3)
-    result = join_pair(o, 5, 5)
-    assert result.vertex == 5 and result.moves == 0 and result.evaluations == 0
+    oracle = EvalCounter(o)
+    assert join_pair(o, 5, 5, oracle) == 5 and oracle.evaluations == 0
 
 
 def test_join_pair_hand_traces():
-    assert join_pair(uniform(3), 0b001, 0b010).vertex == 0b011
-    assert join_pair(klee_minty(2), 0b10, 0b01).vertex == 0
+    assert join_pair(uniform(3), 0b001, 0b010) == 0b011
+    assert join_pair(klee_minty(2), 0b10, 0b01) == 0
 
 
 def test_join_pair_reachability_and_move_bound():
@@ -344,10 +344,11 @@ def test_join_pair_reachability_and_move_bound():
         for _ in range(30):
             u = rng.randrange(64)
             v = rng.randrange(64)
-            result = join_pair(o, u, v)
-            assert result.moves <= popcount(u ^ v)
-            assert (reachable_vertices(o, u) >> result.vertex) & 1
-            assert (reachable_vertices(o, v) >> result.vertex) & 1
+            oracle = EvalCounter(o)
+            w = join_pair(o, u, v, oracle)
+            assert oracle.evaluations <= (popcount(u ^ v) + 1 if u != v else 0)
+            assert (reachable_vertices(o, u) >> w) & 1
+            assert (reachable_vertices(o, v) >> w) & 1
 
 
 # edge-consistent with one global sink (7), but the bottom 2-face is the
@@ -361,7 +362,7 @@ def test_join_pair_raises_on_non_uso():
     for u in range(8):
         for v in range(8):
             try:
-                w = join_pair(NOT_USO_3, u, v).vertex
+                w = join_pair(NOT_USO_3, u, v)
             except ValueError as exc:
                 assert str(exc).startswith("not a USO")
             else:
@@ -420,18 +421,25 @@ def test_join_set_examples():
         assert (reachable_vertices(o, x) >> w) & 1
 
 
+def _neighbor_join_cost(o, v):
+    """neighbor_join's vertex and the evaluations it spends once s(v) is
+    known."""
+    oracle = EvalCounter(o)
+    oracle(v)
+    return neighbor_join(o, v, oracle), oracle.evaluations - 1
+
+
 def test_neighbor_join_single_out_edge():
     o = klee_minty(3)
     v = 0b001  # outmap {1}: only out-neighbor is the sink
-    result = neighbor_join(o, v)
-    assert result.vertex == 0
-    assert result.evaluations <= 1
+    w, evaluations = _neighbor_join_cost(o, v)
+    assert w == 0
+    assert evaluations <= 1
 
 
 def test_neighbor_join_hand_traces():
-    assert neighbor_join(uniform(3), 0).vertex == 0b111
-    result = neighbor_join(klee_minty(2), 0b10)
-    assert result.vertex == 0 and result.evaluations == 2
+    assert neighbor_join(uniform(3), 0) == 0b111
+    assert _neighbor_join_cost(klee_minty(2), 0b10) == (0, 2)
 
 
 def test_neighbor_join_rejects_sink():
@@ -447,10 +455,10 @@ def test_neighbor_join_budget_and_reachability():
             s = o.out(v)
             if s == 0:
                 continue
-            result = neighbor_join(o, v)
-            assert result.evaluations <= popcount(s)
+            w, evaluations = _neighbor_join_cost(o, v)
+            assert evaluations <= popcount(s)
             for j in coords(s):
-                assert (reachable_vertices(o, v ^ bit(j)) >> result.vertex) & 1
+                assert (reachable_vertices(o, v ^ bit(j)) >> w) & 1
 
 
 def test_derandomized_re_from_sink():
@@ -476,6 +484,12 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _counted(join, o, v):
+    """Outcome of ``join`` at v and the evaluations it spent."""
+    oracle = EvalCounter(o)
+    return _outcome(join, o, v, oracle), oracle.evaluations
+
+
 def _radius_deepens(o, start):
     """True iff derandomized_re leaves radius 1: at radius 1 each round
     moves to the neighbor join of the current vertex, so the radius deepens
@@ -484,7 +498,7 @@ def _radius_deepens(o, start):
     v = start
     while o.out(v) and v not in visited:
         visited.add(v)
-        v = neighbor_join_by_snapshots(o, v).vertex
+        v = neighbor_join_by_snapshots(o, v)
     return o.out(v) != 0
 
 
@@ -497,7 +511,7 @@ def test_join_solvers_match_the_loop_oracles(all_usos_3):
     deepened = 0
     for o in tables:
         for v in range(o.vertex_count()):
-            assert _outcome(neighbor_join, o, v) == _outcome(neighbor_join_by_snapshots, o, v)
+            assert _counted(neighbor_join, o, v) == _counted(neighbor_join_by_snapshots, o, v)
             assert _outcome(derandomized_re, o, v) == _outcome(derandomized_re_by_loops, o, v)
             deepened += _radius_deepens(o, v)
     assert deepened > 0

@@ -45,6 +45,23 @@ def test_negative_masks_raise():
         repr(Face(-1, 3))
 
 
+@pytest.mark.parametrize(
+    "call, mask",
+    [
+        (lambda: list(submasks(-2)), -2),
+        (lambda: mask_deposit(1, -2), -2),
+        (lambda: list(Face(0, -2).vertices()), -2),
+        (lambda: lowest_coord(-4), -4),
+    ],
+    ids=["submasks", "mask_deposit", "face_span", "lowest_coord"],
+)
+def test_helpers_that_walk_a_mask_reject_a_negative_one(call, mask):
+    # each of these used to loop forever or answer for a wrapped mask
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"coordinate sets are nonnegative masks, got {mask}"
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_coord_set_formatter_matches_format_coord_set(n):
     name = coord_set_formatter(n)

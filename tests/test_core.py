@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     first_edge_violation_pure,
     first_uso_violation_by_face_scan,
     flipped_edge,
+    hypercube_automorphisms,
     orientation_from_edge_bits,
     random_consistent_table,
     uso_by_face_scan_pure,
@@ -31,7 +33,6 @@ from usolib.core import (
     find_sink_by_scan,
     first_edge_violation,
     first_uso_violation,
-    hypercube_automorphisms,
     is_acyclic,
     is_decomposable,
     topological_order,
@@ -48,7 +49,7 @@ from usolib.construct import (
 )
 from usolib.algo import derandomized_re, fs_revisited, join_pair
 from usolib.cli import FAMILIES, build_family
-from usolib.reach import reach_table, reachmap
+from usolib.reach import reach_table
 from usolib.rng import SplitMix64
 
 # edge-consistent non-USO tables used below: a directed 4-cycle on the
@@ -123,7 +124,6 @@ def test_outmap_of_examples():
         (lambda: join_pair(klee_minty(3), -1, 3), -1),
         (lambda: reach_table(klee_minty(3))[-1], -1),
         (lambda: reach_table(klee_minty(3))[8], 8),
-        (lambda: reachmap(klee_minty(3), -1), -1),
     ],
     ids=[
         "derandomized_re",
@@ -133,7 +133,6 @@ def test_outmap_of_examples():
         "join_pair",
         "reach_table-negative",
         "reach_table-past-end",
-        "reachmap",
     ],
 )
 def test_negative_vertices_raise_instead_of_wrapping(call, v):
@@ -449,6 +448,39 @@ def test_canonical_form_matches_loop_oracle_seeded(n):
     instances.append(random_consistent_table(n, SplitMix64(n)))
     for o in instances:
         assert canonical_form(o) == canonical_form_by_loop(o)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_automorphism_arrays_match_the_generator(n):
+    inverse, coord_maps = usolib.core._automorphism_arrays(n)
+    rows = set(zip(map(tuple, inverse.tolist()), map(tuple, coord_maps.tolist())))
+    expected = set()
+    for vertex_map, coord_map in hypercube_automorphisms(n):
+        inverse_map = [0] * len(vertex_map)
+        for v, w in enumerate(vertex_map):
+            inverse_map[w] = v
+        expected.add((tuple(inverse_map), tuple(coord_map)))
+    assert len(inverse) == len(rows) == (1 << n) * math.factorial(n)
+    assert rows == expected
+
+
+def test_automorphism_arrays_at_n_6():
+    inverse, coord_maps = usolib.core._automorphism_arrays(6)
+    assert inverse.shape == coord_maps.shape == (46_080, 64)
+    assert len(np.unique(inverse, axis=0)) == 46_080
+    assert (np.sort(inverse, axis=1) == np.arange(64)).all()
+    assert (np.sort(coord_maps, axis=1) == np.arange(64)).all()
+
+
+def test_canonical_form_invariant_under_automorphisms_at_n_6():
+    rng = SplitMix64(29)
+    picks = {rng.randrange(46_080) for _ in range(5)}
+    autos = [a for k, a in enumerate(hypercube_automorphisms(6)) if k in picks]
+    assert len(autos) == 5
+    for o in (random_fmo(6, SplitMix64(6)), cyclic_full_reach(6)):
+        c = canonical_form(o)
+        for vertex_map, coord_map in autos:
+            assert canonical_form(_apply_automorphism(o, vertex_map, coord_map)) == c
 
 
 def test_eval_counter_caches_distinct_vertices():

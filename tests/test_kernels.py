@@ -29,7 +29,7 @@ from usolib.core import (
     is_decomposable,
     topological_order,
 )
-from usolib.reach import niceness_index, reach_table, reachmap
+from usolib.reach import niceness_index, reach_table
 from usolib.rng import SplitMix64
 
 
@@ -51,7 +51,7 @@ def _assert_usos_match(orientations, *, full_reach=True, canonical=True):
             assert reach.tolist() == _reach_oracle(o)
         else:
             for v in range(0, size, size // 16):
-                assert reach[v] == reachmap(o, v)
+                assert reach[v] == reachmap_bruteforce(o, v)
         sink, cover, witness, index = niceness_by_python_sweep(o, reach.tolist())
         assert find_sink_by_scan(o) == sink == [v for v in range(size) if o.out(v) == 0][0]
         report = niceness_index(o)
