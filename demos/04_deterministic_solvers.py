@@ -30,17 +30,18 @@ from usolib.rng import SplitMix64
 
 print("=== joins ===")
 km = klee_minty(4)
-# a join's cost is read from the EvalCounter it is given; it always moves
-# once per coordinate where its two inputs differ
+# a join sees the cube only through the EvalCounter it is given, and its
+# cost is read from that counter; it always moves once per coordinate where
+# its two inputs differ
 oracle = EvalCounter(km)
-w = join_pair(km, 0b0011, 0b1100, oracle)
+w = join_pair(oracle, 0b0011, 0b1100)
 print(f"join of {{1,2}} and {{3,4}}: vertex {format_coord_set(w)}"
       f" after {popcount(0b0011 ^ 0b1100)} moves, {oracle.evaluations} evaluations")
-w = join_set(km, [1, 2, 4, 8])
+w = join_set(EvalCounter(km), [1, 2, 4, 8])
 print("join of all four unit vertices:", format_coord_set(w))
 oracle = EvalCounter(km)
 oracle(0b1010)
-w = neighbor_join(km, 0b1010, oracle)
+w = neighbor_join(oracle, 0b1010)
 print(f"neighbor-join at {{2,4}}: vertex {format_coord_set(w)}"
       f" with {oracle.evaluations - 1} extra evaluations")
 

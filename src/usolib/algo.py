@@ -104,11 +104,9 @@ def _one_walk(o: Orientation, algo: str, start: int, seed: int, cap: int) -> Run
     the ``algo`` step rule; the stats keep ``seed`` as given."""
     starts = np.array([resolve_start(o, int(start))], dtype=np.int64)
     seeds = np.array([seed & _MASK64], dtype=np.uint64)
-    steps, evals, found, capped = _walk_lockstep(
-        o, starts, seeds, cap, _STEP_RULES[algo]
-    )
+    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, _STEP_RULES[algo])
     sink = int(found[0]) if found[0] >= 0 else None
-    return RunStats(int(steps[0]), int(evals[0]), sink, seed, bool(capped[0]))
+    return RunStats(int(steps[0]), int(evals[0]), sink, seed, sink is None)
 
 
 def random_edge_walk(o: Orientation, start: int, seed: int, cap: int) -> RunStats:
@@ -145,7 +143,7 @@ _STEP_RULES = {"re": _random_edge_move, "ba": _bottom_antipodal_move}
 
 def _walk_lockstep(
     o: Orientation, starts: np.ndarray, seeds: np.ndarray, cap: int, move
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All trials advance in lockstep, each step xoring in the mask the
     step rule ``move`` picks; trial k's walk depends only on its start and
     seed, so it is the same walk as a batch of that one trial.
@@ -154,7 +152,8 @@ def _walk_lockstep(
     The log is folded into the sorted distinct keys ``seen`` whenever it
     outgrows them (plus one key per trial), so memory follows the distinct
     (trial, vertex) pairs rather than the steps; a trial's evaluations are
-    its number of distinct keys.
+    its number of distinct keys. A trial that hits the cap keeps ``found``
+    at -1.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -163,7 +162,6 @@ def _walk_lockstep(
     count = starts.size
     steps = np.zeros(count, dtype=np.int64)
     found = np.full(count, -1, dtype=np.int64)
-    capped = np.zeros(count, dtype=bool)
     active = np.arange(count, dtype=np.int64)
     cur = starts.copy()
     seen = (active << n) | cur
@@ -181,7 +179,6 @@ def _walk_lockstep(
         if not active.size:
             break
         if t >= cap:
-            capped[active] = True
             steps[active] = t
             break
         cur ^= move(s, seeds, active, t)
@@ -192,7 +189,7 @@ def _walk_lockstep(
             seen = np.unique(np.concatenate([seen, *log]))
             log, logged = [], 0
     seen = np.unique(np.concatenate([seen, *log]))
-    return steps, np.bincount(seen >> n, minlength=count), found, capped
+    return steps, np.bincount(seen >> n, minlength=count), found
 
 
 def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
@@ -237,8 +234,8 @@ def walk_batch(
         raise ValueError(f"unknown walk algorithm {algo!r}")
     seeds = derive_seeds_np(seed, trials)
     starts = _starts_array(o, start_policy, seeds)
-    steps, evals, found, capped = _walk_lockstep(o, starts, seeds, cap, move)
-    return WalkBatch(seeds, starts, steps, evals, found, capped)
+    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, move)
+    return WalkBatch(seeds, starts, steps, evals, found, found < 0)
 
 
 def summarize(batch: WalkBatch) -> TrialsSummary:
@@ -290,10 +287,9 @@ def bottom_antipodal(o: Orientation, start: int, cap: int) -> RunStats:
     return _one_walk(o, "ba", start, 0, cap)
 
 
-def join_pair(
-    o: Orientation, u: int, v: int, oracle: EvalCounter | None = None
-) -> int:
-    """A vertex reachable from both ``u`` and ``v`` by directed paths.
+def join_pair(oracle: EvalCounter, u: int, v: int) -> int:
+    """A vertex reachable from both ``u`` and ``v`` by directed paths in
+    the orientation that ``oracle`` evaluates.
 
     At each move the two current vertices differ in some coordinate that is
     outgoing for exactly one of them (the smallest such coordinate is used);
@@ -302,8 +298,6 @@ def join_pair(
     counted by ``oracle``. Raises ``NotUSOError`` naming the pair when no
     such coordinate exists, which only a non-USO allows.
     """
-    if oracle is None:
-        oracle = EvalCounter(o)
     while u != v:
         su = oracle(u)
         sv = oracle(v)
@@ -318,16 +312,14 @@ def join_pair(
     return u
 
 
-def join_set(o: Orientation, vertices, oracle: EvalCounter | None = None) -> int:
+def join_set(oracle: EvalCounter, vertices) -> int:
     """Fold of :func:`join_pair`: a vertex every input can reach."""
     items = list(vertices)
     if not items:
         raise ValueError("join_set needs at least one vertex")
-    if oracle is None:
-        oracle = EvalCounter(o)
     w = items[0]
     for x in items[1:]:
-        w = join_pair(o, w, x, oracle)
+        w = join_pair(oracle, w, x)
     return w
 
 
@@ -339,7 +331,7 @@ def _single_bits(mask: int):
         mask ^= low
 
 
-def neighbor_join(o: Orientation, v: int, oracle: EvalCounter | None = None) -> int:
+def neighbor_join(oracle: EvalCounter, v: int) -> int:
     """Join all out-neighbors of ``v`` using at most |s(v)| evaluations
     beyond knowing s(v) itself, counted by ``oracle``.
 
@@ -353,8 +345,6 @@ def neighbor_join(o: Orientation, v: int, oracle: EvalCounter | None = None) -> 
     drops nothing, every active neighbor is the source of its face, and the
     vertex across all of ac is returned.
     """
-    if oracle is None:
-        oracle = EvalCounter(o)
     sv = oracle(v)
     if sv == 0:
         raise ValueError("neighbor_join is undefined at the sink")
@@ -406,8 +396,8 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
                                 return RunStats(rounds, oracle.evaluations, w, 0, False)
                             nxt.append(w)
                 frontier = nxt
-            joined = {neighbor_join(o, u, oracle) for u in seen}
-            z = join_set(o, sorted(joined), oracle)
+            joined = {neighbor_join(oracle, u) for u in seen}
+            z = join_set(oracle, sorted(joined))
             rounds += 1
             if oracle(z) == 0:
                 return RunStats(rounds, oracle.evaluations, z, 0, False)

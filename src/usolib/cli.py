@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen, check, analyze, walk, solve, enum, bench. Exit codes are
-0 on success, 1 on domain failures (invalid orientation files, and every
-``NotUSOError``: a failed check, a table without exactly one sink, a
-solver's proof that the input is not a USO), 2 on usage errors. ``main``
-prints every ``NotUSOError`` as ``error: <message>``. All randomness is
+0 on success, 1 on domain failures (invalid orientation files, files that
+cannot be read or written, and every ``NotUSOError``: a failed check, a
+table without exactly one sink, a solver's proof that the input is not a
+USO), 2 on usage errors. ``main`` prints each as one ``error: <message>``
+line. All randomness is
 controlled by --seed and outputs are deterministic for fixed flags.
 """
 
@@ -234,7 +235,7 @@ def cmd_solve(args) -> int:
 def cmd_enum(args) -> int:
     if args.census:
         result = enumeration.census(args.n)
-        _emit(_json_dumps(result.to_json_obj()), args.out)
+        _emit(_json_dumps(dataclasses.asdict(result)), args.out)
     else:
         count = enumeration.enumerate_all(args.n)
         _emit(_json_dumps({"n": args.n, "count": count}), args.out)
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, NotUSOError) as exc:
+    except (ParseError, OSError, NotUSOError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

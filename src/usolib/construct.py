@@ -67,9 +67,9 @@ def flip_edge(o: Orientation, v: int, j: int) -> Orientation:
     that condition makes the flip safe (the result of flipping an edge of a
     USO is then again a USO). Raises FlipPreconditionViolated otherwise.
     """
-    b = bit(j)
     if j < 1 or j > o.n:
         raise ValueError(f"coordinate {j} out of range for dimension {o.n}")
+    b = bit(j)
     u = v ^ b
     sv, su = o.out(v), o.out(u)
     if (sv ^ su) & ~b:

@@ -116,9 +116,6 @@ class Face:
     def dimension(self) -> int:
         return popcount(self.span)
 
-    def vertex_count(self) -> int:
-        return 1 << self.dimension
-
     def contains(self, v: int) -> bool:
         return (v ^ self.anchor) & ~self.span == 0
 

@@ -99,7 +99,8 @@ def enumerate_all(n: int, visitor: Visitor | None = None) -> int:
 
 @dataclass(frozen=True)
 class Census:
-    """Classification counts for all USOs of one dimension."""
+    """Classification counts for all USOs of one dimension; the CLI writes
+    it with ``dataclasses.asdict``."""
 
     n: int
     total_uso: int
@@ -109,20 +110,6 @@ class Census:
     niceness_histogram: dict[int, int]
     #: canonical outmap table (space-joined) -> orbit size
     iso_classes: dict[str, int]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "total_uso": self.total_uso,
-            "acyclic": self.acyclic,
-            "cyclic": self.cyclic,
-            "decomposable": self.decomposable,
-            "niceness_histogram": {
-                str(k): self.niceness_histogram[k]
-                for k in sorted(self.niceness_histogram)
-            },
-            "iso_classes": {k: self.iso_classes[k] for k in sorted(self.iso_classes)},
-        }
 
 
 def census(n: int) -> Census:

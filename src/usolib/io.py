@@ -76,7 +76,7 @@ def loads_text(text: str) -> Orientation:
 
 def dumps_text(o: Orientation) -> str:
     lines = [f"uso {o.n}"]
-    lines.extend(str(int(x)) for x in o.outmap)
+    lines.extend(map(str, o.outmap.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -104,27 +104,24 @@ def loads_json(text: str) -> Orientation:
 
 
 def dumps_json(o: Orientation) -> str:
-    return json.dumps({"n": o.n, "outmap": [int(x) for x in o.outmap]}) + "\n"
+    return json.dumps({"n": o.n, "outmap": o.outmap.tolist()}) + "\n"
 
 
 def read_orientation(path: str | Path) -> Orientation:
     """Load an orientation; the format is inferred from the extension
     (.json for JSON, anything else is USO-TEXT)."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     if path.suffix == ".json":
         return loads_json(text)
     return loads_text(text)
 
 
-def write_orientation(o: Orientation, path: str | Path, fmt: str | None = None) -> None:
-    """Write an orientation; round-trips bit-for-bit."""
+def write_orientation(o: Orientation, path: str | Path) -> None:
+    """Write an orientation in the format its extension names, as
+    :func:`read_orientation` infers it; round-trips bit-for-bit."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "text"
-    if fmt == "json":
-        path.write_text(dumps_json(o))
-    elif fmt == "text":
-        path.write_text(dumps_text(o))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    path.write_text(dumps_json(o) if path.suffix == ".json" else dumps_text(o))

@@ -42,9 +42,6 @@ class ReachTable:
         _check_vertex(self.n, v)
         return int(self.entries[v])
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def reach_table(o: Orientation) -> ReachTable:
     """Reachmaps for all vertices, as the least fixed point of

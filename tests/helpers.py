@@ -350,9 +350,7 @@ def bottom_antipodal_by_loop(o: Orientation, start: int, cap: int) -> RunStats:
             evals += 1
 
 
-def neighbor_join_by_snapshots(
-    o: Orientation, v: int, oracle: EvalCounter | None = None
-) -> int:
+def neighbor_join_by_snapshots(oracle: EvalCounter, v: int) -> int:
     """Join all out-neighbors of ``v`` using at most |s(v)| evaluations
     beyond knowing s(v) itself, counted by ``oracle``.
 
@@ -364,8 +362,6 @@ def neighbor_join_by_snapshots(
     otherwise every remaining neighbor is the source of its face and the
     vertex across all active coordinates is returned.
     """
-    if oracle is None:
-        oracle = EvalCounter(o)
     sv = oracle(v)
     if sv == 0:
         raise ValueError("neighbor_join is undefined at the sink")
@@ -452,8 +448,8 @@ def derandomized_re_by_loops(o: Orientation, start: int) -> RunStats:
                 return RunStats(rounds, oracle.evaluations, sink, 0, False)
             joined = set()
             for u in sorted(ball):
-                joined.add(neighbor_join_by_snapshots(o, u, oracle))
-            z = join_set(o, sorted(joined), oracle)
+                joined.add(neighbor_join_by_snapshots(oracle, u))
+            z = join_set(oracle, sorted(joined))
             rounds += 1
             if oracle(z) == 0:
                 return RunStats(rounds, oracle.evaluations, z, 0, False)

@@ -238,7 +238,7 @@ def test_criterion_06_join_suite():
             for u in range(size):
                 for v in range(size):
                     oracle = EvalCounter(o)
-                    w = join_pair(o, u, v, oracle)
+                    w = join_pair(oracle, u, v)
                     pair_ok &= oracle.evaluations <= (popcount(u ^ v) + 1 if u != v else 0)
                     pair_ok &= bool((reach_sets[u] >> w) & 1)
                     pair_ok &= bool((reach_sets[v] >> w) & 1)
@@ -249,11 +249,11 @@ def test_criterion_06_join_suite():
                 neighbors = [v ^ bit(j) for j in coords(s)]
                 oracle = EvalCounter(o)
                 oracle(v)
-                z = neighbor_join(o, v, oracle)
+                z = neighbor_join(oracle, v)
                 neighbor_ok &= oracle.evaluations - 1 <= popcount(s)
                 for w in neighbors:
                     neighbor_ok &= bool((reach_sets[w] >> z) & 1)
-                joined = join_set(o, neighbors)
+                joined = join_set(EvalCounter(o), neighbors)
                 for w in neighbors:
                     set_ok &= bool((reach_sets[w] >> joined) & 1)
     ok = pair_ok and set_ok and neighbor_ok

@@ -330,12 +330,12 @@ def test_bottom_antipodal_batch_counts_revisits_once(n):
 def test_join_pair_identical_vertices():
     o = klee_minty(3)
     oracle = EvalCounter(o)
-    assert join_pair(o, 5, 5, oracle) == 5 and oracle.evaluations == 0
+    assert join_pair(oracle, 5, 5) == 5 and oracle.evaluations == 0
 
 
 def test_join_pair_hand_traces():
-    assert join_pair(uniform(3), 0b001, 0b010) == 0b011
-    assert join_pair(klee_minty(2), 0b10, 0b01) == 0
+    assert join_pair(EvalCounter(uniform(3)), 0b001, 0b010) == 0b011
+    assert join_pair(EvalCounter(klee_minty(2)), 0b10, 0b01) == 0
 
 
 def test_join_pair_reachability_and_move_bound():
@@ -345,7 +345,7 @@ def test_join_pair_reachability_and_move_bound():
             u = rng.randrange(64)
             v = rng.randrange(64)
             oracle = EvalCounter(o)
-            w = join_pair(o, u, v, oracle)
+            w = join_pair(oracle, u, v)
             assert oracle.evaluations <= (popcount(u ^ v) + 1 if u != v else 0)
             assert (reachable_vertices(o, u) >> w) & 1
             assert (reachable_vertices(o, v) >> w) & 1
@@ -358,11 +358,11 @@ NOT_USO_3 = Orientation(3, [5, 6, 6, 5, 3, 2, 1, 0])
 
 def test_join_pair_raises_on_non_uso():
     with pytest.raises(ValueError, match="not a USO: vertices 1 and 2 differ on {1,2}"):
-        join_pair(NOT_USO_3, 1, 2)
+        join_pair(EvalCounter(NOT_USO_3), 1, 2)
     for u in range(8):
         for v in range(8):
             try:
-                w = join_pair(NOT_USO_3, u, v)
+                w = join_pair(EvalCounter(NOT_USO_3), u, v)
             except ValueError as exc:
                 assert str(exc).startswith("not a USO")
             else:
@@ -401,7 +401,7 @@ def test_not_uso_certificates_of_the_joins_and_seesaws_are_genuine():
             size = 1 << n
             for _ in range(3):
                 u, v = rng.randrange(size), rng.randrange(size)
-                run("join_pair", lambda: join_pair(o, u, v), o)
+                run("join_pair", lambda: join_pair(EvalCounter(o), u, v), o)
             result = run("fibonacci_seesaw", lambda: fibonacci_seesaw(o), o)
             if result is not None:
                 assert o.out(result[0]) == 0
@@ -413,10 +413,25 @@ def test_not_uso_certificates_of_the_joins_and_seesaws_are_genuine():
     assert all(raised.values()), raised
 
 
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: walk_batch(klee_minty(3), "re", 0, 0, 1, 10), "trials must be >= 1"),
+        (lambda: walk_batch(klee_minty(3), "rw", 0, 1, 1, 10), "unknown walk algorithm 'rw'"),
+        (lambda: join_set(EvalCounter(klee_minty(3)), []), "join_set needs at least one vertex"),
+    ],
+    ids=["walk_batch-no-trials", "walk_batch-unknown-algorithm", "join_set-empty"],
+)
+def test_bad_arguments_raise_naming_the_reason(call, reason):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == reason
+
+
 def test_join_set_examples():
     o = uniform(3)
-    assert join_set(o, [5]) == 5
-    w = join_set(o, [0b001, 0b010, 0b100])
+    assert join_set(EvalCounter(o), [5]) == 5
+    w = join_set(EvalCounter(o), [0b001, 0b010, 0b100])
     for x in (0b001, 0b010, 0b100):
         assert (reachable_vertices(o, x) >> w) & 1
 
@@ -426,7 +441,7 @@ def _neighbor_join_cost(o, v):
     known."""
     oracle = EvalCounter(o)
     oracle(v)
-    return neighbor_join(o, v, oracle), oracle.evaluations - 1
+    return neighbor_join(oracle, v), oracle.evaluations - 1
 
 
 def test_neighbor_join_single_out_edge():
@@ -438,13 +453,13 @@ def test_neighbor_join_single_out_edge():
 
 
 def test_neighbor_join_hand_traces():
-    assert neighbor_join(uniform(3), 0) == 0b111
+    assert neighbor_join(EvalCounter(uniform(3)), 0) == 0b111
     assert _neighbor_join_cost(klee_minty(2), 0b10) == (0, 2)
 
 
 def test_neighbor_join_rejects_sink():
     with pytest.raises(ValueError):
-        neighbor_join(klee_minty(3), 0)
+        neighbor_join(EvalCounter(klee_minty(3)), 0)
 
 
 def test_neighbor_join_budget_and_reachability():
@@ -487,7 +502,7 @@ def _outcome(f, *args):
 def _counted(join, o, v):
     """Outcome of ``join`` at v and the evaluations it spent."""
     oracle = EvalCounter(o)
-    return _outcome(join, o, v, oracle), oracle.evaluations
+    return _outcome(join, oracle, v), oracle.evaluations
 
 
 def _radius_deepens(o, start):
@@ -498,7 +513,7 @@ def _radius_deepens(o, start):
     v = start
     while o.out(v) and v not in visited:
         visited.add(v)
-        v = neighbor_join_by_snapshots(o, v)
+        v = neighbor_join_by_snapshots(EvalCounter(o), v)
     return o.out(v) != 0
 
 

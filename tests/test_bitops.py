@@ -32,6 +32,8 @@ def test_coords_roundtrip():
     assert list(coords(mask)) == [1, 3, 6]
     assert popcount(mask) == 3
     assert lowest_coord(mask) == 1
+    with pytest.raises(ValueError, match="^empty coordinate set$"):
+        lowest_coord(0)
     assert format_coord_set(mask) == "{1,3,6}"
     assert format_coord_set(0) == "{}"
 

@@ -91,6 +91,13 @@ def test_flip_edge_allowed_and_rejected():
         flip_edge(flipped, 0, 2)
 
 
+@pytest.mark.parametrize("j", [0, 4])
+def test_flip_edge_rejects_a_coordinate_outside_the_cube(j):
+    with pytest.raises(ValueError) as err:
+        flip_edge(uniform(3), 0, j)
+    assert str(err.value) == f"coordinate {j} out of range for dimension 3"
+
+
 def test_three_flips_build_the_cyclic_3_uso():
     o = uniform(3, forward=False)
     for v, j in ((0b001, 2), (0b010, 3), (0b100, 1)):

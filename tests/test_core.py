@@ -121,7 +121,7 @@ def test_outmap_of_examples():
         (lambda: fs_revisited(klee_minty(3), -2), -2),
         (lambda: face_sink(klee_minty(3), Face(-8, 3)), -8),
         (lambda: flip_edge(uniform(3), -1, 1), -1),
-        (lambda: join_pair(klee_minty(3), -1, 3), -1),
+        (lambda: join_pair(EvalCounter(klee_minty(3)), -1, 3), -1),
         (lambda: reach_table(klee_minty(3))[-1], -1),
         (lambda: reach_table(klee_minty(3))[8], 8),
     ],

@@ -1,0 +1,66 @@
+"""Public entry points on random edge-consistent tables, which are mostly
+not USOs: each call returns or raises ``NotUSOError``, and every
+certificate such an error carries is genuine."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import certificate_holds, random_consistent_table
+from usolib.algo import (
+    derandomized_re,
+    fibonacci_seesaw,
+    fs_revisited,
+    join_pair,
+    neighbor_join,
+    walk_batch,
+)
+from usolib.core import (
+    EvalCounter,
+    NotUSOError,
+    canonical_form,
+    find_sink_by_scan,
+    first_uso_violation,
+    is_acyclic,
+    is_decomposable,
+)
+from usolib.reach import niceness_index, reach_table
+from usolib.rng import SplitMix64
+
+
+def _entry_points(o, u, v):
+    """Each entry point under test as a thunk over the table ``o`` and the
+    two vertices ``u`` and ``v``."""
+    return {
+        "find_sink_by_scan": lambda: find_sink_by_scan(o),
+        "first_uso_violation": lambda: first_uso_violation(o),
+        "reach_table": lambda: reach_table(o),
+        "niceness_index": lambda: niceness_index(o),
+        "is_acyclic": lambda: is_acyclic(o),
+        "is_decomposable": lambda: is_decomposable(o),
+        "canonical_form": lambda: canonical_form(o),
+        "walk_batch-re": lambda: walk_batch(o, "re", "random", 4, u, 200),
+        "walk_batch-ba": lambda: walk_batch(o, "ba", "random", 4, u, 200),
+        "derandomized_re": lambda: derandomized_re(o, u),
+        "fibonacci_seesaw": lambda: fibonacci_seesaw(o),
+        "fs_revisited": lambda: fs_revisited(o, u),
+        "join_pair": lambda: join_pair(EvalCounter(o), u, v),
+        "neighbor_join": lambda: neighbor_join(EvalCounter(o), u),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, (1 << 64) - 1))
+def test_entry_points_return_or_raise_a_genuine_certificate(n, seed):
+    rng = SplitMix64(seed)
+    o = random_consistent_table(n, rng)
+    u, v = rng.randrange(1 << n), rng.randrange(1 << n)
+    for name, call in _entry_points(o, u, v).items():
+        if name == "neighbor_join" and o.out(u) == 0:
+            with pytest.raises(ValueError, match="undefined at the sink"):
+                call()
+            continue
+        try:
+            call()
+        except NotUSOError as exc:
+            assert certificate_holds(o, exc), (name, str(exc))

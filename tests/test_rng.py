@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -54,3 +55,10 @@ def test_splitmix_sequence_is_reproducible():
     SplitMix64(5).shuffle(items)
     SplitMix64(5).shuffle(other)
     assert items == other and items != list(range(20))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_randrange_rejects_an_empty_range(k):
+    with pytest.raises(ValueError) as err:
+        SplitMix64(1).randrange(k)
+    assert str(err.value) == "randrange bound must be positive"
