@@ -44,8 +44,7 @@ print("so only the sink can cover anything and the index is the dimension:")
 for n in (3, 4, 5):
     o = cyclic_full_reach(n)
     rep = niceness_index(o)
-    t = reach_table(o)
-    sizes = {popcount(t[v]) for v in range(1 << n) if o.out(v) != 0}
+    sizes = {popcount(rep.reach[v]) for v in range(1 << n) if o.out(v) != 0}
     print(f"  n={n}: niceness {rep.niceness_index}, non-sink reachmap sizes {sizes}")
 
 print()

@@ -21,13 +21,7 @@ import numpy as np
 from .bitops import full_mask, lowest_coord, popcount
 from .core import EvalCounter, Face, NotUSOError, Orientation, find_sink_by_scan
 from .reach import reach_table
-from .rng import (
-    _MASK64,
-    derive_seeds_np,
-    start_value,
-    start_values_np,
-    stream_values_np,
-)
+from .rng import _MASK64, derive_seeds_np, start_values_np, stream_values_np
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,10 @@ class WalkBatch:
     steps: np.ndarray
     evaluations: np.ndarray
     found: np.ndarray  # -1 when capped
-    capped: np.ndarray
+
+    @property
+    def capped(self) -> np.ndarray:
+        return self.found < 0
 
 
 def source_vertex(o: Orientation) -> int:
@@ -203,7 +200,8 @@ def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
     if policy == "antipodal":
         return find_sink_by_scan(o) ^ full_mask(o.n)
     if policy == "random":
-        return start_value(seed) % o.vertex_count()
+        draw = start_values_np(np.array([seed & _MASK64], dtype=np.uint64))
+        return int(draw[0] % np.uint64(o.vertex_count()))
     raise ValueError(f"unknown start policy {policy!r}")
 
 
@@ -235,7 +233,7 @@ def walk_batch(
     seeds = derive_seeds_np(seed, trials)
     starts = _starts_array(o, start_policy, seeds)
     steps, evals, found = _walk_lockstep(o, starts, seeds, cap, move)
-    return WalkBatch(seeds, starts, steps, evals, found, found < 0)
+    return WalkBatch(seeds, starts, steps, evals, found)
 
 
 def summarize(batch: WalkBatch) -> TrialsSummary:

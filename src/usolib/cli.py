@@ -31,7 +31,7 @@ from .core import (
     is_decomposable,
 )
 from .io import ParseError, dumps_json, dumps_text, read_orientation
-from .reach import niceness_index, reach_table
+from .reach import niceness_index
 from .rng import SplitMix64, derive_seed
 
 FAMILIES = ("uniform", "km", "fmo", "target-combed", "cyclic-lb", "auso-lb", "product")
@@ -122,8 +122,7 @@ def cmd_check(args) -> int:
 def cmd_analyze(args) -> int:
     o = read_orientation(args.path)
     _require_uso(o)
-    rt = reach_table(o)
-    report = niceness_index(o, rt)
+    report = niceness_index(o)
     acyclic, decomposable = is_acyclic(o), is_decomposable(o)
     if args.format == "json":
         obj = report.to_json_obj()
@@ -141,7 +140,7 @@ def cmd_analyze(args) -> int:
         "vertex outmap reachmap cover_distance witness",
     ]
     name = coord_set_formatter(o.n)
-    columns = (o.outmap, rt.entries, report.cover_distance, report.witness)
+    columns = (o.outmap, report.reach.entries, report.cover_distance, report.witness)
     rows = len(lines)
     lines += [
         f"{v} {name(s)} {name(r)} {d} {w}"

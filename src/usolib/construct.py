@@ -10,10 +10,11 @@ acyclic one whose niceness is n-2).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import combinations
 
 import numpy as np
 
-from .bitops import bit, full_mask, mask_deposit, popcount
+from .bitops import bit, full_mask, mask_deposit
 from .core import Face, Orientation, _check_dimension, _check_vertex
 from .rng import SplitMix64
 
@@ -30,12 +31,12 @@ class HypersinkViolated(ValueError):
     """The given face is not a hypersink of the orientation."""
 
 
-def uniform(n: int, forward: bool = True) -> Orientation:
+def uniform(n: int) -> Orientation:
     """All edges pointing from smaller to larger vertex sets (sink at the
-    full set) or the mirror of that (sink at the empty set)."""
+    full set); :func:`reverse_orientation` gives the mirror, with its sink
+    at the empty set."""
     _check_dimension(n)
-    verts = np.arange(1 << n, dtype=np.uint32)
-    table = (verts ^ np.uint32(full_mask(n))) if forward else verts
+    table = np.arange(1 << n, dtype=np.uint32) ^ np.uint32(full_mask(n))
     return Orientation(n, table, copy=False)
 
 
@@ -60,6 +61,20 @@ def reverse_orientation(o: Orientation) -> Orientation:
     return Orientation(o.n, o.outmap ^ np.uint32(full_mask(o.n)), copy=False)
 
 
+def _flip(n: int, table: np.ndarray, v: int, j: int) -> None:
+    """Reverse the edge between ``v`` and ``v ^ bit(j)`` of the n-cube
+    outmap ``table`` in place, under :func:`flip_edge`'s precondition."""
+    if j < 1 or j > n:
+        raise ValueError(f"coordinate {j} out of range for dimension {n}")
+    _check_vertex(n, v)
+    b = bit(j)
+    u = v ^ b
+    if (int(table[v]) ^ int(table[u])) & ~b:
+        raise FlipPreconditionViolated(f"outmaps of {v} and {u} differ off coordinate {j}")
+    table[v] ^= b
+    table[u] ^= b
+
+
 def flip_edge(o: Orientation, v: int, j: int) -> Orientation:
     """Reverse the single edge between ``v`` and ``v ^ bit(j)``.
 
@@ -67,18 +82,8 @@ def flip_edge(o: Orientation, v: int, j: int) -> Orientation:
     that condition makes the flip safe (the result of flipping an edge of a
     USO is then again a USO). Raises FlipPreconditionViolated otherwise.
     """
-    if j < 1 or j > o.n:
-        raise ValueError(f"coordinate {j} out of range for dimension {o.n}")
-    b = bit(j)
-    u = v ^ b
-    sv, su = o.out(v), o.out(u)
-    if (sv ^ su) & ~b:
-        raise FlipPreconditionViolated(
-            f"outmaps of {v} and {u} differ off coordinate {j}"
-        )
     table = o.outmap.copy()
-    table[v] ^= b
-    table[u] ^= b
+    _flip(o.n, table, v, j)
     return Orientation(o.n, table, copy=False)
 
 
@@ -200,17 +205,17 @@ def target_combed(n: int, fiber_choices: Sequence[Orientation]) -> Orientation:
     _check_dimension(n)
     if len(fiber_choices) != n - 1:
         raise ValueError(f"need {n - 1} fiber choices, got {len(fiber_choices)}")
-    current = uniform(1, forward=False)  # sink at the empty vertex
-    for k in range(1, n):
-        upper = fiber_choices[k - 1]
-        if upper.n != k:
+    for k, fiber in enumerate(fiber_choices, 1):
+        if fiber.n != k:
             raise ValueError(
-                f"fiber for coordinate {k + 1} must have dimension {k}, got {upper.n}"
+                f"fiber for coordinate {k + 1} must have dimension {k}, got {fiber.n}"
             )
-        top = np.uint32(bit(k + 1))
-        table = np.concatenate([current.outmap, upper.outmap | top])
-        current = Orientation(k + 1, table, copy=False)
-    return current
+    # the 1-cube with its sink at 0, then fiber k on top, combed down along k + 1
+    table = np.concatenate(
+        [np.arange(2, dtype=np.uint32)]
+        + [f.outmap | np.uint32(bit(k + 1)) for k, f in enumerate(fiber_choices, 1)]
+    )
+    return Orientation(n, table, copy=False)
 
 
 def random_target_combed(n: int, rng: SplitMix64) -> Orientation:
@@ -252,23 +257,21 @@ def auso_lower_bound(n: int) -> Orientation:
         raise ValueError("construction requires dimension >= 4")
     _check_dimension(n)
     full = full_mask(n)
-    o = uniform(n, forward=True)
+    table = uniform(n).outmap.copy()
 
     # reverse the 2-face on coordinates {1,2} anchored three levels down:
     # first the two coordinate-1 edges, then the two coordinate-2 edges
     v = full ^ (bit(1) | bit(2) | bit(3))
-    o = flip_edge(o, v, 1)
-    o = flip_edge(o, v | bit(2), 1)
-    o = flip_edge(o, v, 2)
-    o = flip_edge(o, v | bit(1), 2)
+    for u, j in ((v, 1), (v | bit(2), 1), (v, 2), (v | bit(1), 2)):
+        _flip(n, table, u, j)
 
     # reverse a path of edges spanning coordinates 4..n
-    o = flip_edge(o, full ^ bit(2), 4)
+    _flip(n, table, full ^ bit(2), 4)
     for k in range(4, n):
-        o = flip_edge(o, full ^ bit(k), k + 1)
+        _flip(n, table, full ^ bit(k), k + 1)
 
-    # reverse the coordinate-3 edge at every level-(n-3) vertex containing 3
-    for u in range(1 << n):
-        if popcount(u) == n - 3 and u & bit(3):
-            o = flip_edge(o, u, 3)
-    return o
+    # reverse the coordinate-3 edge at every level-(n-3) vertex containing 3,
+    # the full set minus three other coordinates (disjoint edges, any order)
+    for gone in combinations([j for j in range(1, n + 1) if j != 3], 3):
+        _flip(n, table, full ^ sum(bit(j) for j in gone), 3)
+    return Orientation(n, table, copy=False)

@@ -214,9 +214,6 @@ class EvalCounter:
     def evaluations(self) -> int:
         return len(self._cache)
 
-    def known(self, v: int) -> bool:
-        return v in self._cache
-
 
 def first_edge_violation(o: Orientation) -> tuple[int, int] | None:
     """(vertex, coordinate) of the first edge whose endpoints agree on it.

@@ -78,19 +78,23 @@ def reach_table(o: Orientation) -> ReachTable:
 
 @dataclass(frozen=True, eq=False)
 class NicenessReport:
-    """Cover distance and witness per vertex, plus the global maximum.
+    """Reach table, cover distance and witness per vertex, plus the maximum.
 
-    ``cover_distance`` and ``witness`` are the level sweep's read-only int32
-    arrays of 2^n entries; the sink's entries are 0 and -1. The niceness
-    index is the maximum cover distance, which is taken over the non-sink
-    vertices.
+    ``reach`` is the reach table the sweep read. ``cover_distance`` and
+    ``witness`` are the sweep's read-only int32 arrays of 2^n entries; the
+    sink's entries are 0 and -1. The niceness index is the maximum cover
+    distance, which is taken over the non-sink vertices.
     """
 
-    n: int
+    reach: ReachTable
     sink: int
     cover_distance: np.ndarray
     witness: np.ndarray
     niceness_index: int
+
+    @property
+    def n(self) -> int:
+        return self.reach.n
 
     def to_json_obj(self) -> dict:
         cover, witness = self.cover_distance.tolist(), self.witness.tolist()
@@ -104,13 +108,13 @@ class NicenessReport:
         }
 
 
-def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessReport:
+def niceness_index(o: Orientation) -> NicenessReport:
     """Cover distances for every non-sink vertex and their maximum.
 
-    ``t`` is the orientation's reach table; it is computed when omitted.
     Witnesses are deterministic: the smallest vertex index among covers at
-    the minimal distance. The report holds the sweep's own distance and
-    witness arrays (int32, read-only), with 0 and -1 at the sink.
+    the minimal distance. The report holds the orientation's reach table
+    and the sweep's own distance and witness arrays (int32, read-only),
+    with 0 and -1 at the sink.
 
     A vertex reachable from v never has a larger reachmap than v, so one
     numpy level sweep over the reach table replaces a search per vertex:
@@ -133,8 +137,7 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
     have exactly one sink, or when a non-sink vertex has no cover; neither
     happens on a USO.
     """
-    if t is None:
-        t = reach_table(o)
+    t = reach_table(o)
     table, reach = o._table, t.entries
     size = len(table)
     sink = find_sink_by_scan(o)
@@ -173,4 +176,4 @@ def niceness_index(o: Orientation, t: ReachTable | None = None) -> NicenessRepor
     wits[sink] = -1
     dists.setflags(write=False)
     wits.setflags(write=False)
-    return NicenessReport(o.n, sink, dists, wits, int(dists.max()))
+    return NicenessReport(t, sink, dists, wits, int(dists.max()))

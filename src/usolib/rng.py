@@ -36,11 +36,6 @@ def derive_seed(master: int, index: int) -> int:
     return stream_value(master, index)
 
 
-def start_value(seed: int) -> int:
-    """Auxiliary draw, separated from the stream used for steps."""
-    return mix64((seed + _START_SALT) & _MASK64)
-
-
 def mix64_np(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a uint64 array."""
     x = x.astype(np.uint64, copy=True)
@@ -71,6 +66,7 @@ def derive_seeds_np(master: int, count: int) -> np.ndarray:
 
 
 def start_values_np(seeds: np.ndarray) -> np.ndarray:
+    """Auxiliary draw per seed, separated from the streams used for steps."""
     with np.errstate(over="ignore"):
         base = seeds.astype(np.uint64) + np.uint64(_START_SALT)
     return mix64_np(base)

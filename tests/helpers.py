@@ -4,16 +4,17 @@ Everything here is deliberately written from the definitions, without
 reusing the library's fast paths: a pure-python edge check and face scan,
 the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
-of the certificates that ``NotUSOError`` carries, the Klee-Minty table,
-per-vertex reachability sets, BFS distances, the Random Edge and Bottom
-Antipodal walks as plain per-step loops, the neighbor join and the
-derandomized Random Edge as nested loops over snapshots and a ball list,
-enumeration by pruned backtracking and by brute force over raw edge
-orientations, software PEXT, the cube's automorphisms as Python lists,
-canonical forms by one loop per automorphism, the memoised decomposability
-recursion over faces, acyclicity from reachability, the pure-python
-cover-distance level sweep, and the exact Random Edge expectations as one
-linear solve.
+of the certificates that ``NotUSOError`` carries, the Klee-Minty table, the
+acyclic lower-bound family as a chain of flips, target-combed grown one
+coordinate at a time, per-vertex reachability sets, BFS distances, the
+Random Edge and Bottom Antipodal walks as plain per-step loops, the
+neighbor join and the derandomized Random Edge as nested loops over
+snapshots and a ball list, enumeration by pruned backtracking and by brute
+force over raw edge orientations, software PEXT, the cube's automorphisms
+as Python lists, canonical forms by one loop per automorphism, the memoised
+decomposability recursion over faces, acyclicity from reachability, the
+pure-python cover-distance level sweep, and the exact Random Edge
+expectations as one linear solve.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import math
 import numpy as np
 
 from usolib.algo import RunStats, join_set
-from usolib.bitops import bit, coords, full_mask, submasks
+from usolib.bitops import bit, coords, full_mask, popcount, submasks
+from usolib.construct import flip_edge, reverse_orientation, uniform
 from usolib.core import EvalCounter, Face, NotUSOError, Orientation
 from usolib.rng import SplitMix64, stream_value
 
@@ -133,6 +135,45 @@ def klee_minty_by_definition(n: int) -> Orientation:
                 s |= bit(i)
         table.append(s)
     return Orientation(n, table)
+
+
+def auso_lower_bound_by_flips(n: int) -> Orientation:
+    """``auso_lower_bound`` as a chain of checked ``flip_edge`` calls, each
+    returning a new orientation, with its last step found by scanning all
+    2^n vertices."""
+    full = full_mask(n)
+    o = uniform(n)
+
+    # reverse the 2-face on coordinates {1,2} anchored three levels down:
+    # first the two coordinate-1 edges, then the two coordinate-2 edges
+    v = full ^ (bit(1) | bit(2) | bit(3))
+    o = flip_edge(o, v, 1)
+    o = flip_edge(o, v | bit(2), 1)
+    o = flip_edge(o, v, 2)
+    o = flip_edge(o, v | bit(1), 2)
+
+    # reverse a path of edges spanning coordinates 4..n
+    o = flip_edge(o, full ^ bit(2), 4)
+    for k in range(4, n):
+        o = flip_edge(o, full ^ bit(k), k + 1)
+
+    # reverse the coordinate-3 edge at every level-(n-3) vertex containing 3
+    for u in range(1 << n):
+        if popcount(u) == n - 3 and u & bit(3):
+            o = flip_edge(o, u, 3)
+    return o
+
+
+def target_combed_by_steps(n: int, fiber_choices) -> Orientation:
+    """``target_combed`` grown one coordinate at a time, with an
+    ``Orientation`` per step."""
+    current = reverse_orientation(uniform(1))  # sink at the empty vertex
+    for k in range(1, n):
+        upper = fiber_choices[k - 1]
+        top = np.uint32(bit(k + 1))
+        table = np.concatenate([current.outmap, upper.outmap | top])
+        current = Orientation(k + 1, table, copy=False)
+    return current
 
 
 def cube_edges(n: int) -> list[tuple[int, int]]:

@@ -39,7 +39,7 @@ from usolib.construct import (
 )
 from usolib.core import EvalCounter, Face, NotUSOError, Orientation, face_sink
 from usolib.reach import reach_table
-from usolib.rng import SplitMix64
+from usolib.rng import _MASK64, _START_SALT, SplitMix64, mix64
 
 FAMILIES_N6 = [
     uniform(6),
@@ -65,7 +65,9 @@ def test_resolve_start():
     assert resolve_start(o, 5) == 5
     assert resolve_start(o, "antipodal") == 7  # sink is 0
     assert resolve_start(o, "source") == source_vertex(o)
-    assert 0 <= resolve_start(o, "random", seed=9) < 8
+    for seed in (9, -1, 1 << 70):
+        # the auxiliary draw of the seed, reduced to a vertex
+        assert resolve_start(o, "random", seed) == mix64((seed + _START_SALT) & _MASK64) % 8
     with pytest.raises(ValueError):
         resolve_start(o, "center")
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import klee_minty_by_definition
+from helpers import auso_lower_bound_by_flips, klee_minty_by_definition, target_combed_by_steps
 from usolib.bitops import bit, coords, from_coords, full_mask, popcount
 from usolib.construct import (
     FlipPreconditionViolated,
@@ -20,7 +20,15 @@ from usolib.construct import (
     uniform,
     validate_matching,
 )
-from usolib.core import Face, Orientation, canonical_form, is_acyclic, is_decomposable, validate_uso
+from usolib.core import (
+    Face,
+    Orientation,
+    canonical_form,
+    first_edge_violation,
+    is_acyclic,
+    is_decomposable,
+    validate_uso,
+)
 from usolib.enumeration import enumerate_all
 from usolib.reach import niceness_index
 from usolib.rng import SplitMix64
@@ -33,7 +41,7 @@ def gray(k):
 def test_uniform_1():
     o = uniform(1)
     assert o.outmap.tolist() == [1, 0]
-    assert uniform(1, forward=False).outmap.tolist() == [0, 1]
+    assert reverse_orientation(uniform(1)).outmap.tolist() == [0, 1]
 
 
 def test_uniform_is_decomposable_and_1_nice():
@@ -99,7 +107,7 @@ def test_flip_edge_rejects_a_coordinate_outside_the_cube(j):
 
 
 def test_three_flips_build_the_cyclic_3_uso():
-    o = uniform(3, forward=False)
+    o = reverse_orientation(uniform(3))
     for v, j in ((0b001, 2), (0b010, 3), (0b100, 1)):
         o = flip_edge(o, v, j)
     assert validate_uso(o)
@@ -151,7 +159,7 @@ def test_random_maximal_matching_is_maximal():
 
 def test_product_doubling():
     o = klee_minty(2)
-    doubled = product(uniform(1, forward=False), [o, o])
+    doubled = product(reverse_orientation(uniform(1)), [o, o])
     assert validate_uso(doubled)
     assert doubled.n == 3
     # lower half is o, upper half is o plus the combed top coordinate
@@ -325,6 +333,22 @@ def test_auso_lower_bound_properties_small():
         assert validate_uso(o)
         assert is_acyclic(o)
         assert niceness_index(o).niceness_index == n - 2
+
+
+def test_auso_lower_bound_matches_the_flip_chain():
+    for n in range(4, 15):
+        assert auso_lower_bound(n) == auso_lower_bound_by_flips(n)
+
+
+def test_auso_lower_bound_builds_at_n_22():
+    assert first_edge_violation(auso_lower_bound(22)) is None
+
+
+def test_target_combed_matches_the_step_by_step_growth():
+    for n in range(2, 11):
+        rng = SplitMix64(n)
+        fibers = [random_fmo(k, rng) for k in range(1, n)]
+        assert target_combed(n, fibers) == target_combed_by_steps(n, fibers)
 
 
 def test_reverse_orientation():

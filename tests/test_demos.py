@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, and the
+README's ``>>>`` example gives the output it shows."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -22,3 +24,8 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_example_passes_as_a_doctest():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted == 6 and result.failed == 0

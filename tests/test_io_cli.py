@@ -421,6 +421,42 @@ def test_solve_bytes_are_pinned(tmp_path, capsys, family, solve, digest):
     assert _digest("".join(line for line in lines if "wall_ms" not in line)) == digest
 
 
+@pytest.mark.parametrize(
+    "family, n, digest",
+    [
+        ("uniform", 6, "8a98342f3b47231e"),
+        ("km", 6, "896c6105cd7b3292"),
+        ("fmo", 6, "65dc735681025aa0"),
+        ("target-combed", 6, "bb2da5190b3d8093"),
+        ("cyclic-lb", 6, "d5d81cc52cd40b94"),
+        ("auso-lb", 6, "8b044fc8b447a1c5"),
+        ("product", 6, "f6d679ee1f634315"),
+        ("auso-lb", 10, "e35782318c7759cb"),
+        ("target-combed", 10, "1e3e87ff17589099"),
+    ],
+)
+def test_gen_bytes_are_pinned(capsys, family, n, digest):
+    # sha256 prefixes of the USO-TEXT output with seed 3
+    assert main(["gen", "--family", family, "--n", str(n), "--seed", "3"]) == 0
+    assert _digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "family, text_digest, json_digest",
+    [
+        (["cyclic-lb", "--n", "5"], "73f51665b8f11aaa", "56b82f465c887e32"),
+        (["fmo", "--n", "6"], "8ddd6c0edc289268", "a6e746fe40d2c080"),
+    ],
+)
+def test_analyze_bytes_are_pinned(tmp_path, capsys, family, text_digest, json_digest):
+    path = tmp_path / "o.uso"
+    assert main(["gen", "--family", *family, "--seed", "3", "--out", str(path)]) == 0
+    assert main(["analyze", str(path)]) == 0
+    assert _digest(capsys.readouterr().out) == text_digest
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert _digest(capsys.readouterr().out) == json_digest
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 @pytest.mark.parametrize("command", ["walk", "bench"])
 def test_walk_and_bench_reject_a_cap_below_1(tmp_path, capsys, command, cap):

@@ -114,7 +114,7 @@ def test_reachmap_edge_monotonicity(all_usos_3):
 
 def test_cover_distance_immediate_cover():
     o = klee_minty(4)
-    rep = niceness_index(o, reach_table(o))
+    rep = niceness_index(o)
     # vertex {1} steps straight to the sink, whose reachmap is empty
     assert rep.cover_distance[0b0001] == 1
 
@@ -122,13 +122,13 @@ def test_cover_distance_immediate_cover():
 def test_cover_distance_cyclic_bottom_vertex():
     for n in (3, 4, 5):
         o = cyclic_full_reach(n)
-        assert niceness_index(o, reach_table(o)).cover_distance[0] == n
+        assert niceness_index(o).cover_distance[0] == n
 
 
 def test_cover_distance_auso_lower_bound_bottom_vertex():
     for n in (4, 5, 6):
         o = auso_lower_bound(n)
-        assert niceness_index(o, reach_table(o)).cover_distance[0] == n - 2
+        assert niceness_index(o).cover_distance[0] == n - 2
 
 
 def test_niceness_reports():
@@ -187,13 +187,18 @@ def test_niceness_report_json():
     assert len(obj["witness"]) == 4
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_niceness_report_holds_the_reach_table(family):
+    o = build_family(family, 6, 3)
+    entries = niceness_index(o).reach.entries
+    assert np.array_equal(entries, reach_table(o).entries)
+    assert not entries.flags.writeable
+
+
 def _assert_matches_bfs_oracle(o):
     t = reach_table(o)
-    rep = niceness_index(o, t)
-    again = niceness_index(o)
-    assert (rep.n, rep.sink, rep.niceness_index) == (again.n, again.sink, again.niceness_index)
-    assert np.array_equal(rep.cover_distance, again.cover_distance)
-    assert np.array_equal(rep.witness, again.witness)
+    rep = niceness_index(o)
+    assert rep.n == o.n and np.array_equal(rep.reach.entries, t.entries)
     for v in range(o.vertex_count()):
         if v == rep.sink:
             assert (rep.cover_distance[v], rep.witness[v]) == (0, -1)
