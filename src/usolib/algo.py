@@ -101,7 +101,7 @@ def _one_walk(o: Orientation, algo: str, start: int, seed: int, cap: int) -> Run
     the ``algo`` step rule; the stats keep ``seed`` as given."""
     starts = np.array([resolve_start(o, int(start))], dtype=np.int64)
     seeds = np.array([seed & _MASK64], dtype=np.uint64)
-    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, _STEP_RULES[algo])
+    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, *_STEP_RULES[algo])
     sink = int(found[0]) if found[0] >= 0 else None
     return RunStats(int(steps[0]), int(evals[0]), sink, seed, sink is None)
 
@@ -135,11 +135,24 @@ def _bottom_antipodal_move(s, seeds, active, t):
     return s
 
 
-_STEP_RULES = {"re": _random_edge_move, "ba": _bottom_antipodal_move}
+#: algorithm -> (step rule, whether the rule depends on the vertex alone)
+_STEP_RULES = {"re": (_random_edge_move, False), "ba": (_bottom_antipodal_move, True)}
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys``: what ``np.unique`` returns,
+    by sorting and keeping each key that differs from the one before it."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _walk_lockstep(
-    o: Orientation, starts: np.ndarray, seeds: np.ndarray, cap: int, move
+    o: Orientation,
+    starts: np.ndarray,
+    seeds: np.ndarray,
+    cap: int,
+    move,
+    vertex_only: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All trials advance in lockstep, each step xoring in the mask the
     step rule ``move`` picks; trial k's walk depends only on its start and
@@ -149,8 +162,18 @@ def _walk_lockstep(
     The log is folded into the sorted distinct keys ``seen`` whenever it
     outgrows them (plus one key per trial), so memory follows the distinct
     (trial, vertex) pairs rather than the steps; a trial's evaluations are
-    its number of distinct keys. A trial that hits the cap keeps ``found``
-    at -1.
+    its number of distinct keys. The fold sorts and drops repeats rather
+    than calling ``np.unique``, whose hash path is several times slower on
+    int64 keys. A trial that hits the cap keeps ``found`` at -1.
+
+    When the step rule depends on the vertex alone (``vertex_only``, as for
+    Bottom Antipodal), a trial that re-enters a vertex is in a cycle: it
+    never reaches a sink, and every vertex it would enter before the cap is
+    already logged. Such trials are retired at once with ``steps = cap``,
+    the record a run to the cap gives them, so the batch stops stepping
+    when only cycling trials are left. Cycles are caught as in Brent's
+    method: the vertex of each trial is saved at every power-of-two step
+    and compared with the vertex after each later step.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -161,6 +184,7 @@ def _walk_lockstep(
     found = np.full(count, -1, dtype=np.int64)
     active = np.arange(count, dtype=np.int64)
     cur = starts.copy()
+    saved = starts.copy()
     seen = (active << n) | cur
     log: list[np.ndarray] = []
     logged = 0
@@ -183,9 +207,16 @@ def _walk_lockstep(
         log.append((active << n) | cur)
         logged += active.size
         if logged > seen.size + count:
-            seen = np.unique(np.concatenate([seen, *log]))
+            seen = _distinct_sorted(np.concatenate([seen, *log]))
             log, logged = [], 0
-    seen = np.unique(np.concatenate([seen, *log]))
+        if vertex_only:
+            cycling = cur == saved[active]
+            if cycling.any():
+                steps[active[cycling]] = cap
+                active, cur = active[~cycling], cur[~cycling]
+            if t & (t - 1) == 0:
+                saved[active] = cur
+    seen = _distinct_sorted(np.concatenate([seen, *log]))
     return steps, np.bincount(seen >> n, minlength=count), found
 
 
@@ -227,12 +258,12 @@ def walk_batch(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    move = _STEP_RULES.get(algo)
-    if move is None:
+    rule = _STEP_RULES.get(algo)
+    if rule is None:
         raise ValueError(f"unknown walk algorithm {algo!r}")
     seeds = derive_seeds_np(seed, trials)
     starts = _starts_array(o, start_policy, seeds)
-    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, move)
+    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, *rule)
     return WalkBatch(seeds, starts, steps, evals, found)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -123,7 +124,8 @@ def cmd_analyze(args) -> int:
     o = read_orientation(args.path)
     _require_uso(o)
     report = niceness_index(o)
-    acyclic, decomposable = is_acyclic(o), is_decomposable(o)
+    decomposable = is_decomposable(o)
+    acyclic = decomposable or is_acyclic(o)  # decomposable implies acyclic
     if args.format == "json":
         obj = report.to_json_obj()
         obj["acyclic"] = acyclic
@@ -263,7 +265,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``uso`` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="uso",
         description="Construct, validate, analyze, and solve unique sink orientations.",

@@ -254,12 +254,14 @@ def test_bottom_antipodal_can_hit_cap():
 
 
 def _scalar_matches_batch(batch, oracle_at, trials) -> None:
-    # oracle_at(k) is trial k run by a per-step loop from tests/helpers.py
+    # oracle_at(k) is trial k run by a per-step loop from tests/helpers.py;
+    # batch.capped is computed on each read, so it is read once
+    capped = batch.capped
     for k in trials:
         oracle = oracle_at(k)
         assert oracle.steps == int(batch.steps[k])
         assert oracle.evaluations == int(batch.evaluations[k])
-        assert oracle.capped == bool(batch.capped[k])
+        assert oracle.capped == bool(capped[k])
         found = int(batch.found[k])
         assert oracle.found_sink == (None if found < 0 else found)
 
@@ -326,6 +328,72 @@ def test_bottom_antipodal_batch_counts_revisits_once(n):
         batch,
         lambda k: bottom_antipodal_by_loop(o, int(batch.starts[k]), cap),
         range(trials),
+    )
+
+
+def _tables_with_sinks(n, seed, count):
+    # random edge-consistent tables with at least one zero outmap, so some
+    # Bottom Antipodal trials end at a sink and others cycle
+    rng = SplitMix64(seed)
+    tables = []
+    while len(tables) < count:
+        o = random_consistent_table(n, rng)
+        if not o.outmap.all():
+            tables.append(o)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "n, cap", [(n, 2000) for n in range(4, 9)] + [(n, 4**n) for n in range(4, 8)]
+)
+def test_bottom_antipodal_retires_cycles_like_the_loop(n, cap):
+    # caps far above any cycle length: a trial caught in a cycle is retired
+    # early, with the record the loop gives it by running to the cap
+    capped = ended = 0
+    for o in [cyclic_full_reach(n), *_tables_with_sinks(n, 700 + n, 2)]:
+        batch = walk_batch(o, "ba", "random", 3 << n, seed=31 + n, cap=cap)
+        by_start = {
+            v: bottom_antipodal_by_loop(o, v, cap) for v in set(batch.starts.tolist())
+        }
+        _scalar_matches_batch(
+            batch, lambda k: by_start[int(batch.starts[k])], range(batch.steps.size)
+        )
+        assert np.all(batch.steps[batch.capped] == cap)
+        capped += int(batch.capped.sum())
+        ended += int((~batch.capped).sum())
+    assert capped and ended
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_bottom_antipodal_default_cap_returns_capped_trials(n):
+    # with the default cap 4^n the trials caught in a cycle still return
+    # at once, each with the full cap as its step count
+    o = cyclic_full_reach(n)
+    batch = walk_batch(o, "ba", "random", 200, seed=3, cap=4**n)
+    capped = batch.capped
+    assert capped.any() and not capped.all()
+    assert np.all(batch.steps[capped] == 4**n)
+    assert np.all(batch.steps[~capped] < 4**n)
+    for k in np.flatnonzero(capped)[:5]:
+        # a tail plus a cycle visit at most 2^n vertices, so by step 4 * 2^n
+        # the loop has entered every vertex it would enter by step 4^n
+        looped = bottom_antipodal_by_loop(o, int(batch.starts[k]), 4 << n)
+        assert looped.capped and looped.evaluations == int(batch.evaluations[k])
+
+
+def test_random_edge_on_cyclic_table_counts_revisits_once():
+    # Random Edge keeps stepping through repeated vertices; each distinct
+    # vertex counts once
+    o = cyclic_full_reach(5)
+    cap = 300
+    batch = walk_batch(o, "re", "random", 200, seed=41, cap=cap)
+    assert (batch.evaluations < batch.steps + 1).any()
+    _scalar_matches_batch(
+        batch,
+        lambda k: random_edge_walk_by_loop(
+            o, int(batch.starts[k]), int(batch.seeds[k]), cap
+        ),
+        range(200),
     )
 
 
