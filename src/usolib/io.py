@@ -6,12 +6,19 @@ equals the vertex bitmask read as an unsigned integer). The JSON form
 mirrors the same data as {"n": ..., "outmap": [...]}. Both loaders reject
 edge-inconsistent tables and name the first violation that
 :func:`usolib.core.first_edge_violation` finds.
+
+A text in the form :func:`dumps_text` writes is decoded in bulk with numpy;
+any other text is read line by line, which accepts the same texts with the
+same values and names every error.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
+
+import numpy as np
 
 from .bitops import full_mask
 from .core import MAX_DIMENSION, Orientation, first_edge_violation
@@ -25,7 +32,7 @@ class ParseError(ValueError):
 _first_inconsistent_vertex = first_edge_violation
 
 
-def _finish(n: int, values: list[int], where) -> Orientation:
+def _finish(n: int, values: Sequence[int] | np.ndarray, where) -> Orientation:
     """The orientation of ``values``; an edge-inconsistent table raises,
     naming the place of the first bad vertex v as ``where(v)``."""
     o = Orientation(n, values)
@@ -38,8 +45,52 @@ def _finish(n: int, values: list[int], where) -> Orientation:
     return o
 
 
-def loads_text(text: str) -> Orientation:
-    """Parse USO-TEXT v1."""
+#: the header line of each dimension, as dumps_text writes it
+_HEADERS = {f"uso {n}": n for n in range(1, MAX_DIMENSION + 1)}
+
+
+def _decode_bulk(text: str) -> tuple[int, np.ndarray] | None:
+    """The dimension and outmap values of a text in :func:`dumps_text`'s form,
+    or None for any other text.
+
+    The form: the header is exactly ``uso <n>``, and the body holds only
+    ASCII digits and newlines, as 2**n non-empty lines of at most
+    len(str(full_mask(n))) digits with values up to full_mask(n), followed
+    only by empty lines. :func:`_decode_lines` reads such a text to the same
+    values.
+    """
+    cut = text.find("\n")
+    n = _HEADERS.get(text[:cut]) if cut > 0 else None
+    if n is None:
+        return None
+    # a lone surrogate encodes too, to bytes that send the text to the loop
+    body = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)[cut + 1 :]
+    ends = np.flatnonzero(body == ord("\n"))
+    # uint8 wraps, so only the bytes "0".."9" land below 10
+    if np.count_nonzero(body - ord("0") < 10) + len(ends) != body.size:
+        return None
+    count = 1 << n
+    # every byte after the end of line 2**n is a newline
+    if len(ends) < count or body.size - 1 - ends[count - 1] != len(ends) - count:
+        return None
+    ends = ends[:count]
+    lengths = np.diff(ends, prepend=-1) - 1
+    width = len(str(full_mask(n)))
+    if lengths.min() < 1 or lengths.max() > width:
+        return None
+    # Horner's rule over the digit columns, the line's last digit in column 1
+    values = np.zeros(count, dtype=np.int32)
+    for k in range(width, 0, -1):
+        digits = np.where(lengths >= k, body[ends - k], ord("0"))
+        values = values * 10 + digits - ord("0")
+    if values.max() > full_mask(n):
+        return None
+    return n, values
+
+
+def _decode_lines(text: str) -> tuple[int, list[int]]:
+    """The dimension and outmap values of any text, read one line at a time;
+    a text that is not USO-TEXT v1 raises, naming the line."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("line 1: empty input, expected 'uso <n>' header")
@@ -71,6 +122,13 @@ def loads_text(text: str) -> Orientation:
         if not 0 <= value <= top:
             raise ParseError(f"line {k + 2}: outmap value {value} out of range")
         values.append(value)
+    return n, values
+
+
+def loads_text(text: str) -> Orientation:
+    """Parse USO-TEXT v1."""
+    decoded = _decode_bulk(text)
+    n, values = decoded if decoded is not None else _decode_lines(text)
     return _finish(n, values, lambda v: f"line {v + 2}")
 
 

@@ -1,7 +1,8 @@
 """Independent oracles used to cross-check the library.
 
 Everything here is deliberately written from the definitions, without
-reusing the library's fast paths: a pure-python edge check and face scan,
+reusing the library's fast paths: the USO-TEXT reader one line at a
+time, a pure-python edge check and face scan,
 the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
 of the certificates that ``NotUSOError`` carries, the Klee-Minty table, the
@@ -27,7 +28,8 @@ import numpy as np
 from usolib.algo import RunStats, join_set
 from usolib.bitops import bit, coords, full_mask, popcount, submasks
 from usolib.construct import flip_edge, reverse_orientation, uniform
-from usolib.core import EvalCounter, Face, NotUSOError, Orientation
+from usolib.core import MAX_DIMENSION, EvalCounter, Face, NotUSOError, Orientation
+from usolib.io import ParseError
 from usolib.rng import SplitMix64, stream_value
 
 
@@ -57,6 +59,50 @@ def first_edge_violation_pure(o: Orientation) -> tuple[int, int] | None:
             if bool(s & b) == bool(o.out(v ^ b) & b):
                 return v, j
     return None
+
+
+def loads_text_by_lines(text: str) -> Orientation:
+    """USO-TEXT v1 by its definition: ``splitlines``, the ``uso <n>``
+    header, ``int`` and a range check per line, then
+    :func:`first_edge_violation_pure`; raises ``ParseError`` with the
+    loader's messages."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("line 1: empty input, expected 'uso <n>' header")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != "uso":
+        raise ParseError("line 1: expected 'uso <n>' header")
+    try:
+        n = int(header[1])
+    except ValueError:
+        raise ParseError("line 1: dimension is not an integer") from None
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ParseError(f"line 1: dimension must be in 1..{MAX_DIMENSION}")
+    body = lines[1:]
+    while body and body[-1] == "":
+        body.pop()
+    if len(body) != 1 << n:
+        raise ParseError(
+            f"line {len(lines)}: expected {1 << n} outmap lines for n={n}, "
+            f"got {len(body)}"
+        )
+    values = []
+    for k, raw in enumerate(body, start=2):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ParseError(f"line {k}: not a decimal outmap value: {raw!r}") from None
+        if not 0 <= value <= full_mask(n):
+            raise ParseError(f"line {k}: outmap value {value} out of range")
+        values.append(value)
+    o = Orientation(n, values)
+    bad = first_edge_violation_pure(o)
+    if bad is not None:
+        v, j = bad
+        raise ParseError(
+            f"line {v + 2}: edge-inconsistent table (vertex {v}, coordinate {j})"
+        )
+    return o
 
 
 def uso_by_face_scan_pure(o: Orientation) -> bool:

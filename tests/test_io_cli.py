@@ -1,20 +1,25 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from helpers import (
     first_edge_violation_pure,
     first_uso_violation_by_face_scan,
     flipped_edge,
+    loads_text_by_lines,
     random_consistent_table,
 )
 from usolib.bitops import bit, format_coord_set
-from usolib.cli import main
+from usolib.cli import FAMILIES, build_family, main
 from usolib.construct import cyclic_full_reach, klee_minty, random_fmo, uniform
 from usolib.core import Orientation
 from usolib.io import (
     ParseError,
+    _decode_bulk,
     dumps_json,
     dumps_text,
     loads_json,
@@ -103,6 +108,89 @@ def test_loader_error_text_matches_pure_edge_check(n):
         with pytest.raises(ParseError) as err:
             loads_json(json.dumps({"n": n, "outmap": table}))
         assert str(err.value) == f"outmap entry {v}: {expect}"
+
+
+#: what an edit writes into a line: nothing, line ends that
+#: ``str.splitlines`` honours, characters that ``int`` skips, reads or
+#: rejects (a lone surrogate has no UTF-8 encoding), and values that are
+#: too wide or out of range ({top} is 2**n)
+_SNIPPETS = ["", "\n", "\n\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " ", "\t",
+             "+", "-", "_", "0", "9", "000000000", "\u0663", "\ud800", "x", "{top}", "-1"]
+#: headers that are not exactly ``uso <n>`` ({m} is n + 1)
+_BAD_HEADERS = ["uso 0{n}", "uso  {n}", "uso\x0c{n}", "uso {n}\r", " uso {n}", "uso {n} ",
+                "uso {m}", "uso 016", "uso  16", "uso\x0c16", "uso 16\r"]
+#: (kind, line, offset, snippet): write the snippet into a body line's
+#: digits or over its line end; line -1 is the last
+_EDITS = st.tuples(
+    st.sampled_from(["insert", "replace", "end"]),
+    st.integers(-1, 1 << 7),
+    st.integers(0, 8),
+    st.sampled_from(_SNIPPETS),
+)
+
+
+def _edit(rows: list[list[str]], n: int, kind: str, k: int, at: int, snippet: str) -> None:
+    """Apply one edit to the body of an n-cube's text held as [digits, line
+    end] rows."""
+    row = rows[k % len(rows)]
+    snippet = snippet.format(top=1 << n)
+    if kind == "end":
+        row[1] = snippet
+    else:
+        at %= len(row[0]) + 1
+        row[0] = row[0][:at] + snippet + row[0][at + (kind == "replace") :]
+
+
+@st.composite
+def _mutated_texts(draw):
+    """Texts of a dumped random edge-consistent table: after up to one edit,
+    each snippet written by a second edit, and the last text also under a
+    header that is not exactly ``uso <n>``."""
+    n = draw(st.integers(1, 7))
+    table = random_consistent_table(n, SplitMix64(draw(st.integers(0, 2**64 - 1))))
+    rows = [[str(v), "\n"] for v in table.outmap.tolist()]
+    for edit in draw(st.lists(_EDITS, max_size=1)):
+        _edit(rows, n, *edit)
+    kind, k, at, _ = draw(_EDITS)
+    bodies = []
+    for snippet in _SNIPPETS:
+        edited = [list(row) for row in rows]
+        _edit(edited, n, kind, k, at, snippet)
+        bodies.append("".join(map("".join, edited)))
+    header = draw(st.sampled_from(_BAD_HEADERS)).format(n=n, m=n + 1)
+    return [f"uso {n}\n{body}" for body in bodies] + [f"{header}\n{bodies[-1]}"]
+
+
+def _load(load, text):
+    try:
+        return load(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@seed(2016)
+@settings(max_examples=300, deadline=None)
+@given(_mutated_texts())
+def test_text_loader_matches_the_line_oracle_on_mutated_texts(texts):
+    for text in texts:
+        assert _load(loads_text, text) == _load(loads_text_by_lines, text)
+
+
+#: the smallest dimension each ``uso gen`` family builds
+_MIN_DIMENSION = {"cyclic-lb": 3, "auso-lb": 4, "product": 2}
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "random-consistent"])
+def test_bulk_decode_accepts_every_dumped_table(family):
+    for n in range(_MIN_DIMENSION.get(family, 1), 13):
+        if family == "random-consistent":
+            o = random_consistent_table(n, SplitMix64(900 + n))
+        else:
+            o = build_family(family, n, seed=n)
+        decoded = _decode_bulk(dumps_text(o))
+        assert decoded is not None, (family, n)
+        assert decoded[0] == n
+        assert np.array_equal(decoded[1], o.outmap)
 
 
 def test_json_parse_errors():
