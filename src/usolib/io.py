@@ -132,10 +132,17 @@ def loads_text(text: str) -> Orientation:
     return _finish(n, values, lambda v: f"line {v + 2}")
 
 
+#: dumps_text converts and joins this many outmap values at a time, so it
+#: never holds a list of 2**n strings
+_TEXT_BLOCK = 1 << 16
+
+
 def dumps_text(o: Orientation) -> str:
-    lines = [f"uso {o.n}"]
-    lines.extend(map(str, o.outmap.tolist()))
-    return "\n".join(lines) + "\n"
+    values = o.outmap
+    blocks = [f"uso {o.n}\n"]
+    for k in range(0, len(values), _TEXT_BLOCK):
+        blocks.append("\n".join(map(str, values[k : k + _TEXT_BLOCK].tolist())) + "\n")
+    return "".join(blocks)
 
 
 def loads_json(text: str) -> Orientation:

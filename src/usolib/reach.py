@@ -59,17 +59,27 @@ def reach_table(o: Orientation) -> ReachTable:
     16 (seeds 0..4 for the random families): uniform 1, Klee-Minty 2,
     target-combed 2 to 3, product 5 to 11, random FMO 8 to 17, and
     ``cyclic_full_reach`` and ``auso_lower_bound`` 10 / 13 / 15 (n - 1).
+
+    Each step is a mask and an OR: the bool out-masks "j in s(v)" are
+    built once in the (-1, 2, 2^(j-1)) pair view (n 2^n bytes), and the
+    step writes R(v xor e_j) times the mask, read through that view
+    reversed on its middle axis, into one ``partner`` buffer and ORs it
+    into R, so both ends of a pair update from the old values. A masked
+    ``where=`` OR straight into R reads a reversed view of its own output,
+    which numpy answers with a hidden copy on every call.
     """
     table = o._table
+    # row r of a pair view pairs vertex 2br + c (coordinate j clear) with 2br + b + c
+    bits = [bit(j) for j in range(1, o.n + 1)]
+    masks = [((table & np.uint32(b)) != 0).reshape(-1, 2, b) for b in bits]
     reach = table.copy()
+    partner = np.empty_like(reach)
     total = reach.sum()
     while True:
-        for j in range(1, o.n + 1):
-            b = bit(j)
-            # row r pairs vertex 2br + c (coordinate j clear) with 2br + b + c
-            pairs = reach.reshape(-1, 2, b)
-            out_j = ((table & np.uint32(b)) != 0).reshape(-1, 2, b)
-            np.bitwise_or(pairs, pairs[:, ::-1], out=pairs, where=out_j)
+        for out_j in masks:
+            pairs = reach.reshape(out_j.shape)
+            np.multiply(pairs[:, ::-1], out_j, out=partner.reshape(out_j.shape))
+            reach |= partner
         total, before = reach.sum(), total
         if total == before:
             reach.setflags(write=False)

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from usolib.algo import RunStats, join_set
+from usolib.algo import RunStats, fibonacci_seesaw, join_set
 from usolib.bitops import bit, coords, full_mask, popcount, submasks
 from usolib.construct import flip_edge, reverse_orientation, uniform
 from usolib.core import MAX_DIMENSION, EvalCounter, Face, NotUSOError, Orientation
@@ -103,6 +103,14 @@ def loads_text_by_lines(text: str) -> Orientation:
             f"line {v + 2}: edge-inconsistent table (vertex {v}, coordinate {j})"
         )
     return o
+
+
+def dumps_text_by_lines(o: Orientation) -> str:
+    """USO-TEXT v1 as one list of 2**n + 1 lines joined at once, the
+    writer that :func:`usolib.io.dumps_text` builds in blocks."""
+    lines = [f"uso {o.n}"]
+    lines.extend(map(str, o.outmap.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def uso_by_face_scan_pure(o: Orientation) -> bool:
@@ -318,6 +326,25 @@ def reachmap_bruteforce(o: Orientation, v: int) -> int:
         if (seen >> w) & 1:
             acc |= o.out(w)
     return acc
+
+
+def fs_revisited_by_loop(o: Orientation, start: int) -> tuple[int, tuple, tuple]:
+    """The restarted seesaw by its definition, on a USO: while the current
+    vertex v has an outgoing coordinate, cross its lowest one and take the
+    :func:`fibonacci_seesaw` sink of the face spanned by the coordinates
+    crossed so far through the vertex beyond. Returns the sink, the
+    (coordinate, face dimension) of every iteration, and the
+    :func:`reachmap_bruteforce` size of the start and of every vertex
+    reached."""
+    v, spanned = start, 0
+    steps, sizes = [], [popcount(reachmap_bruteforce(o, v))]
+    while o.out(v):
+        b = o.out(v) & -o.out(v)
+        steps.append((b.bit_length(), popcount(spanned)))
+        v, _ = fibonacci_seesaw(o, Face(v ^ b, spanned))
+        spanned |= b
+        sizes.append(popcount(reachmap_bruteforce(o, v)))
+    return v, tuple(steps), tuple(sizes)
 
 
 def cover_search_bfs(o: Orientation, t, v: int) -> tuple[int, int]:

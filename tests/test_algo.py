@@ -5,6 +5,7 @@ from helpers import (
     bottom_antipodal_by_loop,
     certificate_holds,
     derandomized_re_by_loops,
+    fs_revisited_by_loop,
     neighbor_join_by_snapshots,
     random_consistent_table,
     random_edge_walk_by_loop,
@@ -658,10 +659,29 @@ def test_fs_revisited_bounds_small():
             assert trace.evaluations <= 10 * 1.62 ** popcount(rt[start])
 
 
+def _fs_revisited_summary(o, start):
+    """What ``fs_revisited_by_loop`` also gives: the seesaw oracle counts
+    evaluations per face, not across the restarts, so the trace's
+    evaluation counts are left out."""
+    sink, trace = fs_revisited(o, start)
+    steps = tuple((step.coordinate, step.face_dimension) for step in trace.iterations)
+    return sink, steps, trace.reachmap_sizes
+
+
 def test_solvers_return_the_scan_sink_on_every_3_cube_uso(all_usos_3):
     for o in all_usos_3:
         sink = find_sink_by_scan(o)
         assert fibonacci_seesaw(o)[0] == sink
         for start in range(8):
             assert derandomized_re(o, start).found_sink == sink
-            assert fs_revisited(o, start)[0] == sink
+            summary = _fs_revisited_summary(o, start)
+            assert summary[0] == sink
+            assert summary == fs_revisited_by_loop(o, start)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fs_revisited_matches_the_loop_on_the_families(family):
+    for n in range(6, 9):
+        o = build_family(family, n, n)
+        for start in (0, 17, resolve_start(o, "antipodal")):
+            assert _fs_revisited_summary(o, start) == fs_revisited_by_loop(o, start)

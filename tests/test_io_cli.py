@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dumps_text_by_lines,
     first_edge_violation_pure,
     first_uso_violation_by_face_scan,
     flipped_edge,
@@ -187,10 +188,18 @@ def test_bulk_decode_accepts_every_dumped_table(family):
             o = random_consistent_table(n, SplitMix64(900 + n))
         else:
             o = build_family(family, n, seed=n)
-        decoded = _decode_bulk(dumps_text(o))
+        text = dumps_text(o)
+        assert text == dumps_text_by_lines(o), (family, n)
+        decoded = _decode_bulk(text)
         assert decoded is not None, (family, n)
         assert decoded[0] == n
         assert np.array_equal(decoded[1], o.outmap)
+
+
+def test_dumps_text_across_a_block_boundary():
+    # 2**17 values fill two of the writer's 2**16-value blocks
+    o = klee_minty(17)
+    assert dumps_text(o) == dumps_text_by_lines(o)
 
 
 def test_json_parse_errors():

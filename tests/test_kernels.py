@@ -2,8 +2,9 @@
 oracles: the decomposition tree ``decomposable_rows`` on every USO of the
 2- and 3-cube as one stack, and ``reach_table``, ``niceness_index``,
 ``find_sink_by_scan`` and ``canonical_form`` on each of them; the
-``uso gen`` families one table at a time; and random edge-consistent
-tables that are mostly not USOs."""
+``uso gen`` families one table at a time; random edge-consistent tables
+that are mostly not USOs; and ``reach_table`` on tables that are not even
+edge-consistent."""
 
 import numpy as np
 import pytest
@@ -88,6 +89,36 @@ def test_decomposable_rows_and_reach_table_on_random_consistent_tables():
         for o, d in zip(same_n, decomposable):
             assert d == is_decomposable_by_recursion(o)
             assert reach_table(o).entries.tolist() == _reach_oracle(o)
+
+
+@pytest.mark.parametrize("values", [[0, 1], [1, 0], [0, 0], [1, 1]])
+def test_reach_table_on_the_1_cube(values):
+    # the pair view of coordinate 1 has width 1
+    o = Orientation(1, values)
+    assert reach_table(o).entries.tolist() == _reach_oracle(o)
+
+
+def test_reach_table_where_both_ends_of_an_edge_point_out():
+    # both ends of such a pair update in one step, each from the other's old
+    # value; edge-consistent tables are covered by the test above
+    o = Orientation(2, [1, 1, 1, 1])
+    assert reach_table(o).entries.tolist() == _reach_oracle(o) == [1, 1, 1, 1]
+    rng = SplitMix64(31)
+    for n in range(1, 7):
+        values = [rng.randrange(1 << n) for _ in range(1 << n)]
+        o = Orientation(n, values)
+        assert reach_table(o).entries.tolist() == _reach_oracle(o)
+
+
+def test_reach_table_leaves_the_outmap_and_returns_a_read_only_uint32_array():
+    o = build_family("cyclic-lb", 6, 0)
+    before = o.outmap.copy()
+    entries = reach_table(o).entries
+    assert np.array_equal(o.outmap, before)
+    assert entries.dtype == np.uint32 and entries.shape == (64,)
+    assert not entries.flags.writeable
+    with pytest.raises(ValueError):
+        entries[0] = 0
 
 
 def test_a_stack_mixing_usos_and_other_tables_keeps_each_row_apart(all_usos_3):

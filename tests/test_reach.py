@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,23 @@ def test_niceness_rejects_a_vertex_without_cover():
     assert validate_orientation(o)
     with pytest.raises(ValueError, match="vertex 3 has no cover"):
         niceness_index(o)
+
+
+#: tracemalloc peaks in bytes per vertex at n = 16, each about 1.25 times
+#: the measured figure: the reach sweep holds the table, the ``partner``
+#: buffer and n bool masks, 25.1 B/vertex on km and cyclic-lb 16, and
+#: niceness_index 29.0 B/vertex, once the masks are freed
+_PEAK_BYTES_PER_VERTEX = {reach_table: 31, niceness_index: 36}
+
+
+@pytest.mark.parametrize("family", ["km", "cyclic-lb"])
+@pytest.mark.parametrize("compute", [reach_table, niceness_index], ids=lambda f: f.__name__)
+def test_traced_peak_memory_per_vertex_at_n_16(family, compute):
+    o = build_family(family, 16, 0)
+    tracemalloc.start()
+    try:
+        compute(o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_BYTES_PER_VERTEX[compute] * o.vertex_count()
