@@ -7,7 +7,8 @@ the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
 of the certificates that ``NotUSOError`` carries, the Klee-Minty table, the
 acyclic lower-bound family as a chain of flips, target-combed grown one
-coordinate at a time, per-vertex reachability sets, BFS distances, the
+coordinate at a time, the greedy random maximal matching over a list
+shuffle and its FMO, per-vertex reachability sets, BFS distances, the
 Random Edge and Bottom Antipodal walks as plain per-step loops, the
 neighbor join and the derandomized Random Edge as nested loops over
 snapshots and a ball list, enumeration by pruned backtracking and by brute
@@ -228,6 +229,32 @@ def target_combed_by_steps(n: int, fiber_choices) -> Orientation:
         table = np.concatenate([current.outmap, upper.outmap | top])
         current = Orientation(k + 1, table, copy=False)
     return current
+
+
+def random_maximal_matching_by_list(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
+    """Greedy maximal matching over a seeded shuffle of all cube edges."""
+    edges = [(v, j) for v in range(1 << n) for j in range(1, n + 1) if not (v >> (j - 1)) & 1]
+    rng.shuffle(edges)
+    occupied: set[int] = set()
+    picked: list[tuple[int, int]] = []
+    for v, j in edges:
+        u = v ^ bit(j)
+        if v in occupied or u in occupied:
+            continue
+        occupied.add(v)
+        occupied.add(u)
+        picked.append((v, j))
+    return picked
+
+
+def fmo_by_list(n: int, rng: SplitMix64) -> Orientation:
+    """FMO over :func:`random_maximal_matching_by_list`, each edge flipped
+    by its own pair of xors."""
+    table = uniform(n).outmap.copy()
+    for v, j in random_maximal_matching_by_list(n, rng):
+        table[v] ^= np.uint32(bit(j))
+        table[v ^ bit(j)] ^= np.uint32(bit(j))
+    return Orientation(n, table, copy=False)
 
 
 def cube_edges(n: int) -> list[tuple[int, int]]:
