@@ -112,21 +112,46 @@ def random_edge_walk(o: Orientation, start: int, seed: int, cap: int) -> RunStat
     Deterministic given (seed, start): step t consumes value t of the seeded
     stream. Walks that hit the cap report capped=True with no sink. This is
     a batch of one trial of the engine under :func:`walk_batch`, so it pays
-    the engine's per-step numpy overhead: about 15 times the time of a
+    the engine's per-step numpy overhead: about 18 times the time of a
     per-step Python loop on cubes of dimension 3 to 8. Use
     :func:`walk_batch` for many trials.
     """
     return _one_walk(o, "re", start, seed, cap)
 
 
+def _select_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Popcounts of the 12-bit values, and the flat select table whose
+    entry 12x + i is the i-th lowest set bit of the 12-bit value x as a
+    mask (0 past the last one)."""
+    x = np.arange(1 << 12, dtype=np.uint32)
+    bits = (x[:, None] >> np.arange(12, dtype=np.uint32)) & np.uint32(1)
+    rows, cols = bits.nonzero()
+    rank = bits.cumsum(axis=1)[rows, cols] - 1  # bit cols is set bit rank of x
+    select = np.zeros((x.size, 12), dtype=np.uint32)
+    select[rows, rank] = np.uint32(1) << cols.astype(np.uint32)
+    return np.bitwise_count(x), select.reshape(-1)
+
+
+_POPCOUNT12, _SELECT12 = _select_tables()
+
+
+def _kth_set_bit(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The k-th lowest set bit of each uint32 ``s`` < 2^24 as a mask, for
+    k < popcount(s): the low 12-bit half holds it when k is below that
+    half's popcount c, else the high half holds it as its own set bit
+    k - c."""
+    c = _POPCOUNT12[s & np.uint32(0xFFF)]
+    high = k >= c
+    shift = high * np.uint32(12)
+    half = (s >> shift) & np.uint32(0xFFF)
+    return _SELECT12.take(half * np.uint32(12) + (k - high * c)) << shift
+
+
 def _random_edge_move(s, seeds, active, t):
-    """Random Edge step rule: step t crosses the outgoing edge picked by
-    value z of each trial's stream at index t: clear the k = z mod |s|
-    lowest set bits of s and keep the lowest one left."""
-    k = stream_values_np(seeds[active], t) % np.bitwise_count(s)
-    for i in range(int(k.max())):
-        s = np.where(k > i, s & (s - 1), s)
-    return s & -s
+    """Random Edge step rule: step t crosses the k-th lowest outgoing edge
+    of s, k = z mod |s| for value z of each trial's stream at index t,
+    picked by :func:`_kth_set_bit` in a fixed number of numpy calls."""
+    return _kth_set_bit(s, stream_values_np(seeds[active], t) % np.bitwise_count(s))
 
 
 def _bottom_antipodal_move(s, seeds, active, t):
@@ -310,8 +335,10 @@ def bottom_antipodal(o: Orientation, start: int, cap: int) -> RunStats:
 
     Termination on cyclic orientations is not guaranteed, so the cap is
     mandatory; hitting it is reported, not raised. Like
-    :func:`random_edge_walk`, a batch of one trial of the engine, about 15
-    times slower per call than a per-step Python loop.
+    :func:`random_edge_walk`, a batch of one trial of the engine, about 13
+    times slower per call than a per-step Python loop on walks that reach
+    the sink (a cycling walk is retired at once instead of run to the
+    cap).
     """
     return _one_walk(o, "ba", start, 0, cap)
 

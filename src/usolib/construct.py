@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitops import bit, full_mask, mask_deposit
 from .core import Face, Orientation, _check_dimension, _check_vertex
-from .rng import _GOLDEN, SplitMix64, mix64_np
+from .rng import _GOLDEN, SplitMix64, _mix64_inplace
 
 #: Edges are written (vertex, coordinate), as pairs or (k, 2) array rows, and
 #: denote the edge between ``vertex`` and ``vertex ^ bit(coordinate)``.
@@ -44,14 +44,16 @@ def klee_minty(n: int) -> Orientation:
     """Combinatorial Klee-Minty cube: coordinate i is outgoing at v exactly
     when v contains an odd number of coordinates >= i. Decomposable, with a
     directed Hamiltonian path from source to sink (the sink is the empty
-    vertex)."""
+    vertex).
+
+    Bit i-1 of v >> k is coordinate i + k of v, so the table is the xor of
+    v >> k over all k >= 0: the inverse Gray code of v, which five
+    doubling passes x ^= x >> s (s = 1, 2, 4, 8, 16) build for any
+    v < 2^32."""
     _check_dimension(n)
-    verts = np.arange(1 << n, dtype=np.uint32)
-    # bit i-1 of v >> k is coordinate i + k of v, so xoring the n shifts
-    # leaves the parity of v's coordinates >= i in bit i-1
-    table = verts.copy()
-    for k in range(1, n):
-        table ^= verts >> np.uint32(k)
+    table = np.arange(1 << n, dtype=np.uint32)
+    for shift in (1, 2, 4, 8, 16):
+        table ^= table >> np.uint32(shift)
     return Orientation(n, table, copy=False)
 
 
@@ -135,7 +137,8 @@ def _shuffled_range(count: int, rng: SplitMix64) -> np.ndarray:
     # step i draws stream index rng.index + count-1-i; step 0, a swap of
     # position 0 with itself, reads one value more, which is 0 mod 1
     key = np.arange(rng.index + count, rng.index, -1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    key = mix64_np(key + np.uint64(rng.seed))
+    key += np.uint64(rng.seed)
+    _mix64_inplace(key)
     rng.index += count - 1
     np.remainder(key, np.arange(1, count + 1, dtype=np.uint64), out=key)
     # one sort groups the steps by j_i, ascending within a group
@@ -177,7 +180,6 @@ def _greedy_matching(n: int, rng: SplitMix64) -> np.ndarray:
     step_bit = bits[edges >> n]
     flat[edges | step_bit] = flat[edges]
     picked = np.zeros(count, bool)
-    rows = np.arange(n)[:, None]
     while True:  # a dead edge ranks count, and so does a vertex with no live edge
         best = np.minimum.reduce(rank)
         mate = verts ^ step_bit.take(best, mode="clip")
@@ -187,21 +189,22 @@ def _greedy_matching(n: int, rng: SplitMix64) -> np.ndarray:
             return np.stack((edges & (verts.size - 1), (edges >> n) + 1), axis=1)
         picked[best[ends]] = True
         rank[:, ends] = count
-        rank[rows, ends ^ bits[:, None]] = count
+        for j, b in enumerate(bits.tolist()):
+            rank[j, ends ^ b] = count
 
 
 def random_maximal_matching(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     """Greedy maximal matching over a seeded shuffle of all cube edges
     (listed by lower endpoint, then coordinate), in pick order.
 
-    The edges are int32 codes; one :func:`~usolib.rng.mix64_np` call draws
-    the values of ``rng.shuffle`` and pointer jumping resolves its swaps
+    The edges are int32 codes; one in-place splitmix64 pass draws the
+    values of ``rng.shuffle`` and pointer jumping resolves its swaps
     (:func:`_shuffled_range`), leaving ``rng`` where the shuffle would.
     Each greedy round picks every live edge ranked below all other live
     edges at both its endpoints and kills the edges touching them; this is
     exactly greedy matching over a fixed order (Blelloch, Fineman & Shun,
     SPAA 2012), in 7 rounds at n = 14 and 9 at n = 18. The traced peak is
-    27 bytes per edge at n = 16, against 79 for a list of tuples.
+    25 bytes per edge at n = 16, against 79 for a list of tuples.
     """
     return [tuple(e) for e in _greedy_matching(n, rng).tolist()]
 

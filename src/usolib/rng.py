@@ -36,40 +36,40 @@ def derive_seed(master: int, index: int) -> int:
     return stream_value(master, index)
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_MIX1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_MIX2)
-        x ^= x >> np.uint64(31)
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """:func:`mix64` over a uint64 array that the caller owns, in place;
+    uint64 array arithmetic wraps without a warning."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
     return x
 
 
+def mix64_np(x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`mix64` over a uint64 array."""
+    return _mix64_inplace(x.astype(np.uint64))
+
+
 def stream_values_np(seeds: np.ndarray, index: int) -> np.ndarray:
-    """Vectorized :func:`stream_value`: one draw per seed, all at ``index``."""
-    with np.errstate(over="ignore"):
-        base = seeds.astype(np.uint64) + np.uint64(
-            ((index + 1) * _GOLDEN) & _MASK64
-        )
-    return mix64_np(base)
+    """Vectorized :func:`stream_value`: one draw per uint64 seed, all at
+    ``index``."""
+    return _mix64_inplace(seeds + np.uint64(((index + 1) * _GOLDEN) & _MASK64))
 
 
 def derive_seeds_np(master: int, count: int) -> np.ndarray:
     """Substream seeds for trials 0..count-1 as a uint64 array."""
-    idx = np.arange(count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = np.uint64(master & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GOLDEN)
-    return mix64_np(base)
+    x = np.arange(1, count + 1, dtype=np.uint64)
+    x *= np.uint64(_GOLDEN)
+    x += np.uint64(master & _MASK64)
+    return _mix64_inplace(x)
 
 
 def start_values_np(seeds: np.ndarray) -> np.ndarray:
-    """Auxiliary draw per seed, separated from the streams used for steps."""
-    with np.errstate(over="ignore"):
-        base = seeds.astype(np.uint64) + np.uint64(_START_SALT)
-    return mix64_np(base)
+    """Auxiliary draw per uint64 seed, separated from the streams used for
+    steps."""
+    return _mix64_inplace(seeds + np.uint64(_START_SALT))
 
 
 class SplitMix64:

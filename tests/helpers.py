@@ -5,13 +5,14 @@ reusing the library's fast paths: the USO-TEXT reader one line at a
 time, a pure-python edge check and face scan,
 the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
-of the certificates that ``NotUSOError`` carries, the Klee-Minty table, the
-acyclic lower-bound family as a chain of flips, target-combed grown one
-coordinate at a time, the greedy random maximal matching over a list
-shuffle and its FMO, per-vertex reachability sets, BFS distances, the
-Random Edge and Bottom Antipodal walks as plain per-step loops, the
-neighbor join and the derandomized Random Edge as nested loops over
-snapshots and a ball list, enumeration by pruned backtracking and by brute
+of the certificates that ``NotUSOError`` carries, the Klee-Minty table
+from its definition and as n - 1 shifts, the acyclic lower-bound family
+as a chain of flips, target-combed grown one coordinate at a time, the
+greedy random maximal matching over a list shuffle and its FMO,
+per-vertex reachability sets, BFS distances, the k-th set bit by
+clearing the lower ones, the Random Edge and Bottom Antipodal walks as
+plain per-step loops, the neighbor join and the derandomized Random
+Edge as nested loops over snapshots and a ball list, enumeration by pruned backtracking and by brute
 force over raw edge orientations, software PEXT, the cube's automorphisms
 as Python lists, canonical forms by one loop per automorphism, the memoised
 decomposability recursion over faces, acyclicity from reachability, the
@@ -189,6 +190,17 @@ def klee_minty_by_definition(n: int) -> Orientation:
             if sum(1 for k in range(i, n + 1) if v & bit(k)) % 2:
                 s |= bit(i)
         table.append(s)
+    return Orientation(n, table)
+
+
+def klee_minty_by_shifts(n: int) -> Orientation:
+    """Klee-Minty table as the xor of v >> k for k = 0..n-1: bit i-1 of
+    v >> k is coordinate i + k of v, so bit i-1 of the xor is the parity
+    of v's coordinates >= i."""
+    verts = np.arange(1 << n, dtype=np.uint32)
+    table = verts.copy()
+    for k in range(1, n):
+        table ^= verts >> np.uint32(k)
     return Orientation(n, table)
 
 
@@ -435,6 +447,15 @@ def random_consistent_table(n: int, rng: SplitMix64) -> Orientation:
         else:
             table[v ^ bit(j)] |= bit(j)
     return Orientation(n, table)
+
+
+def kth_set_bit_by_loop(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The k-th lowest set bit of each ``s`` as a mask: clear the k lowest
+    set bits, one ``np.where`` pass per value of k, and keep the lowest
+    bit left."""
+    for i in range(int(k.max(initial=0))):
+        s = np.where(k > i, s & (s - 1), s)
+    return s & -s
 
 
 def random_edge_walk_by_loop(

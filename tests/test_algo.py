@@ -6,6 +6,7 @@ from helpers import (
     certificate_holds,
     derandomized_re_by_loops,
     fs_revisited_by_loop,
+    kth_set_bit_by_loop,
     neighbor_join_by_snapshots,
     random_consistent_table,
     random_edge_walk_by_loop,
@@ -13,6 +14,7 @@ from helpers import (
     reachable_vertices,
 )
 from usolib.algo import (
+    _kth_set_bit,
     bottom_antipodal,
     derandomized_re,
     fibonacci_seesaw,
@@ -314,6 +316,57 @@ def test_random_edge_batch_matches_scalar_across_chunks(split):
         [*sample, trials - 1],
     )
     _rerun_matches_prefix(o, "re", batch, 23, cap, split)
+
+
+def _assert_kth_set_bit_matches_the_loop(s, k):
+    picked = _kth_set_bit(s, k)
+    assert picked.dtype == np.uint32
+    assert np.array_equal(picked, kth_set_bit_by_loop(s, k))
+
+
+def test_kth_set_bit_matches_the_loop_on_every_12_bit_value():
+    # every 12-bit x with every k < popcount(x), placed in the low half, in
+    # the high half, and in the high half under a random low half
+    x = np.arange(1 << 12, dtype=np.uint32)
+    counts = np.bitwise_count(x).astype(np.int64)
+    x = np.repeat(x, counts)
+    k = (np.arange(x.size) - np.repeat(np.cumsum(counts) - counts, counts)).astype(np.uint64)
+    _assert_kth_set_bit_matches_the_loop(x, k)
+    _assert_kth_set_bit_matches_the_loop(x << np.uint32(12), k)
+    low = np.random.default_rng(5).integers(0, 1 << 12, x.size).astype(np.uint32)
+    _assert_kth_set_bit_matches_the_loop(
+        (x << np.uint32(12)) | low, k + np.bitwise_count(low)
+    )
+
+
+def test_kth_set_bit_matches_the_loop_on_random_24_bit_values():
+    rng = np.random.default_rng(11)
+    s = rng.integers(1, 1 << 24, 100_000).astype(np.uint32)
+    k = rng.integers(0, 1 << 63, s.size).astype(np.uint64) % np.bitwise_count(s)
+    _assert_kth_set_bit_matches_the_loop(s, k)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: klee_minty(20),
+        lambda: random_fmo(14, SplitMix64(8)),
+        lambda: cyclic_full_reach(16),
+    ],
+    ids=["km20", "fmo14", "cyclic-lb16"],
+)
+def test_random_edge_batch_matches_the_loop_at_high_dimension(build):
+    # at n >= 13 some picks land in the high 12-bit half of the outmap
+    o = build()
+    cap = 4 * o.n**2
+    batch = walk_batch(o, "re", "random", 4, seed=31, cap=cap)
+    _scalar_matches_batch(
+        batch,
+        lambda k: random_edge_walk_by_loop(
+            o, int(batch.starts[k]), int(batch.seeds[k]), cap
+        ),
+        range(4),
+    )
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -7,6 +7,7 @@ from helpers import (
     auso_lower_bound_by_flips,
     fmo_by_list,
     klee_minty_by_definition,
+    klee_minty_by_shifts,
     random_maximal_matching_by_list,
     target_combed_by_steps,
 )
@@ -69,6 +70,11 @@ def test_klee_minty_2_table():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_klee_minty_matches_definition(n):
     assert klee_minty(n) == klee_minty_by_definition(n)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_klee_minty_matches_the_shift_loop(n):
+    assert klee_minty(n) == klee_minty_by_shifts(n)
 
 
 def test_klee_minty_properties():
@@ -238,10 +244,11 @@ def test_random_families_equal_their_list_built_tables(n):
 
 
 #: traced peak of random_fmo(16) in bytes per cube edge, about 1.25 times
-#: the measured 27.4 B/edge: the first greedy round's kill of the edges at
-#: about half the vertices, atop the (n, 2^n) int32 rank table, the shuffled
-#: edge codes and their coordinate bits (the list of tuples took 78.7)
-_FMO_PEAK_BYTES_PER_EDGE = 34
+#: the measured 25.0 B/edge: the first greedy round's kill of the edges at
+#: about half the vertices, one rank row at a time, atop the (n, 2^n) int32
+#: rank table, the shuffled edge codes and their coordinate bits (the list
+#: of tuples took 78.7)
+_FMO_PEAK_BYTES_PER_EDGE = 31
 
 
 def test_traced_peak_memory_per_edge_of_random_fmo_at_n_16():
