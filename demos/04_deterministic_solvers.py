@@ -15,14 +15,13 @@ from usolib import (
     auso_lower_bound,
     derandomized_re,
     fibonacci_seesaw,
-    find_sink_by_scan,
     fs_revisited,
     join_pair,
     join_set,
     klee_minty,
     neighbor_join,
     popcount,
-    source_vertex,
+    sink_and_source,
 )
 from usolib.bitops import format_coord_set
 from usolib.construct import random_target_combed
@@ -51,7 +50,7 @@ print(" n   rounds  evaluations  budget n^2")
 for n in (4, 6, 8, 10):
     o = random_target_combed(n, SplitMix64(2 * n))
     stats = derandomized_re(o, (1 << n) - 1)
-    assert stats.found_sink == find_sink_by_scan(o)
+    assert stats.found_sink == sink_and_source(o)[0]
     print(f"{n:2}   {stats.steps:5}  {stats.evaluations:10}  {n*n:6}")
 
 print()
@@ -65,7 +64,7 @@ for n in (2, 4, 6, 8, 10):
 print()
 print("=== restarted seesaw, bounded by the start's reachmap ===")
 o = auso_lower_bound(8)  # its source is the empty vertex
-for start in (source_vertex(o), 0b00000001, 0b11110000):
+for start in (sink_and_source(o)[1], 0b00000001, 0b11110000):
     sink, trace = fs_revisited(o, start)
     print(f"start {start:3}: |r(start)| {trace.reachmap_sizes[0]:2},"
           f" {len(trace.iterations)} iterations,"

@@ -16,6 +16,7 @@ from .core import (
     face_sink,
     is_acyclic,
     is_decomposable,
+    sink_and_source,
     validate_orientation,
     validate_uso,
 )
@@ -41,18 +42,15 @@ from .algo import (
     RunStats,
     SeesawTrace,
     TrialsSummary,
-    bottom_antipodal,
     derandomized_re,
     fibonacci_seesaw,
-    find_sink_by_scan,
     fs_revisited,
     join_pair,
     join_set,
     markov_upper_bound,
     neighbor_join,
-    random_edge_walk,
-    re_trials,
-    source_vertex,
+    summarize,
+    walk_batch,
 )
 from .enumeration import Census, census, enumerate_all, recurrence_check
 from .io import ParseError, read_orientation, write_orientation

@@ -1,15 +1,13 @@
 """Sink-finding algorithms and their instrumentation.
 
-Random Edge and Bottom Antipodal (seeded walks run by one lockstep engine
-that takes a step rule; the single-walk functions are batches of one),
-join operations, a deterministic replacement for Random Edge built from
-joins, the Fibonacci Seesaw, and the restarted seesaw that is bounded by
-the reachmap of the start vertex. Every algorithm counts distinct vertex
-evaluations through a caching oracle. When a join or seesaw step finds no
-way forward, it raises ``NotUSOError`` naming a vertex pair whose outmaps
-agree wherever the vertices differ; only a non-USO has such a pair.
-``find_sink_by_scan``, the reference answer, lives in ``core`` and is
-importable from here.
+Random Edge and Bottom Antipodal (seeded walks run in batches by one
+lockstep engine that takes a step rule), join operations, a deterministic
+replacement for Random Edge built from joins, the Fibonacci Seesaw, and
+the restarted seesaw that is bounded by the reachmap of the start vertex.
+Every algorithm counts distinct vertex evaluations through a caching
+oracle. When a join or seesaw step finds no way forward, it raises
+``NotUSOError`` naming a vertex pair whose outmaps agree wherever the
+vertices differ; only a non-USO has such a pair.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import full_mask, lowest_coord, popcount
-from .core import EvalCounter, Face, NotUSOError, Orientation, find_sink_by_scan
+from .core import EvalCounter, Face, NotUSOError, Orientation, sink_and_source
 from .reach import reach_table
 from .rng import _MASK64, derive_seeds_np, start_values_np, stream_values_np
 
@@ -86,37 +84,6 @@ class WalkBatch:
     @property
     def capped(self) -> np.ndarray:
         return self.found < 0
-
-
-def source_vertex(o: Orientation) -> int:
-    """The unique vertex whose outmap is the full coordinate set."""
-    hits = np.flatnonzero(o.outmap == np.uint32(full_mask(o.n)))
-    if hits.size != 1:
-        raise NotUSOError(f"table has {hits.size} vertices with full outmap")
-    return int(hits[0])
-
-
-def _one_walk(o: Orientation, algo: str, start: int, seed: int, cap: int) -> RunStats:
-    """One walk: a batch of one trial through :func:`_walk_lockstep` with
-    the ``algo`` step rule; the stats keep ``seed`` as given."""
-    starts = np.array([resolve_start(o, int(start))], dtype=np.int64)
-    seeds = np.array([seed & _MASK64], dtype=np.uint64)
-    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, *_STEP_RULES[algo])
-    sink = int(found[0]) if found[0] >= 0 else None
-    return RunStats(int(steps[0]), int(evals[0]), sink, seed, sink is None)
-
-
-def random_edge_walk(o: Orientation, start: int, seed: int, cap: int) -> RunStats:
-    """Random walk choosing a uniformly random outgoing edge at each step.
-
-    Deterministic given (seed, start): step t consumes value t of the seeded
-    stream. Walks that hit the cap report capped=True with no sink. This is
-    a batch of one trial of the engine under :func:`walk_batch`, so it pays
-    the engine's per-step numpy overhead: about 18 times the time of a
-    per-step Python loop on cubes of dimension 3 to 8. Use
-    :func:`walk_batch` for many trials.
-    """
-    return _one_walk(o, "re", start, seed, cap)
 
 
 def _select_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -246,15 +213,18 @@ def _walk_lockstep(
 
 
 def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
-    """Resolve a start policy for a single run."""
+    """Resolve a start policy for a single run: a vertex, "source",
+    "antipodal" (the vertex opposite the sink) or "random" (a draw of
+    ``seed``). "source" and "antipodal" pass :func:`sink_and_source`'s
+    gate, so they raise ``NotUSOError`` unless the outmap is a bijection.
+    """
     if isinstance(policy, int):
         if not 0 <= policy < o.vertex_count():
             raise ValueError(f"start vertex {policy} out of range")
         return policy
-    if policy == "source":
-        return source_vertex(o)
-    if policy == "antipodal":
-        return find_sink_by_scan(o) ^ full_mask(o.n)
+    if policy in ("source", "antipodal"):
+        sink, source = sink_and_source(o)
+        return source if policy == "source" else sink ^ full_mask(o.n)
     if policy == "random":
         draw = start_values_np(np.array([seed & _MASK64], dtype=np.uint64))
         return int(draw[0] % np.uint64(o.vertex_count()))
@@ -276,7 +246,10 @@ def walk_batch(
     seed: int,
     cap: int,
 ) -> WalkBatch:
-    """Run ``trials`` independent walks with per-trial derived seeds.
+    """Run ``trials`` independent Random Edge ("re") or Bottom Antipodal
+    ("ba") walks with per-trial derived seeds, each from the vertex that
+    :func:`resolve_start` gives (a "random" start draws one per trial). A
+    single walk is a batch of one.
 
     Trial k depends only on the master seed and k, so the first k trials of
     a larger batch equal a batch of k.
@@ -293,6 +266,7 @@ def walk_batch(
 
 
 def summarize(batch: WalkBatch) -> TrialsSummary:
+    """Step statistics, capped count and mean evaluations of a batch."""
     steps = batch.steps
     qs = np.quantile(steps, [0.5, 0.9, 0.95, 0.99])
     return TrialsSummary(
@@ -311,36 +285,12 @@ def summarize(batch: WalkBatch) -> TrialsSummary:
     )
 
 
-def re_trials(
-    o: Orientation,
-    start_policy: int | str,
-    trials: int,
-    seed: int,
-    cap: int,
-) -> TrialsSummary:
-    """Aggregate independent Random Edge runs with per-trial derived seeds."""
-    return summarize(walk_batch(o, "re", start_policy, trials, seed, cap))
-
-
 def markov_upper_bound(n: int, i: int) -> int:
     """Exact value of n * sum_{k=1..i} n**k, the expected-step budget the
     distance-to-target chain gives for orientations of niceness i."""
     if not 0 <= i <= n:
         raise ValueError("need 0 <= i <= n")
     return n * sum(n**k for k in range(1, i + 1))
-
-
-def bottom_antipodal(o: Orientation, start: int, cap: int) -> RunStats:
-    """Iterate v <- v xor s(v) until the sink or the cap.
-
-    Termination on cyclic orientations is not guaranteed, so the cap is
-    mandatory; hitting it is reported, not raised. Like
-    :func:`random_edge_walk`, a batch of one trial of the engine, about 13
-    times slower per call than a per-step Python loop on walks that reach
-    the sink (a cycling walk is retired at once instead of run to the
-    cap).
-    """
-    return _one_walk(o, "ba", start, 0, cap)
 
 
 def join_pair(oracle: EvalCounter, u: int, v: int) -> int:

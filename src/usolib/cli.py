@@ -3,10 +3,10 @@
 Subcommands: gen, check, analyze, walk, solve, enum, bench. Exit codes are
 0 on success, 1 on domain failures (invalid orientation files, files that
 cannot be read or written, and every ``NotUSOError``: a failed check, a
-table without exactly one sink, a solver's proof that the input is not a
-USO), 2 on usage errors. ``main`` prints each as one ``error: <message>``
-line. All randomness is
-controlled by --seed and outputs are deterministic for fixed flags.
+``walk``/``solve`` input whose outmap is not a bijection, a solver's proof
+that the input is not a USO), 2 on usage errors. ``main`` prints each as
+one ``error: <message>`` line. All randomness is controlled by --seed and
+outputs are deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from .bitops import coord_set_formatter
 from .core import (
     NotUSOError,
     Orientation,
-    find_sink_by_scan,
     first_uso_violation,
     is_acyclic,
     is_decomposable,
+    sink_and_source,
 )
 from .io import ParseError, dumps_json, dumps_text, read_orientation
 from .reach import niceness_index
@@ -171,7 +171,7 @@ def _csv_text(rows: list[str]) -> str:
 
 def cmd_walk(args) -> int:
     o = read_orientation(args.path)
-    find_sink_by_scan(o)  # walks need exactly one sink to stop at
+    sink_and_source(o)  # the gate: exit 1 unless the outmap is a bijection
     cap = args.cap if args.cap is not None else 4 ** o.n
     started = time.perf_counter()
     batch = algo.walk_batch(o, args.algo, args.start, args.trials, args.seed, cap)
@@ -207,7 +207,7 @@ def cmd_walk(args) -> int:
 
 def cmd_solve(args) -> int:
     o = read_orientation(args.path)
-    find_sink_by_scan(o)  # solvers need exactly one sink to find
+    sink_and_source(o)  # the gate: exit 1 unless the outmap is a bijection
     start = algo.resolve_start(o, args.start, args.seed)
     started = time.perf_counter()
     if args.algo == "dre":

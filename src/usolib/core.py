@@ -4,12 +4,13 @@ An orientation of the n-cube is stored as a dense outmap table: entry v is
 the set of coordinates along which the edges at vertex v point away from v.
 This module provides the table type, faces, one edge-consistency check and
 one unique-sink check (each returns the first violation it finds), the
-one sink scan, ``NotUSOError`` with its certificate, a topological order
-with the acyclicity test built on it, the decomposability test, and
-canonicalization under the hypercube automorphism group. The
-decomposability test runs as one kernel over a (B, 2^n) stack of tables
-(:func:`decomposable_rows`), so the census classifies all its tables in one
-call; :func:`is_decomposable` calls it on a stack of one.
+outmap gate :func:`sink_and_source`, ``NotUSOError`` with its certificate,
+a topological order with the acyclicity test built on it, the
+decomposability test, and canonicalization under the hypercube
+automorphism group. The decomposability test runs as one kernel over a
+(B, 2^n) stack of tables (:func:`decomposable_rows`), so the census
+classifies all its tables in one call; :func:`is_decomposable` calls it on
+a stack of one.
 
 The unique-sink check uses the face-sink recurrence of Szabo & Welzl: when
 both facets of a face along its top coordinate j have one sink, the face's
@@ -253,21 +254,34 @@ def face_sink(o: Orientation, f: Face) -> int:
     return sinks[0]
 
 
-def find_sink_by_scan(o: Orientation) -> int:
-    """The unique vertex with empty outmap, by full table scan (the
-    reference answer every algorithm is checked against).
+def sink_and_source(o: Orientation) -> tuple[int, int]:
+    """The vertices with the empty and the full outmap, once one O(2^n)
+    scan has found the outmap to be a bijection.
 
-    Raises ``NotUSOError`` with the whole cube and its sink count when
-    other than one vertex has an empty outmap.
+    A bijective outmap is the S = [n] case of Szabo & Welzl's pairwise
+    criterion: two vertices with one outmap agree wherever they differ. It
+    is necessary for a USO, not sufficient (``first_uso_violation`` decides
+    that). Raises ``NotUSOError`` with the whole cube and its sink count
+    when other than one vertex has an empty outmap, and otherwise with the
+    pair (u, v): v the least vertex whose outmap an earlier vertex has, u
+    the least vertex with that outmap.
     """
-    hits = np.flatnonzero(o._table == 0)
-    if hits.size != 1:
+    table = o._table
+    seen = np.zeros(table.size, dtype=bool)
+    seen[table] = True
+    if seen.all():
+        return int(table.argmin()), int(table.argmax())
+    sinks = np.count_nonzero(table == 0)
+    if sinks != 1:
         raise NotUSOError(
-            f"not a USO: {hits.size} vertices have an empty outmap",
+            f"not a USO: {sinks} vertices have an empty outmap",
             face=Face.whole_cube(o.n),
-            count=int(hits.size),
+            count=sinks,
         )
-    return int(hits[0])
+    repeated = np.ones(table.size, dtype=bool)
+    repeated[np.unique(table, return_index=True)[1]] = False
+    v = int(np.flatnonzero(repeated)[0])
+    raise NotUSOError(pair=(int(np.flatnonzero(table == table[v])[0]), v))
 
 
 def _join(table: np.ndarray, b: int, a: np.ndarray, c: np.ndarray):

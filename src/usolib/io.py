@@ -28,10 +28,6 @@ class ParseError(ValueError):
     """Malformed orientation file."""
 
 
-#: the loader's edge check under its former name, which benchmarks/baselines.py times
-_first_inconsistent_vertex = first_edge_violation
-
-
 def _finish(n: int, values: Sequence[int] | np.ndarray, where) -> Orientation:
     """The orientation of ``values``; an edge-inconsistent table raises,
     naming the place of the first bad vertex v as ``where(v)``."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bit
-from .core import NotUSOError, Orientation, _check_vertex, find_sink_by_scan
+from .core import NotUSOError, Orientation, _check_vertex, sink_and_source
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,14 +143,15 @@ def niceness_index(o: Orientation) -> NicenessReport:
     frontier and its n edges are scanned once there, so the sweep costs
     O(n 2^n) on top of :func:`reach_table`.
 
-    Raises ``NotUSOError`` when the table (assumed edge-consistent) does not
-    have exactly one sink, or when a non-sink vertex has no cover; neither
-    happens on a USO.
+    Raises ``NotUSOError`` when the table (assumed edge-consistent) fails
+    :func:`~usolib.core.sink_and_source`'s gate, its outmap not being a
+    bijection, or when a non-sink vertex has no cover; neither happens on a
+    USO.
     """
+    sink = sink_and_source(o)[0]
     t = reach_table(o)
     table, reach = o._table, t.entries
     size = len(table)
-    sink = find_sink_by_scan(o)
     vertices = np.arange(size, dtype=np.int32)
     # distances and witnesses; the sink keeps distance 0, and witness 2^n
     # until the sweep ends

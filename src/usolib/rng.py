@@ -73,8 +73,11 @@ def start_values_np(seeds: np.ndarray) -> np.ndarray:
 
 
 class SplitMix64:
-    """Sequential convenience wrapper used for random structure generation
-    (matchings, fiber choices). Stable across Python and numpy versions."""
+    """A seeded stream and a cursor into it. The random constructions read
+    only ``seed`` and ``index``, drawing a whole block of stream values at
+    once and advancing ``index`` past them; ``next_u64``, ``randrange``
+    and ``shuffle`` draw one value at a time, as the tests' reference
+    code does. Stable across Python and numpy versions."""
 
     __slots__ = ("seed", "index")
 

@@ -14,13 +14,12 @@ import pytest
 from helpers import brute_force_usos, reachable_vertices
 from usolib.algo import (
     derandomized_re,
-    find_sink_by_scan,
     fs_revisited,
     join_pair,
     join_set,
     neighbor_join,
-    re_trials,
-    source_vertex,
+    summarize,
+    walk_batch,
 )
 from usolib.bitops import bit, coords, full_mask, popcount
 from usolib.cli import main
@@ -40,6 +39,7 @@ from usolib.core import (
     canonical_form,
     is_acyclic,
     is_decomposable,
+    sink_and_source,
     validate_uso,
 )
 from usolib.enumeration import census, enumerate_all
@@ -126,7 +126,7 @@ def test_criterion_03_niceness_bounds_4_to_7():
         c_idx = niceness_index(c).niceness_index
         ok &= c_idx == n
         rt = reach_table(c)
-        sink = find_sink_by_scan(c)
+        sink = sink_and_source(c)[0]
         full = full_mask(n)
         ok &= all(rt[v] == full for v in range(1 << n) if v != sink)
         details.append(f"n={n}: {a_idx}/{c_idx}")
@@ -143,14 +143,14 @@ def test_criterion_04_random_edge_envelope():
     instance_means = []
     for n in range(4, 13):
         envelope = 2 * n * n
-        km_mean = re_trials(
-            klee_minty(n), "antipodal", trials, seed=derive_seed(4, n), cap=4**n
+        km_mean = summarize(
+            walk_batch(klee_minty(n), "re", "antipodal", trials, derive_seed(4, n), 4**n)
         ).mean
         km_ok &= km_mean <= envelope
         for k in range(100):
             o = random_target_combed(n, SplitMix64(derive_seed(400 + n, k)))
-            mean = re_trials(
-                o, "antipodal", trials, seed=derive_seed(800 + n, k), cap=4**n
+            mean = summarize(
+                walk_batch(o, "re", "antipodal", trials, derive_seed(800 + n, k), 4**n)
             ).mean
             instance_means.append(mean / envelope)
     within = float(np.mean([m <= 1.0 for m in instance_means]))
@@ -204,10 +204,10 @@ def test_criterion_05_derandomized_random_edge():
     worst_ratio = 0.0
     for n in range(1, 11):
         for family, o in _family_instances(n):
-            sink = find_sink_by_scan(o)
+            sink, source = sink_and_source(o)
             starts = _starts(n, derive_seed(53, n))
             if n >= 7:
-                starts.append(source_vertex(o))
+                starts.append(source)
             for start in starts:
                 stats = derandomized_re(o, start)
                 correct &= stats.found_sink == sink
@@ -328,7 +328,7 @@ def test_criterion_08_combinator_preservation():
         acyclic_inputs = is_acyclic(frame) and all(is_acyclic(f) for f in fibers)
         if acyclic_inputs:
             product_ok &= is_acyclic(o)
-        frame_sink = find_sink_by_scan(frame)
+        frame_sink = sink_and_source(frame)[0]
         bound = max(
             niceness_index(frame).niceness_index,
             niceness_index(fibers[frame_sink]).niceness_index,

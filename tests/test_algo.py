@@ -15,19 +15,15 @@ from helpers import (
 )
 from usolib.algo import (
     _kth_set_bit,
-    bottom_antipodal,
     derandomized_re,
     fibonacci_seesaw,
-    find_sink_by_scan,
     fs_revisited,
     join_pair,
     join_set,
     markov_upper_bound,
     neighbor_join,
-    random_edge_walk,
-    re_trials,
     resolve_start,
-    source_vertex,
+    summarize,
     walk_batch,
 )
 from usolib.bitops import bit, coords, full_mask, popcount
@@ -40,9 +36,9 @@ from usolib.construct import (
     random_target_combed,
     uniform,
 )
-from usolib.core import EvalCounter, Face, NotUSOError, Orientation, face_sink
+from usolib.core import EvalCounter, Face, NotUSOError, Orientation, face_sink, sink_and_source
 from usolib.reach import reach_table
-from usolib.rng import _MASK64, _START_SALT, SplitMix64, mix64
+from usolib.rng import _MASK64, _START_SALT, SplitMix64, derive_seed, mix64
 
 FAMILIES_N6 = [
     uniform(6),
@@ -56,18 +52,18 @@ FAMILIES_N6 = [
 
 def test_sink_and_source_by_scan():
     o = klee_minty(4)
-    assert find_sink_by_scan(o) == 0
-    assert o.out(source_vertex(o)) == full_mask(4)
+    sink, source = sink_and_source(o)
+    assert sink == 0 and o.out(source) == full_mask(4)
     four_cycle = Orientation(2, [1, 2, 2, 1])  # no vertex has an empty outmap
     with pytest.raises(ValueError):
-        find_sink_by_scan(four_cycle)
+        sink_and_source(four_cycle)
 
 
 def test_resolve_start():
     o = klee_minty(3)
     assert resolve_start(o, 5) == 5
     assert resolve_start(o, "antipodal") == 7  # sink is 0
-    assert resolve_start(o, "source") == source_vertex(o)
+    assert resolve_start(o, "source") == sink_and_source(o)[1]
     for seed in (9, -1, 1 << 70):
         # the auxiliary draw of the seed, reduced to a vertex
         assert resolve_start(o, "random", seed) == mix64((seed + _START_SALT) & _MASK64) % 8
@@ -79,40 +75,42 @@ def test_resolve_start():
 
 def test_walk_from_sink_is_trivial():
     o = klee_minty(5)
-    stats = random_edge_walk(o, 0, seed=1, cap=100)
-    assert stats.steps == 0 and stats.found_sink == 0 and not stats.capped
-    assert stats.evaluations == 1
+    batch = walk_batch(o, "re", 0, 1, seed=1, cap=100)
+    assert batch.steps.tolist() == [0] and batch.found.tolist() == [0]
+    assert not batch.capped[0]
+    assert batch.evaluations.tolist() == [1]
 
 
 def test_walk_on_uniform_takes_exactly_missing_coordinates():
     o = uniform(5)
-    for seed in range(20):
-        v = seed % 32
-        stats = random_edge_walk(o, v, seed=seed, cap=1000)
-        assert stats.steps == popcount(full_mask(5) ^ v)
-        assert stats.found_sink == full_mask(5)
+    batch = walk_batch(o, "re", "random", 64, seed=20, cap=1000)
+    assert batch.steps.tolist() == [popcount(full_mask(5) ^ v) for v in batch.starts.tolist()]
+    assert (batch.found == full_mask(5)).all()
 
 
 def test_walk_is_reproducible_and_matches_batch():
     o = random_fmo(6, SplitMix64(3))
     batch = walk_batch(o, "re", "random", 64, seed=99, cap=4**6)
-    for k in (0, 1, 13, 63):
-        start, seed = int(batch.starts[k]), int(batch.seeds[k])
-        oracle = random_edge_walk_by_loop(o, start, seed, 4**6)
-        assert oracle.steps == int(batch.steps[k])
-        assert oracle.evaluations == int(batch.evaluations[k])
-        assert (oracle.found_sink is None) == bool(batch.capped[k])
-        assert random_edge_walk(o, start, seed, 4**6) == oracle
-    # seeds are taken mod 2^64, including those at or above 2^63 and negative
-    # ones; the stats keep the seed as given
+    _scalar_matches_batch(
+        batch,
+        lambda k: random_edge_walk_by_loop(
+            o, int(batch.starts[k]), int(batch.seeds[k]), 4**6
+        ),
+        (0, 1, 13, 63),
+    )
+    # master seeds are taken mod 2^64, including those at or above 2^63 and
+    # negative ones, and trial k walks the stream of derive_seed(seed, k)
     for seed in (2**63, 12345678901234567890, 2**64 - 1, 2**64 + 5, -1, -3):
         for start, cap in ((0, 4**6), (21, 3), (63, 1)):
-            oracle = random_edge_walk_by_loop(o, start, seed, cap)
-            assert random_edge_walk(o, start, seed, cap) == oracle
-            assert oracle.seed == seed
-    again = random_edge_walk(o, int(batch.starts[0]), int(batch.seeds[0]), 4**6)
-    first = random_edge_walk(o, int(batch.starts[0]), int(batch.seeds[0]), 4**6)
-    assert again == first
+            rows = walk_batch(o, "re", start, 3, seed, cap)
+            assert rows.seeds.tolist() == [derive_seed(seed, k) for k in range(3)]
+            _assert_batches_equal(rows, walk_batch(o, "re", start, 3, seed & _MASK64, cap))
+            _scalar_matches_batch(
+                rows,
+                lambda k: random_edge_walk_by_loop(o, start, int(rows.seeds[k]), cap),
+                range(3),
+            )
+    _assert_batches_equal(walk_batch(o, "re", "random", 64, seed=99, cap=4**6), batch)
 
 
 @pytest.mark.parametrize("algo", ["re", "ba"])
@@ -122,28 +120,31 @@ def test_walk_batch_prefix_equals_smaller_batch(algo):
     big = walk_batch(o, algo, "random", 300, seed=5, cap=8)
     small = walk_batch(o, algo, "random", 37, seed=5, cap=8)
     assert big.capped.any() and not big.capped.all()
-    for name in ("seeds", "starts", "steps", "evaluations", "found", "capped"):
-        assert np.array_equal(getattr(big, name)[:37], getattr(small, name))
+    _assert_batches_equal(big, small)
 
 
 def test_walk_cap_reporting():
     # a cyclic orientation with a tiny cap must report capped runs
     o = cyclic_full_reach(4)
-    stats = random_edge_walk(o, source_vertex(o), seed=8, cap=1)
-    assert stats.capped and stats.found_sink is None and stats.steps == 1
+    batch = walk_batch(o, "re", "source", 1, seed=8, cap=1)
+    assert batch.capped[0] and batch.found[0] == -1 and batch.steps[0] == 1
+    source = sink_and_source(o)[1]
+    _scalar_matches_batch(
+        batch, lambda k: random_edge_walk_by_loop(o, source, int(batch.seeds[k]), 1), [0]
+    )
     with pytest.raises(ValueError, match="cap must be >= 1"):
-        random_edge_walk(o, 0, seed=8, cap=0)
+        walk_batch(o, "re", 0, 1, seed=8, cap=0)
     with pytest.raises(ValueError, match="cap must be >= 1"):
-        bottom_antipodal(o, 0, cap=-3)
+        walk_batch(o, "ba", 0, 1, seed=0, cap=-3)
     with pytest.raises(ValueError, match="out of range"):
-        random_edge_walk(o, 16, seed=8, cap=5)
+        walk_batch(o, "re", 16, 1, seed=8, cap=5)
     with pytest.raises(ValueError, match="out of range"):
-        bottom_antipodal(o, -1, cap=5)
+        walk_batch(o, "ba", -1, 1, seed=0, cap=5)
 
 
 def test_re_trials_summary_shape():
     o = klee_minty(6)
-    summary = re_trials(o, "antipodal", 500, seed=3, cap=4**6)
+    summary = summarize(walk_batch(o, "re", "antipodal", 500, seed=3, cap=4**6))
     assert summary.trials == 500
     assert summary.capped_runs == 0
     assert summary.max >= summary.quantiles["p95"] >= summary.mean / 2
@@ -154,12 +155,12 @@ def test_re_terminates_on_acyclic_within_cap():
     for o in FAMILIES_N6:
         batch = walk_batch(o, "re", "random", 100, seed=11, cap=4**6)
         assert not batch.capped.any()
-        sink = find_sink_by_scan(o)
+        sink = sink_and_source(o)[0]
         assert (batch.found == sink).all()
 
 
 def test_re_mean_on_klee_minty_8():
-    summary = re_trials(klee_minty(8), "antipodal", 10_000, seed=88, cap=4**8)
+    summary = summarize(walk_batch(klee_minty(8), "re", "antipodal", 10_000, seed=88, cap=4**8))
     assert summary.capped_runs == 0
     assert summary.mean <= 2 * 8 * 8
 
@@ -171,7 +172,7 @@ def test_re_terminates_on_auso_lower_bound_8():
 
 def test_re_easy_on_the_cyclic_lower_bound_family():
     o = cyclic_full_reach(8)
-    summary = re_trials(o, "antipodal", 1000, seed=21, cap=4**8)
+    summary = summarize(walk_batch(o, "re", "antipodal", 1000, seed=21, cap=4**8))
     assert summary.capped_runs == 0
     assert summary.mean < 8**3
 
@@ -181,7 +182,7 @@ def test_re_expectation_on_klee_minty_3():
     expected = re_expectation_by_solve(o)
     # the sink is 000, so the antipodal start is 111
     assert expected[resolve_start(o, "antipodal")] == pytest.approx(3.5, abs=1e-12)
-    assert expected[find_sink_by_scan(o)] == 0
+    assert expected[sink_and_source(o)[0]] == 0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -237,23 +238,23 @@ def test_markov_bound_matches_chain_simulation(n, i):
 
 def test_bottom_antipodal_examples():
     o = uniform(4)
-    assert bottom_antipodal(o, full_mask(4), cap=10).steps == 0
-    stats = bottom_antipodal(o, 0, cap=10)
-    assert stats.steps == 1 and stats.found_sink == full_mask(4)
+    assert walk_batch(o, "ba", full_mask(4), 1, seed=0, cap=10).steps.tolist() == [0]
+    batch = walk_batch(o, "ba", 0, 1, seed=0, cap=10)
+    assert batch.steps.tolist() == [1] and batch.found.tolist() == [full_mask(4)]
 
 
 def test_bottom_antipodal_klee_minty_regression():
     o = klee_minty(6)
-    stats = bottom_antipodal(o, source_vertex(o), cap=4**6)
-    assert stats.found_sink == 0
-    assert stats.steps == 6  # frozen regression value
+    batch = walk_batch(o, "ba", "source", 1, seed=0, cap=4**6)
+    assert batch.found.tolist() == [0]
+    assert batch.steps.tolist() == [6]  # frozen regression value
 
 
 def test_bottom_antipodal_can_hit_cap():
     o = cyclic_full_reach(3)
     # start on the cycle with a tiny cap
-    stats = bottom_antipodal(o, 0b110, cap=3)
-    assert stats.capped or stats.found_sink == find_sink_by_scan(o)
+    batch = walk_batch(o, "ba", 0b110, 1, seed=0, cap=3)
+    assert batch.capped[0] or batch.found[0] == sink_and_source(o)[0]
 
 
 def _scalar_matches_batch(batch, oracle_at, trials) -> None:
@@ -269,13 +270,18 @@ def _scalar_matches_batch(batch, oracle_at, trials) -> None:
         assert oracle.found_sink == (None if found < 0 else found)
 
 
+def _assert_batches_equal(batch, part) -> None:
+    # every field of ``part`` equals the matching prefix of ``batch``
+    k = part.steps.size
+    for name in ("seeds", "starts", "steps", "evaluations", "found", "capped"):
+        assert np.array_equal(getattr(batch, name)[:k], getattr(part, name))
+
+
 def _rerun_matches_prefix(o, algo, batch, seed, cap, split) -> None:
     # the first trials // split trials, run as a batch of their own, equal
     # the prefix of the full batch (split 1 is a plain rerun)
     k = batch.steps.size // split
-    part = walk_batch(o, algo, "random", k, seed=seed, cap=cap)
-    for name in ("seeds", "starts", "steps", "evaluations", "found", "capped"):
-        assert np.array_equal(getattr(batch, name)[:k], getattr(part, name))
+    _assert_batches_equal(batch, walk_batch(o, algo, "random", k, seed=seed, cap=cap))
 
 
 @pytest.mark.parametrize("split", [1, 4])
@@ -293,7 +299,7 @@ def test_bottom_antipodal_batch_matches_scalar(o, split):
     assert batch.capped.any() and not batch.capped.all()
     # Bottom Antipodal is deterministic given its start vertex
     by_start = {v: bottom_antipodal_by_loop(o, v, cap) for v in range(o.vertex_count())}
-    assert all(bottom_antipodal(o, v, cap) == by_start[v] for v in by_start)
+    assert set(batch.starts.tolist()) == set(by_start)  # a walk from every vertex
     _scalar_matches_batch(
         batch, lambda k: by_start[int(batch.starts[k])], range(trials)
     )
@@ -608,7 +614,7 @@ def test_derandomized_re_from_sink():
 
 def test_derandomized_re_finds_sink_on_all_families():
     for o in FAMILIES_N6:
-        sink = find_sink_by_scan(o)
+        sink = sink_and_source(o)[0]
         for start in (0, 21, 42, 63):
             stats = derandomized_re(o, start)
             assert stats.found_sink == sink
@@ -686,7 +692,7 @@ def test_fibonacci_seesaw_envelope_on_random_fmos():
         for _ in range(count):
             o = random_fmo(n, rng)
             sink, evals = fibonacci_seesaw(o)
-            assert sink == find_sink_by_scan(o)
+            assert sink == sink_and_source(o)[0]
             assert evals <= 10 * 1.62**n
 
 
@@ -704,7 +710,7 @@ def test_fs_revisited_bounds_small():
         rt = reach_table(o)
         for start in (0, 17, 63):
             sink, trace = fs_revisited(o, start)
-            assert sink == find_sink_by_scan(o)
+            assert sink == sink_and_source(o)[0]
             rho = len(trace.iterations)
             assert rho <= popcount(rt[start])
             sizes = trace.reachmap_sizes
@@ -723,7 +729,7 @@ def _fs_revisited_summary(o, start):
 
 def test_solvers_return_the_scan_sink_on_every_3_cube_uso(all_usos_3):
     for o in all_usos_3:
-        sink = find_sink_by_scan(o)
+        sink = sink_and_source(o)[0]
         assert fibonacci_seesaw(o)[0] == sink
         for start in range(8):
             assert derandomized_re(o, start).found_sink == sink

@@ -30,11 +30,11 @@ from usolib.core import (
     Orientation,
     canonical_form,
     face_sink,
-    find_sink_by_scan,
     first_edge_violation,
     first_uso_violation,
     is_acyclic,
     is_decomposable,
+    sink_and_source,
     topological_order,
     validate_orientation,
     validate_uso,
@@ -195,22 +195,32 @@ def test_face_sink_examples():
 
 def test_not_uso_certificates_of_the_sink_scans_are_genuine():
     # random edge-consistent tables are mostly not USOs; every face the
-    # scans name must have the sink count they report
+    # scans name must have the sink count they report, and every pair the
+    # outmap gate names must share an outmap
     rng = SplitMix64(606)
-    raised = {"face_sink": 0, "find_sink_by_scan": 0}
+    raised = {"face_sink": 0, "sink_and_source-face": 0, "sink_and_source-pair": 0}
     for n in range(2, 8):
         for _ in range(150):
             o = random_consistent_table(n, rng)
-            empty = int((o.outmap == 0).sum())
+            outmaps = o.outmap.tolist()
+            empty = outmaps.count(0)
             try:
-                sink = find_sink_by_scan(o)
+                sink, source = sink_and_source(o)
             except NotUSOError as exc:
-                raised["find_sink_by_scan"] += 1
-                assert exc.face == Face.whole_cube(n) and exc.pair is None
                 assert certificate_holds(o, exc)
-                assert str(exc) == f"not a USO: {empty} vertices have an empty outmap"
+                if empty != 1:
+                    raised["sink_and_source-face"] += 1
+                    assert exc.face == Face.whole_cube(n) and exc.pair is None
+                    assert str(exc) == f"not a USO: {empty} vertices have an empty outmap"
+                else:
+                    raised["sink_and_source-pair"] += 1
+                    # v: the least vertex whose outmap an earlier one has;
+                    # u: the least vertex with that outmap
+                    v = next(w for w in range(1 << n) if outmaps[w] in outmaps[:w])
+                    assert exc.pair == (outmaps.index(outmaps[v]), v)
             else:
-                assert empty == 1 and o.out(sink) == 0
+                assert len(set(outmaps)) == 1 << n
+                assert o.out(sink) == 0 and o.out(source) == full_mask(n)
             for _ in range(4):
                 span = rng.randrange(full_mask(n)) + 1
                 f = Face(rng.randrange(1 << n), span)
@@ -224,6 +234,34 @@ def test_not_uso_certificates_of_the_sink_scans_are_genuine():
                     assert f.contains(sink) and o.out(sink) & span == 0
                     assert sum(o.out(v) & span == 0 for v in f.vertices()) == 1
     assert all(raised.values()), raised
+
+
+def test_sink_and_source_accepts_exactly_the_bijective_tables():
+    # random edge-consistent tables, plus USOs and their one-flip
+    # neighbours, which keep a bijective outmap when the flipped edge is
+    # flippable
+    rng = SplitMix64(611)
+    accepted = rejected = 0
+    for n in range(1, 8):
+        usos = [uniform(n), klee_minty(n), random_fmo(n, rng)]
+        usos += [cyclic_full_reach(n)] if n >= 3 else []
+        tables = usos + [random_consistent_table(n, rng) for _ in range(100)]
+        for o in usos:
+            for _ in range(10):
+                tables.append(flipped_edge(o, rng.randrange(1 << n), rng.randrange(n) + 1))
+        for o in tables:
+            outmaps = o.outmap.tolist()
+            bijective = len(set(outmaps)) == 1 << n
+            try:
+                sink, source = sink_and_source(o)
+            except NotUSOError as exc:
+                assert not bijective and certificate_holds(o, exc)
+                rejected += 1
+            else:
+                assert bijective
+                assert (sink, source) == (outmaps.index(0), outmaps.index(full_mask(n)))
+                accepted += 1
+    assert accepted and rejected
 
 
 def test_validate_uso_simple_cases():

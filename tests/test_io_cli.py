@@ -391,24 +391,36 @@ def test_solve_exits_1_when_the_seesaw_proves_a_non_uso(tmp_path, capsys, start)
 NOT_USO_3 = "uso 3\n" + "".join(f"{s}\n" for s in [5, 6, 6, 5, 3, 2, 1, 0])
 
 
+#: what the outmap gate of ``walk`` and ``solve`` prints for NOT_USO_3:
+#: vertices 1 and 2 share the outmap {2,3}
+NOT_USO_3_PAIR = "error: not a USO: vertices 1 and 2 differ on {1,2} but their outmaps agree there\n"
+
+
 @pytest.mark.parametrize("command", [["walk", "--algo", "re"], ["solve", "--algo", "dre"]])
 def test_start_source_without_one_full_outmap_exits_1(tmp_path, capsys, command):
-    # one sink (7), but no vertex has the full outmap: a domain failure
+    # one sink (7), but no vertex has the full outmap, so the outmap is not
+    # a bijection: a domain failure naming two vertices with one outmap
     path = tmp_path / "bad.uso"
     path.write_text(NOT_USO_3)
     assert main([command[0], str(path)] + command[1:] + ["--start", "source"]) == 1
-    assert capsys.readouterr().err == "error: table has 0 vertices with full outmap\n"
+    assert capsys.readouterr().err == NOT_USO_3_PAIR
 
 
-@pytest.mark.parametrize("start", [str(v) for v in range(8)] + ["antipodal", "random"])
+@pytest.mark.parametrize("start", [str(v) for v in range(8)] + ["antipodal", "random", "source"])
 def test_fs_exits_1_on_a_one_sink_non_uso_from_every_start(tmp_path, capsys, start):
-    # the seesaw solves the whole cube whatever the start, so it always
-    # meets the bad 2-face
+    # every walk and solver meets the outmap gate before it starts, so none
+    # answers on this table from any start
     path = tmp_path / "bad.uso"
     path.write_text(NOT_USO_3)
-    assert main(["solve", str(path), "--algo", "fs", "--start", start]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: not a USO: vertices 1 and 2 differ on {1,2} but their outmaps agree there\n"
+    for command in (
+        ["walk", "--algo", "re"],
+        ["walk", "--algo", "ba"],
+        ["solve", "--algo", "dre"],
+        ["solve", "--algo", "fs"],
+        ["solve", "--algo", "fsr"],
+    ):
+        assert main([command[0], str(path)] + command[1:] + ["--start", start]) == 1, command
+        assert capsys.readouterr().err == NOT_USO_3_PAIR, command
 
 
 def test_enum_count_and_census(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The numpy kernels of ``core`` and ``reach`` against their per-table
 oracles: the decomposition tree ``decomposable_rows`` on every USO of the
 2- and 3-cube as one stack, and ``reach_table``, ``niceness_index``,
-``find_sink_by_scan`` and ``canonical_form`` on each of them; the
+``sink_and_source`` and ``canonical_form`` on each of them; the
 ``uso gen`` families one table at a time; random edge-consistent tables
 that are mostly not USOs; and ``reach_table`` on tables that are not even
 edge-consistent."""
@@ -25,9 +25,9 @@ from usolib.core import (
     Orientation,
     canonical_form,
     decomposable_rows,
-    find_sink_by_scan,
     is_acyclic,
     is_decomposable,
+    sink_and_source,
     topological_order,
 )
 from usolib.reach import niceness_index, reach_table
@@ -54,7 +54,7 @@ def _assert_usos_match(orientations, *, full_reach=True, canonical=True):
             for v in range(0, size, size // 16):
                 assert reach[v] == reachmap_bruteforce(o, v)
         sink, cover, witness, index = niceness_by_python_sweep(o, reach.tolist())
-        assert find_sink_by_scan(o) == sink == [v for v in range(size) if o.out(v) == 0][0]
+        assert sink_and_source(o)[0] == sink == [v for v in range(size) if o.out(v) == 0][0]
         report = niceness_index(o)
         assert report.sink == sink
         assert report.cover_distance.tolist() == cover

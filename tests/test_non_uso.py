@@ -19,10 +19,10 @@ from usolib.core import (
     EvalCounter,
     NotUSOError,
     canonical_form,
-    find_sink_by_scan,
     first_uso_violation,
     is_acyclic,
     is_decomposable,
+    sink_and_source,
 )
 from usolib.reach import niceness_index, reach_table
 from usolib.rng import SplitMix64
@@ -32,7 +32,7 @@ def _entry_points(o, u, v):
     """Each entry point under test as a thunk over the table ``o`` and the
     two vertices ``u`` and ``v``."""
     return {
-        "find_sink_by_scan": lambda: find_sink_by_scan(o),
+        "sink_and_source": lambda: sink_and_source(o),
         "first_uso_violation": lambda: first_uso_violation(o),
         "reach_table": lambda: reach_table(o),
         "niceness_index": lambda: niceness_index(o),

@@ -3,7 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import cover_search_bfs, random_consistent_table, reachmap_bruteforce
+from helpers import (
+    certificate_holds,
+    cover_search_bfs,
+    random_consistent_table,
+    reachmap_bruteforce,
+)
 from usolib.bitops import bit, coords
 from usolib.cli import FAMILIES, build_family
 from usolib.construct import (
@@ -14,7 +19,7 @@ from usolib.construct import (
     random_target_combed,
     uniform,
 )
-from usolib.core import Orientation, is_acyclic, validate_orientation
+from usolib.core import NotUSOError, Orientation, is_acyclic, validate_orientation
 from usolib.reach import niceness_index, reach_table
 from usolib.rng import SplitMix64
 
@@ -249,7 +254,9 @@ def test_niceness_rejects_a_directed_4_cycle():
 def test_niceness_rejects_a_vertex_without_cover():
     # the face {0011, 0111, 1111, 1011} is a directed 4-cycle that every
     # incident edge enters; all other edges point down, so 0000 is the one
-    # sink and the cycle's vertices reach nothing with a smaller reachmap
+    # sink and the cycle's vertices reach nothing with a smaller reachmap.
+    # The outmap is not a bijection (vertices 1 and 2 both have {1,2}), so
+    # the outmap gate names that pair before the sweep runs
     cycle = {0b0011: 0b0100, 0b0111: 0b1000, 0b1111: 0b0100, 0b1011: 0b1000}
     table = []
     for v in range(16):
@@ -257,8 +264,22 @@ def test_niceness_rejects_a_vertex_without_cover():
         table.append(cycle.get(v, v | into_cycle))
     o = Orientation(4, table)
     assert validate_orientation(o)
-    with pytest.raises(ValueError, match="vertex 3 has no cover"):
+    with pytest.raises(NotUSOError) as info:
         niceness_index(o)
+    assert info.value.pair == (1, 2) and certificate_holds(o, info.value)
+
+
+def test_niceness_rejects_a_one_sink_non_uso_naming_a_genuine_pair():
+    # one sink (7), but the bottom 2-face is the directed 4-cycle
+    # 0 -> 1 -> 3 -> 2 -> 0, and vertices 1 and 2 share the outmap {2,3}
+    o = Orientation(3, [5, 6, 6, 5, 3, 2, 1, 0])
+    assert validate_orientation(o)
+    with pytest.raises(NotUSOError) as info:
+        niceness_index(o)
+    assert info.value.pair == (1, 2) and certificate_holds(o, info.value)
+    assert str(info.value) == (
+        "not a USO: vertices 1 and 2 differ on {1,2} but their outmaps agree there"
+    )
 
 
 #: tracemalloc peaks in bytes per vertex at n = 16, each about 1.25 times
