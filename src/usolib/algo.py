@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import full_mask, lowest_coord, popcount
-from .core import EvalCounter, Face, NotUSOError, Orientation, sink_and_source
+from .core import EvalCounter, Face, NotUSOError, Orientation, sink_and_source, uso_violation
 from .reach import reach_table
 from .rng import _MASK64, derive_seeds_np, start_values_np, stream_values_np
 
@@ -218,24 +218,20 @@ def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
     ``seed``). "source" and "antipodal" pass :func:`sink_and_source`'s
     gate, so they raise ``NotUSOError`` unless the outmap is a bijection.
     """
-    if isinstance(policy, int):
-        if not 0 <= policy < o.vertex_count():
-            raise ValueError(f"start vertex {policy} out of range")
-        return policy
-    if policy in ("source", "antipodal"):
-        sink, source = sink_and_source(o)
-        return source if policy == "source" else sink ^ full_mask(o.n)
-    if policy == "random":
-        draw = start_values_np(np.array([seed & _MASK64], dtype=np.uint64))
-        return int(draw[0] % np.uint64(o.vertex_count()))
-    raise ValueError(f"unknown start policy {policy!r}")
+    return int(_starts_array(o, policy, np.array([seed & _MASK64], dtype=np.uint64))[0])
 
 
 def _starts_array(o: Orientation, policy: int | str, seeds: np.ndarray) -> np.ndarray:
     if policy == "random":
         return (start_values_np(seeds) % np.uint64(o.vertex_count())).astype(np.int64)
-    fixed = resolve_start(o, policy)
-    return np.full(seeds.size, fixed, dtype=np.int64)
+    if policy in ("source", "antipodal"):
+        sink, source = sink_and_source(o)
+        policy = source if policy == "source" else sink ^ full_mask(o.n)
+    elif not isinstance(policy, int):
+        raise ValueError(f"unknown start policy {policy!r}")
+    elif not 0 <= policy < o.vertex_count():
+        raise ValueError(f"start vertex {policy} out of range")
+    return np.full(seeds.size, policy, dtype=np.int64)
 
 
 def walk_batch(
@@ -249,7 +245,8 @@ def walk_batch(
     """Run ``trials`` independent Random Edge ("re") or Bottom Antipodal
     ("ba") walks with per-trial derived seeds, each from the vertex that
     :func:`resolve_start` gives (a "random" start draws one per trial). A
-    single walk is a batch of one.
+    single walk is a batch of one. The walks run on any table unless a
+    "source" or "antipodal" start passes the gate.
 
     Trial k depends only on the master seed and k, so the first k trials of
     a larger batch equal a batch of k.
@@ -371,15 +368,16 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
     """Deterministic sink search driven by joins.
 
     Round structure, at covering radius i: search the vertices within
-    directed distance i-1 of the current vertex, returning at once if one
-    is the sink; join each one's out-neighborhood, then join those results,
-    in ascending order, into a single vertex z that everything within
-    distance i can reach. On an orientation where the current vertex is
-    i-covered, z has a strictly smaller reachmap, so at most n productive
-    rounds happen per radius. When z repeats a vertex of this radius, the
-    radius is deepened; radius n always suffices. ``steps`` counts join
-    rounds. On USOs the radius has not been seen to deepen; only non-USO
-    tables have reached that branch.
+    directed distance i-1 of the current vertex, returning at once if one is
+    the sink; join each one's out-neighborhood, then join those results, in
+    ascending order, into a single vertex z that everything within distance
+    i can reach. On an orientation where the current vertex is i-covered, z
+    has a strictly smaller reachmap, so at most n productive rounds happen
+    per radius. When z repeats a vertex of this radius, the radius is
+    deepened; on a USO radius n always suffices, so a search that exhausts
+    all radii raises ``NotUSOError`` with the least bad face. ``steps``
+    counts join rounds. It runs on any table unless its start came from a
+    "source" or "antipodal" :func:`resolve_start`, which passes the gate.
     """
     oracle = EvalCounter(o)
     if oracle(start) == 0:
@@ -411,7 +409,8 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
             if z in visited:
                 break
             visited.add(z)
-    raise NotUSOError("not a USO: the search exhausted all radii")
+    # unreachable on a USO: radius n suffices, and no USO run has deepened it
+    raise uso_violation(o) or AssertionError("derandomized_re exhausted all radii on a USO")
 
 
 def _fs(oracle: EvalCounter, face: Face) -> int:
@@ -456,7 +455,7 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
 
 def fibonacci_seesaw(o: Orientation, face: Face | None = None) -> tuple[int, int]:
     """Sink of ``face`` (default: the whole cube) and the number of distinct
-    evaluations spent."""
+    evaluations spent. It passes no gate and runs on any table."""
     if face is None:
         face = Face.whole_cube(o.n)
     oracle = EvalCounter(o)
@@ -476,7 +475,9 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     the crossed coordinate outgoing, like the vertex it was crossed from,
     forms with that vertex a pair only a non-USO allows and raises
     ``NotUSOError``; so every iteration adds a coordinate and the loop ends
-    within n iterations on any table.
+    within n iterations on any table. Only a start from a "source" or
+    "antipodal" :func:`resolve_start` has passed the gate; from 4..7 it
+    returns 7 on the one-sink non-USO ``[5, 6, 6, 5, 3, 2, 1, 0]``.
     """
     oracle = EvalCounter(o)
     rt = reach_table(o)  # instrumentation, not charged to the oracle

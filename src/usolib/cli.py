@@ -26,10 +26,10 @@ from .bitops import coord_set_formatter
 from .core import (
     NotUSOError,
     Orientation,
-    first_uso_violation,
     is_acyclic,
     is_decomposable,
     sink_and_source,
+    uso_violation,
 )
 from .io import ParseError, dumps_json, dumps_text, read_orientation
 from .reach import niceness_index
@@ -105,24 +105,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _require_uso(o: Orientation) -> None:
-    """Raise ``NotUSOError`` naming the first face with other than one sink."""
-    violation = first_uso_violation(o)
-    if violation is not None:
-        face, count = violation
-        raise NotUSOError(face=face, count=count)
-
-
 def cmd_check(args) -> int:
     o = read_orientation(args.path)
-    _require_uso(o)
+    if error := uso_violation(o):
+        raise error
     print(f"ok: valid USO of dimension {o.n}")
     return 0
 
 
 def cmd_analyze(args) -> int:
     o = read_orientation(args.path)
-    _require_uso(o)
+    if error := uso_violation(o):
+        raise error
     report = niceness_index(o)
     decomposable = is_decomposable(o)
     acyclic = decomposable or is_acyclic(o)  # decomposable implies acyclic

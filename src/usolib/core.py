@@ -3,14 +3,14 @@
 An orientation of the n-cube is stored as a dense outmap table: entry v is
 the set of coordinates along which the edges at vertex v point away from v.
 This module provides the table type, faces, one edge-consistency check and
-one unique-sink check (each returns the first violation it finds), the
-outmap gate :func:`sink_and_source`, ``NotUSOError`` with its certificate,
-a topological order with the acyclicity test built on it, the
-decomposability test, and canonicalization under the hypercube
-automorphism group. The decomposability test runs as one kernel over a
-(B, 2^n) stack of tables (:func:`decomposable_rows`), so the census
-classifies all its tables in one call; :func:`is_decomposable` calls it on
-a stack of one.
+one unique-sink check (each returns the first violation it finds, and
+:func:`uso_violation` the latter as a ``NotUSOError``), the outmap gate
+:func:`sink_and_source`, ``NotUSOError`` with its certificate, a topological
+order with the acyclicity test built on it, the decomposability test, and
+canonicalization under the hypercube automorphism group. The decomposability
+test runs as one kernel over a (B, 2^n) stack of tables
+(:func:`decomposable_rows`), so the census classifies all its tables in one
+call; :func:`is_decomposable` calls it on a stack of one.
 
 The unique-sink check uses the face-sink recurrence of Szabo & Welzl: when
 both facets of a face along its top coordinate j have one sink, the face's
@@ -57,8 +57,7 @@ class NotUSOError(ValueError):
       coordinate where the vertices differ, which breaks the pairwise
       criterion of Szabo & Welzl.
 
-    Without a certificate the error carries only its message. The message
-    defaults to a description of the certificate.
+    The message defaults to a description of the certificate.
     """
 
     def __init__(
@@ -385,6 +384,13 @@ def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
 def validate_uso(o: Orientation) -> bool:
     """True iff every face has exactly one sink."""
     return first_uso_violation(o) is None
+
+
+def uso_violation(o: Orientation) -> NotUSOError | None:
+    """``NotUSOError`` with the face and sink count that
+    :func:`first_uso_violation` names; None when ``o`` is a USO."""
+    violation = first_uso_violation(o)
+    return None if violation is None else NotUSOError(face=violation[0], count=violation[1])
 
 
 def topological_order(o: Orientation) -> list[int] | None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bit
-from .core import NotUSOError, Orientation, _check_vertex, sink_and_source
+from .core import Orientation, _check_vertex, sink_and_source, uso_violation
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +145,8 @@ def niceness_index(o: Orientation) -> NicenessReport:
 
     Raises ``NotUSOError`` when the table (assumed edge-consistent) fails
     :func:`~usolib.core.sink_and_source`'s gate, its outmap not being a
-    bijection, or when a non-sink vertex has no cover; neither happens on a
-    USO.
+    bijection, or, naming its least bad face, when a non-sink vertex has no
+    cover; neither happens on a USO.
     """
     sink = sink_and_source(o)[0]
     t = reach_table(o)
@@ -181,9 +181,8 @@ def niceness_index(o: Orientation) -> NicenessReport:
         frontier = np.concatenate(found)
         unassigned -= frontier.size
     if unassigned:
-        uncovered = dists == 0
-        uncovered[sink] = False
-        raise NotUSOError(f"not a USO: vertex {np.flatnonzero(uncovered)[0]} has no cover")
+        # only a vertex that cannot reach the sink lacks a cover; on a USO all reach it
+        raise uso_violation(o) or AssertionError("niceness_index found no cover on a USO")
     wits[sink] = -1
     dists.setflags(write=False)
     wits.setflags(write=False)

@@ -620,14 +620,15 @@ def derandomized_re_by_loops(o: Orientation, start: int) -> RunStats:
                 break
             visited.add(z)
             v = z
-    raise NotUSOError("not a USO: the search exhausted all radii")
+    face, count = first_uso_violation_by_face_scan(o)
+    raise NotUSOError(face=face, count=count)
 
 
 def certificate_holds(o: Orientation, exc) -> bool:
     """True iff the certificate a ``NotUSOError`` carries is genuine: a pair
     of distinct vertices whose outmaps agree wherever the vertices differ,
     or a face with exactly ``count`` (!= 1) sinks, counted vertex by vertex.
-    An error without a certificate holds vacuously."""
+    An error without a certificate does not hold."""
     if exc.pair is not None:
         u, v = exc.pair
         return exc.face is None and u != v and (u ^ v) & (o.out(u) ^ o.out(v)) == 0
@@ -635,7 +636,7 @@ def certificate_holds(o: Orientation, exc) -> bool:
         span, anchor = exc.face.span, exc.face.anchor
         sinks = sum(1 for sub in submasks(span) if o.out(anchor | sub) & span == 0)
         return sinks == exc.count != 1
-    return True
+    return False
 
 
 def one_nice_direct(o: Orientation) -> bool:
