@@ -221,12 +221,23 @@ def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
     return int(_starts_array(o, policy, np.array([seed & _MASK64], dtype=np.uint64))[0])
 
 
+def pin_start(policy: int | str, sink: int, source: int, n: int) -> int | str:
+    """``policy`` with "source" and "antipodal" replaced by their vertex,
+    given the ``(sink, source)`` that :func:`sink_and_source` returned for
+    the n-cube; any other policy unchanged. A caller that has passed the
+    gate already pins its start with this instead of gating again."""
+    if policy == "source":
+        return source
+    if policy == "antipodal":
+        return sink ^ full_mask(n)
+    return policy
+
+
 def _starts_array(o: Orientation, policy: int | str, seeds: np.ndarray) -> np.ndarray:
     if policy == "random":
         return (start_values_np(seeds) % np.uint64(o.vertex_count())).astype(np.int64)
     if policy in ("source", "antipodal"):
-        sink, source = sink_and_source(o)
-        policy = source if policy == "source" else sink ^ full_mask(o.n)
+        policy = pin_start(policy, *sink_and_source(o), o.n)
     elif not isinstance(policy, int):
         raise ValueError(f"unknown start policy {policy!r}")
     elif not 0 <= policy < o.vertex_count():

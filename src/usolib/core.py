@@ -14,11 +14,14 @@ call; :func:`is_decomposable` calls it on a stack of one.
 
 The unique-sink check uses the face-sink recurrence of Szabo & Welzl: when
 both facets of a face along its top coordinate j have one sink, the face's
-sinks are the facet sinks with j incoming. It keeps one sink per face, so
-it costs O(3^n) time. Its low coordinates run as one array sweep of at
-most ``_SWEEP_ENTRIES`` = 2^22 int32 sinks (16 MiB), or 2^n when n > 22;
-the high coordinates run depth first over their spans on arrays no
-larger than that.
+sinks are the facet sinks with j incoming. It keeps one sink per face, as
+that sink's outmap in the narrowest unsigned dtype that holds n bits
+(uint8 up to n = 8, uint16 up to 16, then uint32), since the recurrence
+reads nothing else of a sink; so it costs O(3^n) time and never gathers
+from the table. Its low coordinates run as one array sweep of at most
+``_SWEEP_ENTRIES`` = 2^22 sink outmaps (16 MiB at uint32), or 2^n when
+n > 22; the high coordinates run depth first over their spans on arrays
+no larger than that.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .bitops import (
 #: Largest dimension for which dense tables are supported (2**n entries).
 MAX_DIMENSION = 24
 
-#: Most int32 face sinks the low-coordinate sweep of
-#: :func:`first_uso_violation` holds in one array (16 MiB).
+#: Most face sink outmaps the low-coordinate sweep of
+#: :func:`first_uso_violation` holds in one array (16 MiB at uint32).
 _SWEEP_ENTRIES = 1 << 22
 
 
@@ -283,15 +286,16 @@ def sink_and_source(o: Orientation) -> tuple[int, int]:
     raise NotUSOError(pair=(int(np.flatnonzero(table == table[v])[0]), v))
 
 
-def _join(table: np.ndarray, b: int, a: np.ndarray, c: np.ndarray):
-    """Sinks of the faces joined along coordinate bit ``b`` from the facet
-    sinks ``a`` (b clear) and ``c`` (b set): the one of the two with b
-    incoming. Also returns the sink count of every face where both or
+def _join(b: np.unsignedinteger, a: np.ndarray, c: np.ndarray):
+    """Sink outmaps of the faces joined along coordinate bit ``b`` from the
+    facet sink outmaps ``a`` (b clear) and ``c`` (b set): the one of the two
+    with b incoming. Also returns the sink count of every face where both or
     neither have b incoming (-1 elsewhere), or None when there is none.
+    ``b`` has the dtype of ``a`` and ``c``, so no operand is widened.
     """
-    in_a = (table[a] & b) == 0
+    in_a = (a & b) == 0
     joined = np.where(in_a, a, c)
-    bad = in_a == ((table[c] & b) == 0)
+    bad = in_a == ((c & b) == 0)
     if not bad.any():
         return joined, None
     return joined, np.where(bad, 2 * in_a, -1)
@@ -327,11 +331,14 @@ def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
 
     Recurrence over the top coordinate j of a span: when both facets of a
     face along j have one sink, the face's sinks are the facet sinks with j
-    incoming, so it has 0, 1 or 2. One int32 sink per face costs O(3^n)
-    over all faces. The first bad face has only good proper subfaces, so it
-    is found with its exact count. A face computed from a bad face's entry
-    (one of its facet sinks) may look bad too, but it has that face as a
-    proper subface, so it comes later in span order and is never reported.
+    incoming, so it has 0, 1 or 2. The recurrence reads a sink only through
+    its outmap, so each face keeps its sink's outmap, not its vertex id, in
+    the narrowest unsigned dtype for n bits: O(3^n) over all faces, with no
+    gather from the table. The first bad face has only good proper
+    subfaces, so it is found with its exact count. A face computed from a
+    bad face's entry (one of its facet sinks) may look bad too, but it has
+    that face as a proper subface, so it comes later in span order and is
+    never reported.
 
     Coordinates 1..k run as one sweep over an array x[h, t]: h holds the
     vertex bits above coordinate j and t is a base-3 face code over
@@ -345,16 +352,15 @@ def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
     """
     n = o.n
     full = full_mask(n)
-    table = o._table
     k = 0
     while k < n and 3 ** (k + 1) << (n - k - 1) <= _SWEEP_ENTRIES:
         k += 1
-    x = np.arange(1 << n, dtype=np.int32).reshape(-1, 1)
+    x = o._table.astype(np.min_scalar_type(full), copy=False).reshape(-1, 1)
     for j in range(1, k + 1):
         b = bit(j)
         pairs = x.reshape(-1, 2, x.shape[1])
         a, c = pairs[:, 0], pairs[:, 1]
-        joined, counts = _join(table, b, a, c)
+        joined, counts = _join(x.dtype.type(b), a, c)
         if counts is not None:
             return _least_face(counts, j - 1, n, b, full ^ (2 * b - 1))
         x = np.concatenate([a, c, joined], axis=1)
@@ -370,7 +376,7 @@ def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
             if best is not None and best[0].span < child:
                 return  # every span below here is at least child
             pairs = y.reshape(-1, 2, 1 << popcount(free & (b - 1)), y.shape[1])
-            joined, counts = _join(table, b, pairs[:, 0], pairs[:, 1])
+            joined, counts = _join(y.dtype.type(b), pairs[:, 0], pairs[:, 1])
             joined = joined.reshape(-1, y.shape[1])
             if counts is not None:
                 # the pruning above leaves only spans below ``best``

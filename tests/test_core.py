@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from usolib.core import (
     is_decomposable,
     sink_and_source,
     topological_order,
+    uso_violation,
     validate_orientation,
     validate_uso,
 )
@@ -340,6 +342,30 @@ def test_first_uso_violation_depth_first_part_at_n14(seed):
 
 def test_first_uso_violation_accepts_klee_minty_16():
     assert first_uso_violation(klee_minty(16)) is None
+
+
+def test_first_uso_violation_across_the_uint32_boundary():
+    # face sinks are kept as outmaps in the narrowest unsigned dtype: uint16
+    # up to n = 16, uint32 from n = 17 (the face-scan agreement tests above
+    # already cross uint8 -> uint16 at n = 8 -> 9)
+    o = klee_minty(17)
+    assert first_uso_violation(o) is None
+    o = flipped_edge(o, 12345, 17)
+    assert first_uso_violation(o) == (Face(12344, bit(1) | bit(17)), 0)
+    assert certificate_holds(o, uso_violation(o))
+
+
+def test_first_uso_violation_traced_peak_at_klee_minty_16():
+    # 28.8 MiB measured with uint16 sink outmaps; int32 sink ids, gathered
+    # from the table at every join, peaked at 59.5 MiB
+    o = klee_minty(16)
+    tracemalloc.start()
+    try:
+        first_uso_violation(o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 << 20
 
 
 @settings(deadline=None)

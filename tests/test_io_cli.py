@@ -1,5 +1,6 @@
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from helpers import (
     loads_text_by_lines,
     random_consistent_table,
 )
+import usolib.algo
+import usolib.cli
+import usolib.core
+import usolib.reach
 from usolib.bitops import bit, format_coord_set
 from usolib.cli import FAMILIES, build_family, main
 from usolib.construct import cyclic_full_reach, klee_minty, random_fmo, uniform
@@ -421,6 +426,48 @@ def test_fs_exits_1_on_a_one_sink_non_uso_from_every_start(tmp_path, capsys, sta
     ):
         assert main([command[0], str(path)] + command[1:] + ["--start", start]) == 1, command
         assert capsys.readouterr().err == NOT_USO_3_PAIR, command
+
+
+#: sha256 prefix of the stdout of each command from the starts source,
+#: antipodal, random and 17 on ``gen --family fmo --n 6 --seed 3``, with
+#: wall_ms read as 0, taken while the CLI still gated twice: gating once
+#: must change no byte
+_GATED_STDOUT = {
+    "walk-re": ("70d769709720ecd8", ["walk", "--algo", "re", "--trials", "1"]),
+    "walk-ba-csv": (
+        "9699abc4327f5e08",
+        ["walk", "--algo", "ba", "--trials", "20", "--format", "csv"],
+    ),
+    "solve-dre": ("fb6edc76cda4f389", ["solve", "--algo", "dre"]),
+    "solve-fs": ("7de00b256532329e", ["solve", "--algo", "fs"]),
+    "solve-fsr": ("8f9430166f71afe3", ["solve", "--algo", "fsr"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_GATED_STDOUT))
+def test_walk_and_solve_pass_the_gate_once(tmp_path, capsys, monkeypatch, name):
+    digest, command = _GATED_STDOUT[name]
+    path = tmp_path / "fmo6.uso"
+    assert main(["gen", "--family", "fmo", "--n", "6", "--seed", "3", "--out", str(path)]) == 0
+    calls = []
+    gate = usolib.core.sink_and_source
+
+    def counted(o):
+        calls.append(o)
+        return gate(o)
+
+    for module in (usolib.core, usolib.algo, usolib.cli, usolib.reach):
+        monkeypatch.setattr(module, "sink_and_source", counted)
+    monkeypatch.setattr(usolib.cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    capsys.readouterr()
+    out = []
+    for start in ("source", "antipodal", "random", "17"):
+        calls.clear()
+        argv = [command[0], str(path), *command[1:], "--seed", "5", "--start", start]
+        assert main(argv) == 0
+        assert len(calls) == 1, start
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest()[:16] == digest
 
 
 def test_enum_count_and_census(tmp_path, capsys):
