@@ -8,10 +8,19 @@ Every algorithm counts distinct vertex evaluations through a caching
 oracle. When a join or seesaw step finds no way forward, it raises
 ``NotUSOError`` naming a vertex pair whose outmaps agree wherever the
 vertices differ; only a non-USO has such a pair.
+
+Every start that :func:`resolve_start` or :func:`walk_batch` resolves first
+passes the outmap gate :func:`~usolib.core.sink_and_source`. The oracle
+solvers (:func:`derandomized_re`, :func:`fibonacci_seesaw`,
+:func:`fs_revisited`) pass no gate on purpose: they read only the vertices
+they evaluate, so on a table that is not a USO they either raise their own
+``NotUSOError`` or return a vertex (``fs_revisited`` from 4..7 returns 7 on
+``[5, 6, 6, 5, 3, 2, 1, 0]``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,36 +222,31 @@ def _walk_lockstep(
 
 
 def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
-    """Resolve a start policy for a single run: a vertex, "source",
-    "antipodal" (the vertex opposite the sink) or "random" (a draw of
-    ``seed``). "source" and "antipodal" pass :func:`sink_and_source`'s
-    gate, so they raise ``NotUSOError`` unless the outmap is a bijection.
+    """Resolve a start policy for a single run: a vertex (any integer, numpy
+    ones included), "source", "antipodal" (the vertex opposite the sink) or
+    "random" (a draw of ``seed``). Every policy first passes
+    :func:`sink_and_source`'s gate, so it raises ``NotUSOError`` unless the
+    outmap is a bijection.
     """
     return int(_starts_array(o, policy, np.array([seed & _MASK64], dtype=np.uint64))[0])
 
 
-def pin_start(policy: int | str, sink: int, source: int, n: int) -> int | str:
-    """``policy`` with "source" and "antipodal" replaced by their vertex,
-    given the ``(sink, source)`` that :func:`sink_and_source` returned for
-    the n-cube; any other policy unchanged. A caller that has passed the
-    gate already pins its start with this instead of gating again."""
-    if policy == "source":
-        return source
-    if policy == "antipodal":
-        return sink ^ full_mask(n)
-    return policy
-
-
 def _starts_array(o: Orientation, policy: int | str, seeds: np.ndarray) -> np.ndarray:
+    sink, source = sink_and_source(o)
     if policy == "random":
         return (start_values_np(seeds) % np.uint64(o.vertex_count())).astype(np.int64)
-    if policy in ("source", "antipodal"):
-        policy = pin_start(policy, *sink_and_source(o), o.n)
-    elif not isinstance(policy, int):
-        raise ValueError(f"unknown start policy {policy!r}")
-    elif not 0 <= policy < o.vertex_count():
-        raise ValueError(f"start vertex {policy} out of range")
-    return np.full(seeds.size, policy, dtype=np.int64)
+    if policy == "source":
+        vertex = source
+    elif policy == "antipodal":
+        vertex = sink ^ full_mask(o.n)
+    else:
+        try:
+            vertex = operator.index(policy)
+        except TypeError:
+            raise ValueError(f"unknown start policy {policy!r}") from None
+        if not 0 <= vertex < o.vertex_count():
+            raise ValueError(f"start vertex {vertex} out of range")
+    return np.full(seeds.size, vertex, dtype=np.int64)
 
 
 def walk_batch(
@@ -255,20 +259,20 @@ def walk_batch(
 ) -> WalkBatch:
     """Run ``trials`` independent Random Edge ("re") or Bottom Antipodal
     ("ba") walks with per-trial derived seeds, each from the vertex that
-    :func:`resolve_start` gives (a "random" start draws one per trial). A
-    single walk is a batch of one. The walks run on any table unless a
-    "source" or "antipodal" start passes the gate.
+    :func:`resolve_start` gives (a "random" start draws one per trial), so
+    every start passes the gate. A single walk is a batch of one.
 
     Trial k depends only on the master seed and k, so the first k trials of
     a larger batch equal a batch of k.
     """
+    # the gate comes first, so a non-USO is reported before a bad argument
+    seeds = derive_seeds_np(seed, trials)
+    starts = _starts_array(o, start_policy, seeds)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rule = _STEP_RULES.get(algo)
     if rule is None:
         raise ValueError(f"unknown walk algorithm {algo!r}")
-    seeds = derive_seeds_np(seed, trials)
-    starts = _starts_array(o, start_policy, seeds)
     steps, evals, found = _walk_lockstep(o, starts, seeds, cap, *rule)
     return WalkBatch(seeds, starts, steps, evals, found)
 
@@ -387,8 +391,7 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
     per radius. When z repeats a vertex of this radius, the radius is
     deepened; on a USO radius n always suffices, so a search that exhausts
     all radii raises ``NotUSOError`` with the least bad face. ``steps``
-    counts join rounds. It runs on any table unless its start came from a
-    "source" or "antipodal" :func:`resolve_start`, which passes the gate.
+    counts join rounds.
     """
     oracle = EvalCounter(o)
     if oracle(start) == 0:
@@ -466,7 +469,7 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
 
 def fibonacci_seesaw(o: Orientation, face: Face | None = None) -> tuple[int, int]:
     """Sink of ``face`` (default: the whole cube) and the number of distinct
-    evaluations spent. It passes no gate and runs on any table."""
+    evaluations spent."""
     if face is None:
         face = Face.whole_cube(o.n)
     oracle = EvalCounter(o)
@@ -486,9 +489,7 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     the crossed coordinate outgoing, like the vertex it was crossed from,
     forms with that vertex a pair only a non-USO allows and raises
     ``NotUSOError``; so every iteration adds a coordinate and the loop ends
-    within n iterations on any table. Only a start from a "source" or
-    "antipodal" :func:`resolve_start` has passed the gate; from 4..7 it
-    returns 7 on the one-sink non-USO ``[5, 6, 6, 5, 3, 2, 1, 0]``.
+    within n iterations on any table.
     """
     oracle = EvalCounter(o)
     rt = reach_table(o)  # instrumentation, not charged to the oracle

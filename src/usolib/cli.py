@@ -23,14 +23,7 @@ import numpy as np
 
 from . import algo, construct, enumeration
 from .bitops import coord_set_formatter
-from .core import (
-    NotUSOError,
-    Orientation,
-    is_acyclic,
-    is_decomposable,
-    sink_and_source,
-    uso_violation,
-)
+from .core import NotUSOError, Orientation, is_acyclic, is_decomposable, uso_violation
 from .io import ParseError, dumps_json, dumps_text, read_orientation
 from .reach import niceness_index
 from .rng import SplitMix64, derive_seed
@@ -165,11 +158,9 @@ def _csv_text(rows: list[str]) -> str:
 
 def cmd_walk(args) -> int:
     o = read_orientation(args.path)
-    # the gate, run once: exit 1 unless the outmap is a bijection
-    start = algo.pin_start(args.start, *sink_and_source(o), o.n)
     cap = args.cap if args.cap is not None else 4 ** o.n
     started = time.perf_counter()
-    batch = algo.walk_batch(o, args.algo, start, args.trials, args.seed, cap)
+    batch = algo.walk_batch(o, args.algo, args.start, args.trials, args.seed, cap)
     wall_ms = int((time.perf_counter() - started) * 1000)
     label = args.label or Path(args.path).stem
     if args.format == "csv":
@@ -202,9 +193,7 @@ def cmd_walk(args) -> int:
 
 def cmd_solve(args) -> int:
     o = read_orientation(args.path)
-    # the gate, run once: exit 1 unless the outmap is a bijection
-    start = algo.pin_start(args.start, *sink_and_source(o), o.n)
-    start = algo.resolve_start(o, start, args.seed)
+    start = algo.resolve_start(o, args.start, args.seed)
     started = time.perf_counter()
     if args.algo == "dre":
         stats = algo.derandomized_re(o, start)

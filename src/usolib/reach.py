@@ -146,7 +146,11 @@ def niceness_index(o: Orientation) -> NicenessReport:
     Raises ``NotUSOError`` when the table (assumed edge-consistent) fails
     :func:`~usolib.core.sink_and_source`'s gate, its outmap not being a
     bijection, or, naming its least bad face, when a non-sink vertex has no
-    cover; neither happens on a USO.
+    cover; neither happens on a USO. The gate is only a prefix of the full
+    check: on the bijective non-USO ``[0, 3, 6, 5, 7, 4, 1, 2]`` it
+    answers a niceness of 4 > n without error. A caller that takes tables
+    from outside runs :func:`~usolib.core.uso_violation` first, as
+    ``uso analyze`` does.
     """
     sink = sink_and_source(o)[0]
     t = reach_table(o)

@@ -73,6 +73,25 @@ def test_resolve_start():
         resolve_start(o, 8)
 
 
+@pytest.mark.parametrize("start", [np.int64(3), np.uint8(3)])
+def test_numpy_integer_starts_are_vertices(start):
+    o = klee_minty(3)
+    assert resolve_start(o, start) == 3
+    batch = walk_batch(o, "re", start, 5, seed=2, cap=100)
+    assert batch.starts.tolist() == [3] * 5
+    # a start read back from a batch is a numpy integer too
+    again = walk_batch(o, "re", batch.starts[0], 5, seed=2, cap=100)
+    assert again.steps.tolist() == batch.steps.tolist()
+
+
+@pytest.mark.parametrize("policy", ["center", "3", "", 3.0, None])
+def test_other_start_policies_raise(policy):
+    with pytest.raises(ValueError, match="unknown start policy"):
+        resolve_start(klee_minty(3), policy)
+    with pytest.raises(ValueError, match="unknown start policy"):
+        walk_batch(klee_minty(3), "ba", policy, 1, seed=1, cap=10)
+
+
 def test_walk_from_sink_is_trivial():
     o = klee_minty(5)
     batch = walk_batch(o, "re", 0, 1, seed=1, cap=100)
@@ -391,18 +410,6 @@ def test_bottom_antipodal_batch_counts_revisits_once(n):
     )
 
 
-def _tables_with_sinks(n, seed, count):
-    # random edge-consistent tables with at least one zero outmap, so some
-    # Bottom Antipodal trials end at a sink and others cycle
-    rng = SplitMix64(seed)
-    tables = []
-    while len(tables) < count:
-        o = random_consistent_table(n, rng)
-        if not o.outmap.all():
-            tables.append(o)
-    return tables
-
-
 @pytest.mark.parametrize(
     "n, cap", [(n, 2000) for n in range(4, 9)] + [(n, 4**n) for n in range(4, 8)]
 )
@@ -410,7 +417,13 @@ def test_bottom_antipodal_retires_cycles_like_the_loop(n, cap):
     # caps far above any cycle length: a trial caught in a cycle is retired
     # early, with the record the loop gives it by running to the cap
     capped = ended = 0
-    for o in [cyclic_full_reach(n), *_tables_with_sinks(n, 700 + n, 2)]:
+    # Bottom Antipodal both cycles and ends on these USOs
+    orientations = [
+        cyclic_full_reach(n),
+        random_fmo(n, SplitMix64(700 + n)),
+        random_target_combed(n, SplitMix64(700 + n)),
+    ]
+    for o in orientations:
         batch = walk_batch(o, "ba", "random", 3 << n, seed=31 + n, cap=cap)
         by_start = {
             v: bottom_antipodal_by_loop(o, v, cap) for v in set(batch.starts.tolist())
@@ -508,6 +521,20 @@ def test_seesaws_raise_on_non_uso():
             fs_revisited(NOT_USO_3, start)
     for start in range(4, 8):
         assert fs_revisited(NOT_USO_3, start)[0] == 7
+
+
+@pytest.mark.parametrize("start", [*range(8), "random", "source", "antipodal"])
+def test_walks_and_resolve_start_gate_every_start(start):
+    # the oracle solvers above stay ungated; every resolved start is gated
+    runs = {
+        "re": lambda: walk_batch(NOT_USO_3, "re", start, 4, seed=1, cap=100),
+        "ba": lambda: walk_batch(NOT_USO_3, "ba", start, 4, seed=1, cap=100),
+        "resolve_start": lambda: resolve_start(NOT_USO_3, start, 1),
+    }
+    for name, run in runs.items():
+        with pytest.raises(NotUSOError) as err:
+            run()
+        assert err.value.pair == (1, 2), name
 
 
 def test_not_uso_certificates_of_the_joins_and_seesaws_are_genuine():

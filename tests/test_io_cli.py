@@ -393,6 +393,19 @@ def test_solve_exits_1_when_the_seesaw_proves_a_non_uso(tmp_path, capsys, start)
     assert "not a USO" in capsys.readouterr().err
 
 
+def test_analyze_runs_the_full_check_before_niceness(tmp_path, capsys):
+    # bijective and edge-consistent, so it passes the gate of niceness_index,
+    # which answers 4 on it; the 2-face {2,3} through 0 has two sinks
+    path = tmp_path / "bijective.uso"
+    path.write_text("uso 3\n" + "".join(f"{s}\n" for s in [0, 3, 6, 5, 7, 4, 1, 2]))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "error: not a USO: face span={2,3} anchor={} has 2 sinks\n",
+    )
+
+
 NOT_USO_3 = "uso 3\n" + "".join(f"{s}\n" for s in [5, 6, 6, 5, 3, 2, 1, 0])
 
 
@@ -456,7 +469,7 @@ def test_walk_and_solve_pass_the_gate_once(tmp_path, capsys, monkeypatch, name):
         calls.append(o)
         return gate(o)
 
-    for module in (usolib.core, usolib.algo, usolib.cli, usolib.reach):
+    for module in (usolib.core, usolib.algo, usolib.reach):
         monkeypatch.setattr(module, "sink_and_source", counted)
     monkeypatch.setattr(usolib.cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
     capsys.readouterr()
