@@ -178,6 +178,8 @@ def _walk_lockstep(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if cap >= 1 << 63:  # steps are int64
+        raise ValueError("cap must be <= 2^63 - 1")
     n = o.n
     table = o.outmap
     count = starts.size

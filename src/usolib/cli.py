@@ -7,6 +7,9 @@ cannot be read or written, and every ``NotUSOError``: a failed check, a
 that the input is not a USO), 2 on usage errors. ``main`` prints each as
 one ``error: <message>`` line. All randomness is controlled by --seed and
 outputs are deterministic for fixed flags.
+
+Commands call the library (instances come from ``construct.build_family``)
+and only render its results as text, JSON or CSV.
 """
 
 from __future__ import annotations
@@ -23,42 +26,12 @@ import numpy as np
 
 from . import algo, construct, enumeration
 from .bitops import coord_set_formatter
-from .core import NotUSOError, Orientation, is_acyclic, is_decomposable, uso_violation
+from .core import NotUSOError, is_acyclic, is_decomposable, uso_violation
 from .io import ParseError, dumps_json, dumps_text, read_orientation
 from .reach import niceness_index
-from .rng import SplitMix64, derive_seed
-
-FAMILIES = ("uniform", "km", "fmo", "target-combed", "cyclic-lb", "auso-lb", "product")
+from .rng import derive_seed
 
 CSV_HEADER = "family,n,seed,steps,evaluations,capped"
-
-
-def build_family(family: str, n: int, seed: int) -> Orientation:
-    """Instance of a named family; randomized families are seeded."""
-    if family == "uniform":
-        return construct.uniform(n)
-    if family == "km":
-        return construct.klee_minty(n)
-    if family == "fmo":
-        return construct.random_fmo(n, SplitMix64(seed))
-    if family == "target-combed":
-        return construct.random_target_combed(n, SplitMix64(seed))
-    if family == "cyclic-lb":
-        return construct.cyclic_full_reach(n)
-    if family == "auso-lb":
-        return construct.auso_lower_bound(n)
-    if family == "product":
-        rng = SplitMix64(seed)
-        frame_dim = max(1, n // 2)
-        fiber_dim = n - frame_dim
-        if fiber_dim < 1:
-            raise ValueError("product family requires n >= 2")
-        frame = construct.random_fmo(frame_dim, rng)
-        fibers = [
-            construct.random_fmo(fiber_dim, rng) for _ in range(1 << frame_dim)
-        ]
-        return construct.product(frame, fibers)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -92,7 +65,7 @@ def _json_dumps(obj) -> str:
 
 
 def cmd_gen(args) -> int:
-    o = build_family(args.family, args.n, args.seed)
+    o = construct.build_family(args.family, args.n, args.seed)
     text = dumps_json(o) if args.format == "json" else dumps_text(o)
     _emit(text, args.out)
     return 0
@@ -113,10 +86,12 @@ def cmd_analyze(args) -> int:
     report = niceness_index(o)
     decomposable = is_decomposable(o)
     acyclic = decomposable or is_acyclic(o)  # decomposable implies acyclic
+    cover, witness = report.cover_distance.tolist(), report.witness.tolist()
+    # the sink has no cover
+    cover[report.sink] = witness[report.sink] = None if args.format == "json" else "-"
     if args.format == "json":
-        obj = report.to_json_obj()
-        obj["acyclic"] = acyclic
-        obj["decomposable"] = decomposable
+        obj = dict(n=o.n, sink=report.sink, niceness_index=report.niceness_index, acyclic=acyclic,
+                   decomposable=decomposable, cover_distance=cover, witness=witness)
         _emit(_json_dumps(obj), args.out)
         return 0
     lines = [
@@ -129,14 +104,8 @@ def cmd_analyze(args) -> int:
         "vertex outmap reachmap cover_distance witness",
     ]
     name = coord_set_formatter(o.n)
-    columns = (o.outmap, report.reach.entries, report.cover_distance, report.witness)
-    rows = len(lines)
-    lines += [
-        f"{v} {name(s)} {name(r)} {d} {w}"
-        for v, (s, r, d, w) in enumerate(zip(*(c.tolist() for c in columns)))
-    ]
-    # the sink has no cover: its outmap and reachmap are empty
-    lines[rows + report.sink] = f"{report.sink} {{}} {{}} - -"
+    columns = (o.outmap.tolist(), report.reach.entries.tolist(), cover, witness)
+    lines += [f"{v} {name(s)} {name(r)} {d} {w}" for v, (s, r, d, w) in enumerate(zip(*columns))]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -236,7 +205,7 @@ def cmd_bench(args) -> int:
     means: list[tuple[int, float]] = []
     for n in range(lo, hi + 1):
         instance_seed = derive_seed(args.seed, n)
-        o = build_family(args.family, n, instance_seed)
+        o = construct.build_family(args.family, n, instance_seed)
         cap = args.cap if args.cap is not None else 4**n
         batch = algo.walk_batch(o, args.algo, args.start, args.trials, instance_seed, cap)
         rows.extend(_csv_rows(batch, args.family, n))
@@ -260,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an orientation family instance")
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=construct.FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -304,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("bench", help="sweep dimensions and emit per-run CSV")
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=construct.FAMILIES)
     p.add_argument("--algo", required=True, choices=("re", "ba"))
     p.add_argument("--n", type=_parse_range, required=True, metavar="A..B")
     p.add_argument("--trials", type=int, default=100)

@@ -4,7 +4,7 @@ Includes the uniform and Klee-Minty orientations, single-edge flips,
 flip-matching orientations (FMO), the frame/fiber product, hypersink
 reorientation, the target-combed family, and the two lower-bound families
 with extreme niceness (a cyclic one with full reachmaps everywhere and an
-acyclic one whose niceness is n-2).
+acyclic one whose niceness is n-2); :func:`build_family` builds them by name.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .rng import _GOLDEN, SplitMix64, _mix64_inplace
 #: Edges are written (vertex, coordinate), as pairs or (k, 2) array rows, and
 #: denote the edge between ``vertex`` and ``vertex ^ bit(coordinate)``.
 Matching = Sequence[tuple[int, int]] | np.ndarray
+
+#: The family names that :func:`build_family` builds.
+FAMILIES = ("uniform", "km", "fmo", "target-combed", "cyclic-lb", "auso-lb", "product")
 
 
 class FlipPreconditionViolated(ValueError):
@@ -300,6 +303,17 @@ def random_target_combed(n: int, rng: SplitMix64) -> Orientation:
     return target_combed(n, fibers)
 
 
+def random_product(n: int, rng: SplitMix64) -> Orientation:
+    """Product of a random FMO frame on the top n // 2 coordinates with one
+    random FMO fiber per frame vertex, all drawn from ``rng``, the frame
+    first. Requires n >= 2."""
+    if n < 2:
+        raise ValueError("product family requires n >= 2")
+    _check_dimension(n)
+    frame = random_fmo(n // 2, rng)
+    return product(frame, [random_fmo(n - n // 2, rng) for _ in range(1 << n // 2)])
+
+
 def cyclic_full_reach(n: int) -> Orientation:
     """Cyclic USO in which every non-sink vertex has a full reachmap.
 
@@ -351,3 +365,24 @@ def auso_lower_bound(n: int) -> Orientation:
     for gone in combinations([j for j in range(1, n + 1) if j != 3], 3):
         _flip(n, table, full ^ sum(bit(j) for j in gone), 3)
     return Orientation(n, table, copy=False)
+
+
+def build_family(family: str, n: int, seed: int) -> Orientation:
+    """Instance of a family named in :data:`FAMILIES`; the random ones draw
+    from ``SplitMix64(seed)``. Constructors are called by their module-global
+    names, so a wrapper rebound to one of those names sees the call."""
+    if family == "uniform":
+        return uniform(n)
+    if family == "km":
+        return klee_minty(n)
+    if family == "fmo":
+        return random_fmo(n, SplitMix64(seed))
+    if family == "target-combed":
+        return random_target_combed(n, SplitMix64(seed))
+    if family == "cyclic-lb":
+        return cyclic_full_reach(n)
+    if family == "auso-lb":
+        return auso_lower_bound(n)
+    if family == "product":
+        return random_product(n, SplitMix64(seed))
+    raise ValueError(f"unknown family {family!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bit
-from .core import Orientation, _check_vertex, sink_and_source, uso_violation
+from .core import NotUSOError, Orientation, _check_vertex, sink_and_source
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +92,8 @@ class NicenessReport:
 
     ``reach`` is the reach table the sweep read. ``cover_distance`` and
     ``witness`` are the sweep's read-only int32 arrays of 2^n entries; the
-    sink's entries are 0 and -1. The niceness index is the maximum cover
-    distance, which is taken over the non-sink vertices.
+    sink's entries are 0 and -1 (``uso analyze`` writes them as null or -).
+    The niceness index is the largest cover distance of a non-sink vertex.
     """
 
     reach: ReachTable
@@ -105,17 +105,6 @@ class NicenessReport:
     @property
     def n(self) -> int:
         return self.reach.n
-
-    def to_json_obj(self) -> dict:
-        cover, witness = self.cover_distance.tolist(), self.witness.tolist()
-        cover[self.sink] = witness[self.sink] = None
-        return {
-            "n": self.n,
-            "sink": self.sink,
-            "niceness_index": self.niceness_index,
-            "cover_distance": cover,
-            "witness": witness,
-        }
 
 
 def niceness_index(o: Orientation) -> NicenessReport:
@@ -138,25 +127,32 @@ def niceness_index(o: Orientation) -> NicenessReport:
       by coordinate, the unassigned in-neighbours of the level L - 1
       frontier, an array of vertex indices.
 
-    The sweep ends once every vertex but the sink has a distance, or at the
-    first level that assigns nothing. Every vertex joins at most one
-    frontier and its n edges are scanned once there, so the sweep costs
-    O(n 2^n) on top of :func:`reach_table`.
+    Every vertex v but the sink must first have an outgoing edge along a
+    coordinate of v xor sink (Szabo & Welzl's pairwise criterion on the
+    pairs with the sink). Then every vertex reaches the sink in |v xor sink|
+    steps, so each has a cover, and the sweep runs until every vertex but
+    the sink has a distance. Every vertex joins at most one frontier and its
+    n edges are scanned once there: O(n 2^n) on top of :func:`reach_table`.
 
-    Raises ``NotUSOError`` when the table (assumed edge-consistent) fails
-    :func:`~usolib.core.sink_and_source`'s gate, its outmap not being a
-    bijection, or, naming its least bad face, when a non-sink vertex has no
-    cover; neither happens on a USO. The gate is only a prefix of the full
-    check: on the bijective non-USO ``[0, 3, 6, 5, 7, 4, 1, 2]`` it
-    answers a niceness of 4 > n without error. A caller that takes tables
-    from outside runs :func:`~usolib.core.uso_violation` first, as
-    ``uso analyze`` does.
+    Raises ``NotUSOError`` when the outmap fails
+    :func:`~usolib.core.sink_and_source`'s bijection gate, or with the pair
+    (sink, v) for the least v without an edge towards the sink; neither
+    happens on a USO. Both are only a prefix of the full check: the
+    bijective non-USO ``[0, 9, 7, 10, 12, 5, 2, 15, 8, 1, 11, 6, 4, 13, 14,
+    3]`` passes them with niceness 1, though face span={1,3} anchor={2} has
+    2 sinks. A caller that takes tables from outside runs
+    :func:`~usolib.core.uso_violation` first, as ``uso analyze`` does.
     """
     sink = sink_and_source(o)[0]
-    t = reach_table(o)
-    table, reach = o._table, t.entries
+    table = o._table
     size = len(table)
     vertices = np.arange(size, dtype=np.int32)
+    towards = table & (vertices ^ sink).view(np.uint32)  # v's edges towards the sink
+    if np.count_nonzero(towards) < size - 1:  # the sink alone has none
+        stuck = np.flatnonzero(towards == 0)
+        raise NotUSOError(pair=(sink, int(stuck[stuck != sink][0])))
+    t = reach_table(o)
+    reach = t.entries
     # distances and witnesses; the sink keeps distance 0, and witness 2^n
     # until the sweep ends
     wits = np.full(size, size, dtype=np.int32)
@@ -169,7 +165,7 @@ def niceness_index(o: Orientation) -> NicenessReport:
     frontier = np.flatnonzero(dists)
     unassigned = size - 1 - frontier.size
     level = 1
-    while frontier.size and unassigned:
+    while unassigned:
         level += 1
         found = []
         front_wits = wits[frontier]
@@ -184,9 +180,6 @@ def niceness_index(o: Orientation) -> NicenessReport:
             wits[v] = np.minimum(wits[v], front_wits[into])
         frontier = np.concatenate(found)
         unassigned -= frontier.size
-    if unassigned:
-        # only a vertex that cannot reach the sink lacks a cover; on a USO all reach it
-        raise uso_violation(o) or AssertionError("niceness_index found no cover on a USO")
     wits[sink] = -1
     dists.setflags(write=False)
     wits.setflags(write=False)

@@ -27,9 +27,10 @@ from usolib.algo import (
     walk_batch,
 )
 from usolib.bitops import bit, coords, full_mask, popcount
-from usolib.cli import FAMILIES, build_family
 from usolib.construct import (
+    FAMILIES,
     auso_lower_bound,
+    build_family,
     cyclic_full_reach,
     klee_minty,
     random_fmo,

@@ -41,13 +41,28 @@ def test_unreadable_files_exit_1(tmp_path, capsys, argv):
     "argv, reason",
     [
         (["gen", "--family", "product", "--n", "1"], "product family requires n >= 2"),
+        (["gen", "--family", "product", "--n", "25"], "dimension must be in 1..24, got 25"),
         (["bench", "--family", "km", "--algo", "re", "--n", "5..4"], "empty dimension range 5..4"),
+        (
+            ["bench", "--family", "km", "--algo", "ba", "--n", "5", "--cap", str(1 << 63)],
+            "cap must be <= 2^63 - 1",
+        ),
     ],
-    ids=["gen-product-n1", "bench-empty-range"],
+    ids=["gen-product-n1", "gen-product-n25", "bench-empty-range", "bench-ba-cap-2^63"],
 )
 def test_bad_arguments_exit_2(capsys, argv, reason):
     assert main(argv) == 2
     assert _one_error_line(capsys) == f"error: {reason}"
+
+
+@pytest.mark.parametrize("algo", ["re", "ba"])
+def test_walk_rejects_a_cap_that_int64_steps_cannot_hold(tmp_path, capsys, algo):
+    path = tmp_path / "c5.uso"
+    assert main(["gen", "--family", "cyclic-lb", "--n", "5", "--out", str(path)]) == 0
+    argv = ["walk", str(path), "--algo", algo, "--start", "random", "--trials", "3"]
+    assert main(argv + ["--cap", str(1 << 63)]) == 2
+    assert _one_error_line(capsys) == "error: cap must be <= 2^63 - 1"
+    assert main(argv + ["--cap", str((1 << 63) - 1)]) == 0
 
 
 @pytest.mark.parametrize("suffix", [".uso", ".json"])

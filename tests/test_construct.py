@@ -11,12 +11,15 @@ from helpers import (
     random_maximal_matching_by_list,
     target_combed_by_steps,
 )
+import usolib.construct
 from usolib.bitops import bit, coords, from_coords, full_mask, popcount
+from usolib.cli import main
 from usolib.construct import (
     FlipPreconditionViolated,
     HypersinkViolated,
     _shuffled_range,
     auso_lower_bound,
+    build_family,
     cyclic_full_reach,
     flip_edge,
     flip_matching,
@@ -485,3 +488,31 @@ def test_reverse_orientation():
     assert validate_uso(r)
     assert reverse_orientation(r) == o
     assert r.out(0) == full_mask(3)  # the sink becomes the source
+
+
+@pytest.mark.parametrize(
+    "family, call",
+    [
+        ("km", lambda: build_family("km", 5, 0)),
+        ("cyclic-lb", lambda: build_family("cyclic-lb", 5, 0)),
+        (
+            "km",
+            lambda: main(["bench", "--family", "km", "--algo", "re", "--n", "5..5", "--trials", "2"]),
+        ),
+    ],
+    ids=["build-km", "build-cyclic-lb", "bench-km"],
+)
+def test_family_dispatch_looks_constructors_up_by_module_name(monkeypatch, capsys, family, call):
+    # a tracer sees a constructor by rebinding its name in usolib.construct;
+    # a dispatch table of function objects would bypass the rebound name
+    calls = {"km": 0, "cyclic-lb": 0}
+    for name, attr in (("km", "klee_minty"), ("cyclic-lb", "cyclic_full_reach")):
+        original = getattr(usolib.construct, attr)
+
+        def counted(n, name=name, original=original):
+            calls[name] += 1
+            return original(n)
+
+        monkeypatch.setattr(usolib.construct, attr, counted)
+    call()
+    assert calls == {"km": 0, "cyclic-lb": 0} | {family: 1}

@@ -42,8 +42,10 @@ from usolib.core import (
     validate_uso,
 )
 from usolib.construct import (
+    FAMILIES,
     cyclic_full_reach,
     auso_lower_bound,
+    build_family,
     flip_edge,
     klee_minty,
     random_fmo,
@@ -51,7 +53,6 @@ from usolib.construct import (
     uniform,
 )
 from usolib.algo import derandomized_re, fs_revisited, join_pair
-from usolib.cli import FAMILIES, build_family
 from usolib.reach import reach_table
 from usolib.rng import SplitMix64
 

@@ -20,8 +20,15 @@ import usolib.cli
 import usolib.core
 import usolib.reach
 from usolib.bitops import bit, format_coord_set
-from usolib.cli import FAMILIES, build_family, main
-from usolib.construct import cyclic_full_reach, klee_minty, random_fmo, uniform
+from usolib.cli import main
+from usolib.construct import (
+    FAMILIES,
+    build_family,
+    cyclic_full_reach,
+    klee_minty,
+    random_fmo,
+    uniform,
+)
 from usolib.core import Orientation
 from usolib.io import (
     ParseError,
@@ -243,6 +250,8 @@ def test_analyze_json_format(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["niceness_index"] == 3
     assert obj["acyclic"] is False
+    assert obj["cover_distance"][obj["sink"]] is None and obj["witness"][obj["sink"]] is None
+    assert len(obj["witness"]) == 8
 
 
 @pytest.mark.parametrize(
@@ -394,8 +403,9 @@ def test_solve_exits_1_when_the_seesaw_proves_a_non_uso(tmp_path, capsys, start)
 
 
 def test_analyze_runs_the_full_check_before_niceness(tmp_path, capsys):
-    # bijective and edge-consistent, so it passes the gate of niceness_index,
-    # which answers 4 on it; the 2-face {2,3} through 0 has two sinks
+    # bijective and edge-consistent, but vertex 6 has no edge towards the
+    # sink 0, so niceness_index would name the pair (0, 6); the full check
+    # runs first and names the least bad face, the 2-face {2,3} through 0
     path = tmp_path / "bijective.uso"
     path.write_text("uso 3\n" + "".join(f"{s}\n" for s in [0, 3, 6, 5, 7, 4, 1, 2]))
     assert main(["analyze", str(path)]) == 1

@@ -20,7 +20,7 @@ from helpers import (
     random_consistent_table,
     reachmap_bruteforce,
 )
-from usolib.cli import FAMILIES, build_family
+from usolib.construct import FAMILIES, build_family
 from usolib.core import (
     Orientation,
     canonical_form,

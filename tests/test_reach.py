@@ -6,20 +6,30 @@ import pytest
 from helpers import (
     certificate_holds,
     cover_search_bfs,
+    cube_edges,
+    orientation_from_edge_bits,
     random_consistent_table,
     reachmap_bruteforce,
+    uso_by_pairwise,
 )
 from usolib.bitops import bit, coords
-from usolib.cli import FAMILIES, build_family
 from usolib.construct import (
+    FAMILIES,
     auso_lower_bound,
+    build_family,
     cyclic_full_reach,
     klee_minty,
     random_fmo,
     random_target_combed,
     uniform,
 )
-from usolib.core import NotUSOError, Orientation, is_acyclic, validate_orientation
+from usolib.core import (
+    NotUSOError,
+    Orientation,
+    is_acyclic,
+    uso_violation,
+    validate_orientation,
+)
 from usolib.reach import niceness_index, reach_table
 from usolib.rng import SplitMix64
 
@@ -187,13 +197,6 @@ def test_acyclic_constructions_respect_the_dimension_bound():
                 assert niceness_index(o).niceness_index <= n - 2
 
 
-def test_niceness_report_json():
-    obj = niceness_index(klee_minty(2)).to_json_obj()
-    assert obj["niceness_index"] == 1
-    assert obj["cover_distance"][0] is None
-    assert len(obj["witness"]) == 4
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_niceness_report_holds_the_reach_table(family):
     o = build_family(family, 6, 3)
@@ -280,6 +283,35 @@ def test_niceness_rejects_a_one_sink_non_uso_naming_a_genuine_pair():
     assert str(info.value) == (
         "not a USO: vertices 1 and 2 differ on {1,2} but their outmaps agree there"
     )
+
+
+def test_niceness_rejects_every_bijective_non_uso_3_cube_table():
+    # every vertex must have an outgoing edge towards the sink; on the 3-cube
+    # this catches each of the 72 edge-consistent tables with a bijective
+    # outmap that are not USOs, each with a genuine pair (sink, v)
+    edges = cube_edges(3)
+    rejected = 0
+    for code in range(1 << len(edges)):
+        o = orientation_from_edge_bits(3, edges, [(code >> k) & 1 for k in range(len(edges))])
+        if len(set(o.outmap.tolist())) < 8 or uso_by_pairwise(o):
+            continue
+        with pytest.raises(NotUSOError) as info:
+            niceness_index(o)
+        sink = o.outmap.tolist().index(0)
+        assert info.value.pair[0] == sink and certificate_holds(o, info.value)
+        rejected += 1
+    assert rejected == 72
+    with pytest.raises(NotUSOError) as info:
+        niceness_index(Orientation(3, [0, 3, 6, 5, 7, 4, 1, 2]))
+    assert info.value.pair == (0, 6)
+
+
+def test_niceness_gates_are_only_a_prefix_of_the_uso_check():
+    # bijective, and every vertex has an edge towards the sink 0, yet the
+    # face span={1,3} anchor={2} has two sinks; the sweep still answers
+    o = Orientation(4, [0, 9, 7, 10, 12, 5, 2, 15, 8, 1, 11, 6, 4, 13, 14, 3])
+    assert niceness_index(o).niceness_index == 1
+    assert str(uso_violation(o)) == "not a USO: face span={1,3} anchor={2} has 2 sinks"
 
 
 #: tracemalloc peaks in bytes per vertex at n = 16, each about 1.25 times
