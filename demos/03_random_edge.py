@@ -7,7 +7,9 @@ quadratic, and the measured means sit far below even 2 n^2.
 Run:  python3 demos/03_random_edge.py
 """
 
-from usolib import klee_minty, markov_upper_bound, summarize, walk_batch
+import numpy as np
+
+from usolib import klee_minty, markov_upper_bound, walk_batch
 from usolib.construct import cyclic_full_reach, random_target_combed
 from usolib.rng import SplitMix64
 
@@ -26,23 +28,23 @@ print()
 print("=== batched trials against the quadratic budget ===")
 print(" n   mean    p95     max   budget(2n^2)  markov bound n*Sum n^k (i=1)")
 for n in (4, 6, 8, 10, 12):
-    summary = summarize(walk_batch(klee_minty(n), "re", "antipodal", 2000, seed=7, cap=4**n))
-    print(f"{n:2}  {summary.mean:6.1f} {summary.quantiles['p95']:6.1f}"
-          f" {summary.max:6d}   {2*n*n:6d}        {markov_upper_bound(n, 1):6d}")
+    steps = walk_batch(klee_minty(n), "re", "antipodal", 2000, seed=7, cap=4**n).steps
+    print(f"{n:2}  {steps.mean():6.1f} {np.quantile(steps, 0.95):6.1f}"
+          f" {steps.max():6d}   {2*n*n:6d}        {markov_upper_bound(n, 1):6d}")
 
 print()
 print("=== a 1-nice instance with random fibers behaves the same way ===")
 o = random_target_combed(10, SplitMix64(5))
-summary = summarize(walk_batch(o, "re", "antipodal", 2000, seed=11, cap=4**10))
-print(f"target-combed 10-cube: mean {summary.mean:.1f} steps"
-      f" (budget {2*10*10}), capped runs {summary.capped_runs}")
+batch = walk_batch(o, "re", "antipodal", 2000, seed=11, cap=4**10)
+print(f"target-combed 10-cube: mean {batch.steps.mean():.1f} steps"
+      f" (budget {2*10*10}), capped runs {batch.capped.sum()}")
 
 print()
 print("=== cyclic does not mean slow for Random Edge ===")
 o = cyclic_full_reach(8)
-summary = summarize(walk_batch(o, "re", "antipodal", 2000, seed=13, cap=4**8))
-print(f"cyclic full-reach 8-cube: mean {summary.mean:.1f} steps"
-      f" (n^3 = {8**3}), capped runs {summary.capped_runs}")
+batch = walk_batch(o, "re", "antipodal", 2000, seed=13, cap=4**8)
+print(f"cyclic full-reach 8-cube: mean {batch.steps.mean():.1f} steps"
+      f" (n^3 = {8**3}), capped runs {batch.capped.sum()}")
 
 print()
 print("=== Bottom Antipodal jumps ===")

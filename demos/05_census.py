@@ -8,7 +8,7 @@ of the cube.
 Run:  python3 demos/05_census.py
 """
 
-from usolib import census, enumerate_all, recurrence_check
+from usolib import census, enumerate_all
 
 print("=== counts ===")
 for n in (1, 2, 3):
@@ -27,11 +27,10 @@ print("  and the 48 orientations of niceness 2 form a single class too.")
 print()
 print("=== the doubling recurrence for decomposable counts ===")
 print("  F(n) between 2 F(n-1)^2 and 2n F(n-1)^2:")
+counts = {1: census(1).decomposable, 2: census(2).decomposable, 3: c.decomposable}
 for n in (2, 3):
-    prev = census(n - 1).decomposable
-    here = census(n).decomposable
-    print(f"  n={n}: {2*prev**2} <= {here} <= {2*n*prev**2}:",
-          recurrence_check(n))
+    low, here, high = 2 * counts[n - 1]**2, counts[n], 2 * n * counts[n - 1]**2
+    print(f"  n={n}: {low} <= F({n}) = {here} <= {high}: {low <= here <= high}")
 
 print()
 print("=== niceness 1 vs decomposable ===")

@@ -5,7 +5,7 @@ niceness analysis, the standard construction toolbox, sink-finding
 algorithms, and exhaustive small-dimension enumeration.
 """
 
-from .bitops import bit, coords, from_coords, full_mask, popcount
+from .bitops import bit, coords, full_mask, popcount
 from .core import (
     MAX_DIMENSION,
     EvalCounter,
@@ -41,7 +41,6 @@ from .construct import (
 from .algo import (
     RunStats,
     SeesawTrace,
-    TrialsSummary,
     derandomized_re,
     fibonacci_seesaw,
     fs_revisited,
@@ -49,10 +48,9 @@ from .algo import (
     join_set,
     markov_upper_bound,
     neighbor_join,
-    summarize,
     walk_batch,
 )
-from .enumeration import Census, census, enumerate_all, recurrence_check
+from .enumeration import Census, census, enumerate_all
 from .io import ParseError, read_orientation, write_orientation
 from .rng import SplitMix64, derive_seed
 

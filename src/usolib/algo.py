@@ -67,20 +67,6 @@ class SeesawTrace:
 
 
 @dataclass(frozen=True)
-class TrialsSummary:
-    """Aggregate over independent runs; field names follow the contract
-    mean/variance/max/quantiles for the step counts."""
-
-    trials: int
-    mean: float
-    variance: float
-    max: int
-    quantiles: dict[str, float]
-    capped_runs: int
-    evaluations_mean: float
-
-
-@dataclass(frozen=True)
 class WalkBatch:
     """Raw per-trial results of a batch of walks."""
 
@@ -279,26 +265,6 @@ def walk_batch(
     return WalkBatch(seeds, starts, steps, evals, found)
 
 
-def summarize(batch: WalkBatch) -> TrialsSummary:
-    """Step statistics, capped count and mean evaluations of a batch."""
-    steps = batch.steps
-    qs = np.quantile(steps, [0.5, 0.9, 0.95, 0.99])
-    return TrialsSummary(
-        trials=int(steps.size),
-        mean=float(steps.mean()),
-        variance=float(steps.var()),
-        max=int(steps.max()),
-        quantiles={
-            "p50": float(qs[0]),
-            "p90": float(qs[1]),
-            "p95": float(qs[2]),
-            "p99": float(qs[3]),
-        },
-        capped_runs=int(batch.capped.sum()),
-        evaluations_mean=float(batch.evaluations.mean()),
-    )
-
-
 def markov_upper_bound(n: int, i: int) -> int:
     """Exact value of n * sum_{k=1..i} n**k, the expected-step budget the
     distance-to-target chain gives for orientations of niceness i."""
@@ -391,7 +357,8 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
     i can reach. On an orientation where the current vertex is i-covered, z
     has a strictly smaller reachmap, so at most n productive rounds happen
     per radius. When z repeats a vertex of this radius, the radius is
-    deepened; on a USO radius n always suffices, so a search that exhausts
+    deepened, which on a USO never happens at n <= 3 (tested from every
+    start); on a USO radius n always suffices, so a search that exhausts
     all radii raises ``NotUSOError`` with the least bad face. ``steps``
     counts join rounds.
     """
@@ -425,7 +392,7 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
             if z in visited:
                 break
             visited.add(z)
-    # unreachable on a USO: radius n suffices, and no USO run has deepened it
+    # unreachable on a USO: radius n suffices
     raise uso_violation(o) or AssertionError("derandomized_re exhausted all radii on a USO")
 
 

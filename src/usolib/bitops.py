@@ -7,7 +7,7 @@ intersection and symmetric difference are ``|``, ``&`` and ``^``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 
 
 def bit(coord: int) -> int:
@@ -49,13 +49,6 @@ def coords(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length()
         mask ^= low
-
-
-def from_coords(items: Iterable[int]) -> int:
-    out = 0
-    for c in items:
-        out |= bit(c)
-    return out
 
 
 def submasks(mask: int) -> Iterator[int]:

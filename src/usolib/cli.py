@@ -125,6 +125,22 @@ def _csv_text(rows: list[str]) -> str:
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
+def _summary(batch: algo.WalkBatch) -> dict:
+    """Step statistics, capped count and mean evaluations of a batch: the
+    ``summary`` object of ``uso walk``'s JSON."""
+    steps = batch.steps
+    qs = np.quantile(steps, [0.5, 0.9, 0.95, 0.99]).tolist()
+    return {
+        "trials": int(steps.size),
+        "mean": float(steps.mean()),
+        "variance": float(steps.var()),
+        "max": int(steps.max()),
+        "quantiles": dict(zip(("p50", "p90", "p95", "p99"), qs)),
+        "capped_runs": int(batch.capped.sum()),
+        "evaluations_mean": float(batch.evaluations.mean()),
+    }
+
+
 def cmd_walk(args) -> int:
     o = read_orientation(args.path)
     cap = args.cap if args.cap is not None else 4 ** o.n
@@ -135,7 +151,6 @@ def cmd_walk(args) -> int:
     if args.format == "csv":
         _emit(_csv_text(_csv_rows(batch, label, o.n)), args.out)
         return 0
-    summary = algo.summarize(batch)
     obj = {
         "algorithm": args.algo,
         "family": label,
@@ -144,7 +159,7 @@ def cmd_walk(args) -> int:
         "master_seed": args.seed,
         "start": str(args.start),
         "wall_ms": wall_ms,
-        "summary": dataclasses.asdict(summary),
+        "summary": _summary(batch),
     }
     if args.trials == 1:
         obj["run"] = {

@@ -132,11 +132,12 @@ def flip_matching(n: int, m: Matching) -> Orientation:
 
 
 def _shuffled_range(count: int, rng: SplitMix64) -> np.ndarray:
-    """``rng.shuffle(list(range(count)))`` as an int32 array, with ``rng``
-    advanced as that shuffle advances it. Step i = count-1, ..., 1 swaps
-    positions i and j_i, and no later step touches i: the item that ends
-    at i is j_i's own unless an earlier step s > i into j_i put one there,
-    the item at s before step s. Pointer jumping resolves these chains."""
+    """``shuffle(list(range(count)), rng)``, the Fisher-Yates list oracle in
+    ``tests/helpers.py``, as an int32 array, with ``rng`` advanced as that
+    shuffle advances it. Step i = count-1, ..., 1 swaps positions i and
+    j_i, and no later step touches i: the item that ends at i is j_i's own
+    unless an earlier step s > i into j_i put one there, the item at s
+    before step s. Pointer jumping resolves these chains."""
     # step i draws stream index rng.index + count-1-i; step 0, a swap of
     # position 0 with itself, reads one value more, which is 0 mod 1
     key = np.arange(rng.index + count, rng.index, -1, dtype=np.uint64) * np.uint64(_GOLDEN)
@@ -201,7 +202,8 @@ def random_maximal_matching(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     (listed by lower endpoint, then coordinate), in pick order.
 
     The edges are int32 codes; one in-place splitmix64 pass draws the
-    values of ``rng.shuffle`` and pointer jumping resolves its swaps
+    values of a Fisher-Yates shuffle (the list oracle ``shuffle`` in
+    ``tests/helpers.py``) and pointer jumping resolves its swaps
     (:func:`_shuffled_range`), leaving ``rng`` where the shuffle would.
     Each greedy round picks every live edge ranked below all other live
     edges at both its endpoints and kills the edges touching them; this is

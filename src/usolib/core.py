@@ -119,9 +119,6 @@ class Face:
     def dimension(self) -> int:
         return popcount(self.span)
 
-    def contains(self, v: int) -> bool:
-        return (v ^ self.anchor) & ~self.span == 0
-
     def vertices(self):
         """All vertices of the face, ascending by vertex index."""
         for sub in submasks(self.span):

@@ -146,12 +146,3 @@ def census(n: int) -> Census:
         iso_classes=dict(orbits),
     )
 
-
-def recurrence_check(n: int) -> bool:
-    """True iff the decomposable counts satisfy
-    2*F(n-1)**2 <= F(n) <= 2n*F(n-1)**2."""
-    if n not in (2, 3):
-        raise ValueError("recurrence check is defined for n in {2, 3}")
-    f_prev = census(n - 1).decomposable
-    f_n = census(n).decomposable
-    return 2 * f_prev**2 <= f_n <= 2 * n * f_prev**2

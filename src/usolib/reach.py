@@ -102,10 +102,6 @@ class NicenessReport:
     witness: np.ndarray
     niceness_index: int
 
-    @property
-    def n(self) -> int:
-        return self.reach.n
-
 
 def niceness_index(o: Orientation) -> NicenessReport:
     """Cover distances for every non-sink vertex and their maximum.

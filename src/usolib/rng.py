@@ -47,11 +47,6 @@ def _mix64_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array."""
-    return _mix64_inplace(x.astype(np.uint64))
-
-
 def stream_values_np(seeds: np.ndarray, index: int) -> np.ndarray:
     """Vectorized :func:`stream_value`: one draw per uint64 seed, all at
     ``index``."""
@@ -75,9 +70,9 @@ def start_values_np(seeds: np.ndarray) -> np.ndarray:
 class SplitMix64:
     """A seeded stream and a cursor into it. The random constructions read
     only ``seed`` and ``index``, drawing a whole block of stream values at
-    once and advancing ``index`` past them; ``next_u64``, ``randrange``
-    and ``shuffle`` draw one value at a time, as the tests' reference
-    code does. Stable across Python and numpy versions."""
+    once and advancing ``index`` past them; ``next_u64`` and ``randrange``
+    draw one value at a time, as the list shuffle ``shuffle`` in
+    ``tests/helpers.py`` does. Stable across Python and numpy versions."""
 
     __slots__ = ("seed", "index")
 
@@ -94,8 +89,3 @@ class SplitMix64:
         if k <= 0:
             raise ValueError("randrange bound must be positive")
         return self.next_u64() % k
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]

@@ -1,7 +1,8 @@
 """Independent oracles used to cross-check the library.
 
 Everything here is deliberately written from the definitions, without
-reusing the library's fast paths: the USO-TEXT reader one line at a
+reusing the library's fast paths: a coordinate mask from a list, face
+membership, the Fisher-Yates list shuffle, the USO-TEXT reader one line at a
 time, a pure-python edge check and face scan,
 the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
@@ -33,6 +34,28 @@ from usolib.construct import flip_edge, reverse_orientation, uniform
 from usolib.core import MAX_DIMENSION, EvalCounter, Face, NotUSOError, Orientation
 from usolib.io import ParseError
 from usolib.rng import SplitMix64, stream_value
+
+
+def from_coords(items) -> int:
+    """Mask of the 1-based coordinates ``items``."""
+    out = 0
+    for c in items:
+        out |= bit(c)
+    return out
+
+
+def face_contains(face: Face, v: int) -> bool:
+    """Whether vertex ``v`` lies in ``face``."""
+    return (v ^ face.anchor) & ~face.span == 0
+
+
+def shuffle(items: list, rng: SplitMix64) -> None:
+    """Fisher-Yates shuffle of ``items`` in place, step i = len-1, ..., 1
+    swapping positions i and ``rng.randrange(i + 1)``; the list oracle of
+    ``construct._shuffled_range``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def mask_extract(value: int, positions: int) -> int:
@@ -246,7 +269,7 @@ def target_combed_by_steps(n: int, fiber_choices) -> Orientation:
 def random_maximal_matching_by_list(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     """Greedy maximal matching over a seeded shuffle of all cube edges."""
     edges = [(v, j) for v in range(1 << n) for j in range(1, n + 1) if not (v >> (j - 1)) & 1]
-    rng.shuffle(edges)
+    shuffle(edges, rng)
     occupied: set[int] = set()
     picked: list[tuple[int, int]] = []
     for v, j in edges:

@@ -18,7 +18,6 @@ from usolib.algo import (
     join_pair,
     join_set,
     neighbor_join,
-    summarize,
     walk_batch,
 )
 from usolib.bitops import bit, coords, full_mask, popcount
@@ -143,15 +142,15 @@ def test_criterion_04_random_edge_envelope():
     instance_means = []
     for n in range(4, 13):
         envelope = 2 * n * n
-        km_mean = summarize(
-            walk_batch(klee_minty(n), "re", "antipodal", trials, derive_seed(4, n), 4**n)
-        ).mean
+        km_mean = walk_batch(
+            klee_minty(n), "re", "antipodal", trials, derive_seed(4, n), 4**n
+        ).steps.mean()
         km_ok &= km_mean <= envelope
         for k in range(100):
             o = random_target_combed(n, SplitMix64(derive_seed(400 + n, k)))
-            mean = summarize(
-                walk_batch(o, "re", "antipodal", trials, derive_seed(800 + n, k), 4**n)
-            ).mean
+            mean = walk_batch(
+                o, "re", "antipodal", trials, derive_seed(800 + n, k), 4**n
+            ).steps.mean()
             instance_means.append(mean / envelope)
     within = float(np.mean([m <= 1.0 for m in instance_means]))
     elapsed = time.perf_counter() - t0

@@ -23,7 +23,6 @@ from usolib.algo import (
     markov_upper_bound,
     neighbor_join,
     resolve_start,
-    summarize,
     walk_batch,
 )
 from usolib.bitops import bit, coords, full_mask, popcount
@@ -38,6 +37,7 @@ from usolib.construct import (
     uniform,
 )
 from usolib.core import EvalCounter, Face, NotUSOError, Orientation, face_sink, sink_and_source
+from usolib.enumeration import _uso_stack
 from usolib.reach import reach_table
 from usolib.rng import _MASK64, _START_SALT, SplitMix64, derive_seed, mix64
 
@@ -163,12 +163,12 @@ def test_walk_cap_reporting():
 
 
 def test_re_trials_summary_shape():
-    o = klee_minty(6)
-    summary = summarize(walk_batch(o, "re", "antipodal", 500, seed=3, cap=4**6))
-    assert summary.trials == 500
-    assert summary.capped_runs == 0
-    assert summary.max >= summary.quantiles["p95"] >= summary.mean / 2
-    assert 0 < summary.mean < 2 * 36
+    batch = walk_batch(klee_minty(6), "re", "antipodal", 500, seed=3, cap=4**6)
+    steps = batch.steps
+    assert steps.size == 500
+    assert not batch.capped.any()
+    assert steps.max() >= np.quantile(steps, 0.95) >= steps.mean() / 2
+    assert 0 < steps.mean() < 2 * 36
 
 
 def test_re_terminates_on_acyclic_within_cap():
@@ -180,9 +180,9 @@ def test_re_terminates_on_acyclic_within_cap():
 
 
 def test_re_mean_on_klee_minty_8():
-    summary = summarize(walk_batch(klee_minty(8), "re", "antipodal", 10_000, seed=88, cap=4**8))
-    assert summary.capped_runs == 0
-    assert summary.mean <= 2 * 8 * 8
+    batch = walk_batch(klee_minty(8), "re", "antipodal", 10_000, seed=88, cap=4**8)
+    assert not batch.capped.any()
+    assert batch.steps.mean() <= 2 * 8 * 8
 
 
 def test_re_terminates_on_auso_lower_bound_8():
@@ -192,9 +192,9 @@ def test_re_terminates_on_auso_lower_bound_8():
 
 def test_re_easy_on_the_cyclic_lower_bound_family():
     o = cyclic_full_reach(8)
-    summary = summarize(walk_batch(o, "re", "antipodal", 1000, seed=21, cap=4**8))
-    assert summary.capped_runs == 0
-    assert summary.mean < 8**3
+    batch = walk_batch(o, "re", "antipodal", 1000, seed=21, cap=4**8)
+    assert not batch.capped.any()
+    assert batch.steps.mean() < 8**3
 
 
 def test_re_expectation_on_klee_minty_3():
@@ -688,6 +688,14 @@ def test_join_solvers_match_the_loop_oracles(all_usos_3):
             assert _outcome(derandomized_re, o, v) == _outcome(derandomized_re_by_loops, o, v)
             deepened += _radius_deepens(o, v)
     assert deepened > 0
+
+
+def test_derandomized_re_never_deepens_the_radius_on_a_uso_up_to_n_3(all_usos_3):
+    # pins the claim of derandomized_re's docstring from every start
+    usos = [Orientation(n, row) for n in (1, 2) for row in _uso_stack(n)] + all_usos_3
+    pairs = [(o, v) for o in usos for v in range(o.vertex_count())]
+    assert len(pairs) == 4 + 48 + 5_952
+    assert not any(_radius_deepens(o, v) for o, v in pairs)
 
 
 def test_fibonacci_seesaw_base_cases():

@@ -2,14 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import mask_extract
+from helpers import from_coords, mask_extract
 from usolib.core import Face
 from usolib.bitops import (
     bit,
     coords,
     coord_set_formatter,
     format_coord_set,
-    from_coords,
     full_mask,
     lowest_coord,
     mask_deposit,

@@ -6,13 +6,15 @@ import pytest
 from helpers import (
     auso_lower_bound_by_flips,
     fmo_by_list,
+    from_coords,
     klee_minty_by_definition,
     klee_minty_by_shifts,
     random_maximal_matching_by_list,
+    shuffle,
     target_combed_by_steps,
 )
 import usolib.construct
-from usolib.bitops import bit, coords, from_coords, full_mask, popcount
+from usolib.bitops import bit, coords, full_mask, popcount
 from usolib.cli import main
 from usolib.construct import (
     FlipPreconditionViolated,
@@ -190,7 +192,7 @@ def test_shuffled_range_equals_the_list_shuffle():
         fast, slow = SplitMix64(count), SplitMix64(count)
         fast.index = slow.index = count % 7
         items = list(range(count))
-        slow.shuffle(items)
+        shuffle(items, slow)
         assert _shuffled_range(count, fast).tolist() == items
         assert fast.index == slow.index
 

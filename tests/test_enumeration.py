@@ -15,7 +15,7 @@ from helpers import (
     uso_by_face_scan_pure,
 )
 from usolib.core import Orientation, canonical_form, is_acyclic, validate_uso
-from usolib.enumeration import Census, _uso_stack, census, enumerate_all, recurrence_check
+from usolib.enumeration import Census, _uso_stack, census, enumerate_all
 from usolib.reach import niceness_index
 from usolib.rng import SplitMix64
 
@@ -127,13 +127,6 @@ def _census_by_oracles(n: int) -> Census:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_census_matches_per_table_oracles(n, census_3):
     assert (census_3 if n == 3 else census(n)) == _census_by_oracles(n)
-
-
-def test_recurrence_check():
-    assert recurrence_check(2)
-    assert recurrence_check(3)
-    with pytest.raises(ValueError):
-        recurrence_check(4)
 
 
 def test_count_dimension_4():

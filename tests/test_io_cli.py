@@ -574,6 +574,22 @@ def test_walk_and_bench_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_walk_summary_bytes_are_pinned(tmp_path, capsys):
+    # the summary of a multi-trial walk, with capped runs and fractional
+    # statistics; the sha256 prefix is of the output without its wall_ms line
+    path = tmp_path / "c5.uso"
+    assert main(["gen", "--family", "cyclic-lb", "--n", "5", "--out", str(path)]) == 0
+    walk = ["walk", str(path), "--algo", "re", "--start", "random", "--trials", "300"]
+    assert main(walk + ["--seed", "3", "--cap", "9"]) == 0
+    out = capsys.readouterr().out
+    summary = json.loads(out)["summary"]
+    assert summary["trials"] == 300 and summary["capped_runs"] > 0
+    lines = out.splitlines(keepends=True)
+    assert _digest("".join(line for line in lines if "wall_ms" not in line)) == (
+        "31858dcbd924c840"
+    )
+
+
 @pytest.mark.parametrize(
     "family, solve, digest",
     [

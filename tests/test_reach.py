@@ -208,7 +208,7 @@ def test_niceness_report_holds_the_reach_table(family):
 def _assert_matches_bfs_oracle(o):
     t = reach_table(o)
     rep = niceness_index(o)
-    assert rep.n == o.n and np.array_equal(rep.reach.entries, t.entries)
+    assert rep.reach.n == o.n and np.array_equal(rep.reach.entries, t.entries)
     for v in range(o.vertex_count()):
         if v == rep.sink:
             assert (rep.cover_distance[v], rep.witness[v]) == (0, -1)
@@ -254,12 +254,11 @@ def test_niceness_rejects_a_directed_4_cycle():
         niceness_index(o)
 
 
-def test_niceness_rejects_a_vertex_without_cover():
+def test_niceness_gate_rejects_a_one_sink_non_bijective_4_cube_with_a_4_cycle_face():
     # the face {0011, 0111, 1111, 1011} is a directed 4-cycle that every
-    # incident edge enters; all other edges point down, so 0000 is the one
-    # sink and the cycle's vertices reach nothing with a smaller reachmap.
-    # The outmap is not a bijection (vertices 1 and 2 both have {1,2}), so
-    # the outmap gate names that pair before the sweep runs
+    # incident edge enters, and all other edges point down, so 0000 is the
+    # one sink. The outmap is not a bijection (vertices 1 and 2 both have
+    # {1,2}), so the outmap gate names that pair before the sweep runs
     cycle = {0b0011: 0b0100, 0b0111: 0b1000, 0b1111: 0b0100, 0b1011: 0b1000}
     table = []
     for v in range(16):

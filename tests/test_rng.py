@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import shuffle
 from usolib.rng import (
     _MASK64,
     _START_SALT,
     SplitMix64,
+    _mix64_inplace,
     derive_seed,
     derive_seeds_np,
     mix64,
-    mix64_np,
     start_values_np,
     stream_value,
     stream_values_np,
@@ -21,7 +22,7 @@ u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 @given(u64)
 def test_mix64_scalar_matches_vectorized(x):
-    assert mix64(x) == int(mix64_np(np.array([x], dtype=np.uint64))[0])
+    assert mix64(x) == int(_mix64_inplace(np.array([x], dtype=np.uint64))[0])
 
 
 @given(u64, st.integers(min_value=0, max_value=10_000))
@@ -53,8 +54,8 @@ def test_splitmix_sequence_is_reproducible():
     assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
     items = list(range(20))
     other = list(range(20))
-    SplitMix64(5).shuffle(items)
-    SplitMix64(5).shuffle(other)
+    shuffle(items, SplitMix64(5))
+    shuffle(other, SplitMix64(5))
     assert items == other and items != list(range(20))
 
 
