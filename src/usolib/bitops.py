@@ -7,7 +7,7 @@ intersection and symmetric difference are ``|``, ``&`` and ``^``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 
 def bit(coord: int) -> int:
@@ -82,26 +82,24 @@ def format_coord_set(mask: int) -> str:
     return "{" + ",".join(str(c) for c in coords(mask)) + "}"
 
 
-def coord_set_formatter(n: int) -> Callable[[int], str]:
+def coord_set_tables(n: int) -> tuple[int, list[str], list[str]]:
     """:func:`format_coord_set` for masks below 2**n, as two table lookups.
 
-    One table names the subsets of the low ceil(n/2) coordinates, the other
-    those of the rest. Both are built by doubling, so they hold O(2**(n/2))
-    strings, not 2**n.
+    Returns ``(h, low, high)`` with h = ceil(n/2). For lo = m & full_mask(h),
+    the name of m is ``low[lo] + high[2 * (m >> h) + (lo != 0)]``: ``low``
+    holds "{" and the subsets of coordinates 1..h, ``high`` the subsets of
+    h+1..n and the closing "}", each first without a leading comma, then
+    with one where it names a coordinate. Both are built by doubling, so
+    they hold O(2**(n/2)) strings, not 2**n.
     """
 
-    def inner(first: int, count: int) -> list[str]:
-        names = [""]
+    def names(first: int, count: int) -> list[str]:
+        out = [""]
         for c in range(first, first + count):
-            names += [f"{s},{c}" if s else str(c) for s in names]
-        return names
+            out += [f"{s},{c}" if s else str(c) for s in out]
+        return out
 
     half = (n + 1) // 2
-    low, high = inner(1, half), inner(half + 1, n - half)
-    low_mask = full_mask(half)
-
-    def name(mask: int) -> str:
-        lo, hi = low[mask & low_mask], high[mask >> half]
-        return "{" + lo + "," + hi + "}" if lo and hi else "{" + lo + hi + "}"
-
-    return name
+    low = ["{" + s for s in names(1, half)]
+    high = [t + "}" for s in names(half + 1, n - half) for t in (s, "," + s if s else s)]
+    return half, low, high

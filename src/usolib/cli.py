@@ -17,28 +17,34 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import algo, construct, enumeration
-from .bitops import coord_set_formatter
+from .bitops import coord_set_tables, full_mask
 from .core import NotUSOError, is_acyclic, is_decomposable, uso_violation
-from .io import ParseError, dumps_json, dumps_text, read_orientation
+from .io import _TEXT_BLOCK, ParseError, dumps_json, dumps_text, read_orientation
 from .reach import niceness_index
 from .rng import derive_seed
 
 CSV_HEADER = "family,n,seed,steps,evaluations,capped"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or each of its parts in turn, to stdout or to the
+    file ``out``."""
+    parts = [text] if isinstance(text, str) else text
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(parts)
 
 
 def _parse_start(raw: str) -> int | str:
@@ -86,10 +92,9 @@ def cmd_analyze(args) -> int:
     report = niceness_index(o)
     decomposable = is_decomposable(o)
     acyclic = decomposable or is_acyclic(o)  # decomposable implies acyclic
-    cover, witness = report.cover_distance.tolist(), report.witness.tolist()
-    # the sink has no cover
-    cover[report.sink] = witness[report.sink] = None if args.format == "json" else "-"
     if args.format == "json":
+        cover, witness = report.cover_distance.tolist(), report.witness.tolist()
+        cover[report.sink] = witness[report.sink] = None  # the sink has no cover
         obj = dict(n=o.n, sink=report.sink, niceness_index=report.niceness_index, acyclic=acyclic,
                    decomposable=decomposable, cover_distance=cover, witness=witness)
         _emit(_json_dumps(obj), args.out)
@@ -103,11 +108,33 @@ def cmd_analyze(args) -> int:
         f"niceness_index: {report.niceness_index}",
         "vertex outmap reachmap cover_distance witness",
     ]
-    name = coord_set_formatter(o.n)
-    columns = (o.outmap.tolist(), report.reach.entries.tolist(), cover, witness)
-    lines += [f"{v} {name(s)} {name(r)} {d} {w}" for v, (s, r, d, w) in enumerate(zip(*columns))]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(itertools.chain(["\n".join(lines) + "\n"], _analyze_rows(o, report)), args.out)
     return 0
+
+
+def _analyze_rows(o, report) -> Iterator[str]:
+    """The vertex rows of ``uso analyze``'s text, joined per block of
+    ``_TEXT_BLOCK`` vertices and yielded block by block, so that no more
+    than one block of rows is held: vertex, outmap, reachmap, cover distance
+    and witness, with - for the sink's two. numpy computes each coordinate
+    set's indices into the tables of :func:`~usolib.bitops.coord_set_tables`,
+    so naming a set costs two list lookups and no call."""
+    half, low, high = coord_set_tables(o.n)
+
+    def indices(masks: np.ndarray) -> tuple[list[int], list[int]]:
+        lo = masks & full_mask(half)
+        return lo.tolist(), (2 * (masks >> half) + (lo != 0)).tolist()
+
+    for k in range(0, o.vertex_count(), _TEXT_BLOCK):
+        block = slice(k, k + _TEXT_BLOCK)
+        cover, witness = report.cover_distance[block].tolist(), report.witness[block].tolist()
+        if k <= report.sink < k + len(cover):  # the sink has no cover
+            cover[report.sink - k] = witness[report.sink - k] = "-"
+        outmap, reach = indices(o.outmap[block]), indices(report.reach.entries[block])
+        rows = zip(range(k, k + len(cover)), *outmap, *reach, cover, witness)
+        yield "\n".join(
+            [f"{v} {low[a]}{high[b]} {low[c]}{high[d]} {dist} {w}" for v, a, b, c, d, dist, w in rows]
+        ) + "\n"
 
 
 def _csv_rows(batch: algo.WalkBatch, label: str, n: int) -> list[str]:

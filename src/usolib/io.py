@@ -128,8 +128,9 @@ def loads_text(text: str) -> Orientation:
     return _finish(n, values, lambda v: f"line {v + 2}")
 
 
-#: dumps_text converts and joins this many outmap values at a time, so it
-#: never holds a list of 2**n strings
+#: dumps_text converts and joins this many outmap values at a time, and
+#: ``uso analyze`` this many text rows, so neither holds a list of 2**n
+#: strings
 _TEXT_BLOCK = 1 << 16
 
 

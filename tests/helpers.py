@@ -3,7 +3,8 @@
 Everything here is deliberately written from the definitions, without
 reusing the library's fast paths: a coordinate mask from a list, face
 membership, the Fisher-Yates list shuffle, the USO-TEXT reader one line at a
-time, a pure-python edge check and face scan,
+time, ``uso analyze``'s text one line at a time, a pure-python edge
+check and face scan,
 the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
 of the certificates that ``NotUSOError`` carries, the Klee-Minty table
@@ -29,7 +30,7 @@ import math
 import numpy as np
 
 from usolib.algo import RunStats, fibonacci_seesaw, join_set
-from usolib.bitops import bit, coords, full_mask, popcount, submasks
+from usolib.bitops import bit, coords, format_coord_set, full_mask, popcount, submasks
 from usolib.construct import flip_edge, reverse_orientation, uniform
 from usolib.core import MAX_DIMENSION, EvalCounter, Face, NotUSOError, Orientation
 from usolib.io import ParseError
@@ -135,6 +136,27 @@ def dumps_text_by_lines(o: Orientation) -> str:
     writer that :func:`usolib.io.dumps_text` builds in blocks."""
     lines = [f"uso {o.n}"]
     lines.extend(map(str, o.outmap.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def analyze_text_by_lines(o: Orientation, report, acyclic: bool, decomposable: bool) -> str:
+    """``uso analyze``'s text for a niceness report, one line per vertex
+    through :func:`~usolib.bitops.format_coord_set`, the rendering that
+    ``cli`` builds in blocks from two half tables."""
+    lines = [
+        f"n: {o.n}",
+        "uso: true",
+        f"acyclic: {str(acyclic).lower()}",
+        f"decomposable: {str(decomposable).lower()}",
+        f"sink: {report.sink}",
+        f"niceness_index: {report.niceness_index}",
+        "vertex outmap reachmap cover_distance witness",
+    ]
+    for v in range(o.vertex_count()):
+        d, w = int(report.cover_distance[v]), int(report.witness[v])
+        if v == report.sink:
+            d = w = "-"
+        lines.append(f"{v} {format_coord_set(o.out(v))} {format_coord_set(report.reach[v])} {d} {w}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    analyze_text_by_lines,
     dumps_text_by_lines,
     first_edge_violation_pure,
     first_uso_violation_by_face_scan,
@@ -29,7 +30,7 @@ from usolib.construct import (
     random_fmo,
     uniform,
 )
-from usolib.core import Orientation
+from usolib.core import Orientation, is_acyclic, is_decomposable
 from usolib.io import (
     ParseError,
     _decode_bulk,
@@ -641,6 +642,8 @@ def test_gen_bytes_are_pinned(capsys, family, n, digest):
     [
         (["cyclic-lb", "--n", "5"], "73f51665b8f11aaa", "56b82f465c887e32"),
         (["fmo", "--n", "6"], "8ddd6c0edc289268", "a6e746fe40d2c080"),
+        (["auso-lb", "--n", "10"], "b16a7c4745c0cc20", "d00c87c5c36973b9"),
+        (["fmo", "--n", "10"], "b9ff6bf2775c1da7", "6db08a8bf0029eac"),
     ],
 )
 def test_analyze_bytes_are_pinned(tmp_path, capsys, family, text_digest, json_digest):
@@ -650,6 +653,28 @@ def test_analyze_bytes_are_pinned(tmp_path, capsys, family, text_digest, json_di
     assert _digest(capsys.readouterr().out) == text_digest
     assert main(["analyze", str(path), "--format", "json"]) == 0
     assert _digest(capsys.readouterr().out) == json_digest
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["block-default", "block-7"])
+@pytest.mark.parametrize("family", ["uniform", "km", "fmo", "cyclic-lb"])
+def test_analyze_text_matches_a_rendering_through_format_coord_set(
+    tmp_path, capsys, monkeypatch, family, block
+):
+    # n = 1 and odd n are the edge cases of the two half tables; blocks of 7
+    # rows put block ends and the sink at many offsets
+    if block is not None:
+        monkeypatch.setattr(usolib.cli, "_TEXT_BLOCK", block)
+    path = tmp_path / "o.uso"
+    for n in range(3 if family == "cyclic-lb" else 1, 13):
+        o = build_family(family, n, n)
+        write_orientation(o, path)
+        assert main(["analyze", str(path)]) == 0
+        report = usolib.reach.niceness_index(o)
+        expected = analyze_text_by_lines(o, report, is_acyclic(o), is_decomposable(o))
+        assert capsys.readouterr().out == expected
+        # --out writes the blocks one after another, as stdout gets them
+        assert main(["analyze", str(path), "--out", str(tmp_path / "o.txt")]) == 0
+        assert (tmp_path / "o.txt").read_text() == expected
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
