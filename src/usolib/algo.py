@@ -1,7 +1,7 @@
 """Sink-finding algorithms and their instrumentation.
 
 Random Edge and Bottom Antipodal (seeded walks run in batches by one
-lockstep engine that takes a step rule), join operations, a deterministic
+lockstep engine that branches on the rule), join operations, a deterministic
 replacement for Random Edge built from joins, the Fibonacci Seesaw, and
 the restarted seesaw that is bounded by the reachmap of the start vertex.
 Every algorithm counts distinct vertex evaluations through a caching
@@ -109,23 +109,6 @@ def _kth_set_bit(s: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _SELECT12.take(half * np.uint32(12) + (k - high * c)) << shift
 
 
-def _random_edge_move(s, seeds, active, t):
-    """Random Edge step rule: step t crosses the k-th lowest outgoing edge
-    of s, k = z mod |s| for value z of each trial's stream at index t,
-    picked by :func:`_kth_set_bit` in a fixed number of numpy calls."""
-    return _kth_set_bit(s, stream_values_np(seeds[active], t) % np.bitwise_count(s))
-
-
-def _bottom_antipodal_move(s, seeds, active, t):
-    """Bottom Antipodal step rule: cross every outgoing edge (v <- v xor
-    s(v)); seeds only pick starts."""
-    return s
-
-
-#: algorithm -> (step rule, whether the rule depends on the vertex alone)
-_STEP_RULES = {"re": (_random_edge_move, False), "ba": (_bottom_antipodal_move, True)}
-
-
 def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``keys``: what ``np.unique`` returns,
     by sorting and keeping each key that differs from the one before it."""
@@ -138,12 +121,15 @@ def _walk_lockstep(
     starts: np.ndarray,
     seeds: np.ndarray,
     cap: int,
-    move,
-    vertex_only: bool,
+    bottom_antipodal: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All trials advance in lockstep, each step xoring in the mask the
-    step rule ``move`` picks; trial k's walk depends only on its start and
-    seed, so it is the same walk as a batch of that one trial.
+    """All trials advance in lockstep; trial k's walk depends only on its
+    start and seed, so it is the same walk as a batch of that one trial.
+    With ``bottom_antipodal`` a step crosses every outgoing edge (v <- v
+    xor s(v)), and seeds only pick starts. Otherwise it is a Random Edge
+    step: step t crosses the k-th lowest outgoing edge, k = z mod |s(v)|
+    for value z of the trial's stream at index t, picked by
+    :func:`_kth_set_bit` in a fixed number of numpy calls.
 
     Every vertex a trial enters is logged as the key trial * 2^n + vertex.
     The log is folded into the sorted distinct keys ``seen`` whenever it
@@ -153,14 +139,14 @@ def _walk_lockstep(
     than calling ``np.unique``, whose hash path is several times slower on
     int64 keys. A trial that hits the cap keeps ``found`` at -1.
 
-    When the step rule depends on the vertex alone (``vertex_only``, as for
-    Bottom Antipodal), a trial that re-enters a vertex is in a cycle: it
-    never reaches a sink, and every vertex it would enter before the cap is
-    already logged. Such trials are retired at once with ``steps = cap``,
-    the record a run to the cap gives them, so the batch stops stepping
-    when only cycling trials are left. Cycles are caught as in Brent's
-    method: the vertex of each trial is saved at every power-of-two step
-    and compared with the vertex after each later step.
+    A Bottom Antipodal step depends on the vertex alone, so a trial that
+    re-enters a vertex is in a cycle: it never reaches a sink, and every
+    vertex it would enter before the cap is already logged. Such trials
+    are retired at once with ``steps = cap``, the record a run to the cap
+    gives them, so the batch stops stepping when only cycling trials are
+    left. Cycles are caught as in Brent's method: the vertex of each trial
+    is saved at every power-of-two step and compared with the vertex after
+    each later step.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -191,14 +177,17 @@ def _walk_lockstep(
         if t >= cap:
             steps[active] = t
             break
-        cur ^= move(s, seeds, active, t)
+        if bottom_antipodal:
+            cur ^= s
+        else:
+            cur ^= _kth_set_bit(s, stream_values_np(seeds[active], t) % np.bitwise_count(s))
         t += 1
         log.append((active << n) | cur)
         logged += active.size
         if logged > seen.size + count:
             seen = _distinct_sorted(np.concatenate([seen, *log]))
             log, logged = [], 0
-        if vertex_only:
+        if bottom_antipodal:
             cycling = cur == saved[active]
             if cycling.any():
                 steps[active[cycling]] = cap
@@ -258,10 +247,9 @@ def walk_batch(
     starts = _starts_array(o, start_policy, seeds)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rule = _STEP_RULES.get(algo)
-    if rule is None:
+    if algo not in ("re", "ba"):
         raise ValueError(f"unknown walk algorithm {algo!r}")
-    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, *rule)
+    steps, evals, found = _walk_lockstep(o, starts, seeds, cap, algo == "ba")
     return WalkBatch(seeds, starts, steps, evals, found)
 
 
@@ -396,8 +384,10 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
     raise uso_violation(o) or AssertionError("derandomized_re exhausted all radii on a USO")
 
 
-def _fs(oracle: EvalCounter, face: Face) -> int:
-    """Fibonacci Seesaw on one face; returns its sink, already evaluated.
+def _fs(oracle: EvalCounter, anchor: int, span: int) -> int:
+    """Fibonacci Seesaw on the face spanned by ``span`` through ``anchor``
+    (whose span bits are cleared first, as :class:`Face` does); returns its
+    sink, already evaluated.
 
     Grows two antipodal subfaces with known sinks. Each extension picks a
     coordinate on which the two sink outmaps differ; the side whose sink
@@ -410,13 +400,14 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
     that has the extension coordinate outgoing like the sink it replaces,
     form a pair that only a non-USO allows; ``NotUSOError`` names it.
     """
-    if face.dimension == 0:
-        oracle(face.anchor)
-        return face.anchor
-    sink_a, sink_b = face.anchor, face.anchor | face.span
+    anchor &= ~span
+    if span == 0:
+        oracle(anchor)
+        return anchor
+    sink_a, sink_b = anchor, anchor | span
     spanned = 0
     while True:
-        rest = face.span ^ spanned
+        rest = span ^ spanned
         sa = oracle(sink_a)
         sb = oracle(sink_b)
         diff = (sa ^ sb) & rest
@@ -429,7 +420,7 @@ def _fs(oracle: EvalCounter, face: Face) -> int:
         b = diff & -diff
         # re-solve the side whose sink has b outgoing, across b from it
         old = sink_a if sa & b else sink_b
-        new = _fs(oracle, Face(old ^ b, spanned))
+        new = _fs(oracle, old ^ b, spanned)
         if oracle(new) & b:
             raise NotUSOError(pair=(old, new))
         sink_a, sink_b = (new, sink_b) if sa & b else (sink_a, new)
@@ -442,7 +433,7 @@ def fibonacci_seesaw(o: Orientation, face: Face | None = None) -> tuple[int, int
     if face is None:
         face = Face.whole_cube(o.n)
     oracle = EvalCounter(o)
-    sink = _fs(oracle, face)
+    sink = _fs(oracle, face.anchor, face.span)
     return sink, oracle.evaluations
 
 
@@ -470,7 +461,7 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
         s = oracle(v)
         b = s & -s
         before = oracle.evaluations
-        w = _fs(oracle, Face(v ^ b, spanned))
+        w = _fs(oracle, v ^ b, spanned)
         if oracle(w) & b:
             raise NotUSOError(pair=(v, w))
         iterations.append(

@@ -412,6 +412,12 @@ def reachmap_bruteforce(o: Orientation, v: int) -> int:
     return acc
 
 
+def reach_table_bruteforce(o: Orientation) -> list[int]:
+    """:func:`reachmap_bruteforce` of every vertex, in vertex order: what
+    ``reach_table(o).entries.tolist()`` must equal."""
+    return [reachmap_bruteforce(o, v) for v in range(o.vertex_count())]
+
+
 def fs_revisited_by_loop(o: Orientation, start: int) -> tuple[int, tuple, tuple]:
     """The restarted seesaw by its definition, on a USO: while the current
     vertex v has an outgoing coordinate, cross its lowest one and take the

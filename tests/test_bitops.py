@@ -64,7 +64,7 @@ def test_helpers_that_walk_a_mask_reject_a_negative_one(call, mask):
 
 
 @pytest.mark.parametrize("n", range(1, 12))
-def test_coord_set_formatter_matches_format_coord_set(n):
+def test_coord_set_tables_match_format_coord_set(n):
     # the lookup rule of coord_set_tables names every mask as format_coord_set
     # does; odd n leaves the high half one coordinate short, and at n = 1 it
     # is empty

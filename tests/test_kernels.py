@@ -18,6 +18,7 @@ from helpers import (
     niceness_by_python_sweep,
     orientation_from_edge_bits,
     random_consistent_table,
+    reach_table_bruteforce,
     reachmap_bruteforce,
 )
 from usolib.construct import FAMILIES, build_family
@@ -38,10 +39,6 @@ def _stack(orientations) -> np.ndarray:
     return np.stack([o.outmap for o in orientations])
 
 
-def _reach_oracle(o) -> list[int]:
-    return [reachmap_bruteforce(o, v) for v in range(o.vertex_count())]
-
-
 def _assert_usos_match(orientations, *, full_reach=True, canonical=True):
     decomposable = decomposable_rows(_stack(orientations))
     for o, d in zip(orientations, decomposable):
@@ -49,7 +46,7 @@ def _assert_usos_match(orientations, *, full_reach=True, canonical=True):
         assert d == is_decomposable(o) == is_decomposable_by_recursion(o)
         reach = reach_table(o).entries
         if full_reach:
-            assert reach.tolist() == _reach_oracle(o)
+            assert reach.tolist() == reach_table_bruteforce(o)
         else:
             for v in range(0, size, size // 16):
                 assert reach[v] == reachmap_bruteforce(o, v)
@@ -88,26 +85,26 @@ def test_decomposable_rows_and_reach_table_on_random_consistent_tables():
         decomposable = decomposable_rows(_stack(same_n))
         for o, d in zip(same_n, decomposable):
             assert d == is_decomposable_by_recursion(o)
-            assert reach_table(o).entries.tolist() == _reach_oracle(o)
+            assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
 
 
 @pytest.mark.parametrize("values", [[0, 1], [1, 0], [0, 0], [1, 1]])
 def test_reach_table_on_the_1_cube(values):
     # the pair view of coordinate 1 has width 1
     o = Orientation(1, values)
-    assert reach_table(o).entries.tolist() == _reach_oracle(o)
+    assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
 
 
 def test_reach_table_where_both_ends_of_an_edge_point_out():
     # both ends of such a pair update in one step, each from the other's old
     # value; edge-consistent tables are covered by the test above
     o = Orientation(2, [1, 1, 1, 1])
-    assert reach_table(o).entries.tolist() == _reach_oracle(o) == [1, 1, 1, 1]
+    assert reach_table(o).entries.tolist() == reach_table_bruteforce(o) == [1, 1, 1, 1]
     rng = SplitMix64(31)
     for n in range(1, 7):
         values = [rng.randrange(1 << n) for _ in range(1 << n)]
         o = Orientation(n, values)
-        assert reach_table(o).entries.tolist() == _reach_oracle(o)
+        assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
 
 
 def test_reach_table_leaves_the_outmap_and_returns_a_read_only_uint32_array():
@@ -147,7 +144,7 @@ def test_decomposable_rows_and_reach_table_hypothesis(case):
     decomposable = decomposable_rows(_stack(orientations))
     for o, d in zip(orientations, decomposable):
         assert d == is_decomposable_by_recursion(o)
-        assert reach_table(o).entries.tolist() == _reach_oracle(o)
+        assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
 
 
 def test_is_decomposable_on_a_table_that_is_not_edge_consistent():

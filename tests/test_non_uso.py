@@ -2,6 +2,8 @@
 not USOs: each call returns or raises ``NotUSOError``, and every
 certificate such an error carries is genuine."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -66,3 +68,43 @@ def test_entry_points_return_or_raise_a_genuine_certificate(n, seed):
             call()
         except NotUSOError as exc:
             assert certificate_holds(o, exc), (name, str(exc))
+
+
+def _walk_summary(batch):
+    return batch.found.tolist(), batch.evaluations.tolist(), batch.steps.tolist()
+
+
+#: solver -> (call on a table and a vertex, summary of what it returns)
+_SOLVERS = {
+    "fibonacci_seesaw": (lambda o, u: fibonacci_seesaw(o), lambda r: r),
+    "fs_revisited": (fs_revisited, lambda r: (r[0], r[1].evaluations)),
+    "derandomized_re": (derandomized_re, lambda r: (r.found_sink, r.evaluations, r.steps)),
+    "walk_batch-re": (lambda o, u: walk_batch(o, "re", "random", 4, u, 200), _walk_summary),
+    "walk_batch-ba": (lambda o, u: walk_batch(o, "ba", "random", 4, u, 200), _walk_summary),
+}
+
+
+def _solver_outcomes(o, u):
+    """One line per solver: its sink with its evaluations or steps on ``o``
+    from ``u``, or the certificate of the ``NotUSOError`` it raises."""
+    for name, (call, summary) in _SOLVERS.items():
+        try:
+            yield f"{name} -> {summary(call(o, u))}"
+        except NotUSOError as exc:
+            face = exc.face and (exc.face.anchor, exc.face.span)
+            yield f"{name} raises pair={exc.pair} face={face} count={exc.count}"
+
+
+def test_solver_outcomes_on_non_usos_are_pinned():
+    # sha256 prefix of every solver's sink and cost, or certificate, on 40
+    # seeded tables per dimension 1..7; any change to what a solver returns
+    # or which pair or face it names on a table that is not a USO shows here
+    lines = []
+    for n in range(1, 8):
+        for seed in range(40):
+            rng = SplitMix64(seed)
+            o = random_consistent_table(n, rng)
+            u = rng.randrange(1 << n)
+            lines.extend(f"{n} {seed} {line}" for line in _solver_outcomes(o, u))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == "65668bb25b75f986"

@@ -10,6 +10,7 @@ from helpers import (
     niceness_by_python_sweep,
     orientation_from_edge_bits,
     random_consistent_table,
+    reach_table_bruteforce,
     reachmap_bruteforce,
     uso_by_pairwise,
 )
@@ -74,16 +75,6 @@ def test_reach_table_matches_per_vertex_traversal(make):
         assert t[v] == reachmap_bruteforce(o, v)
 
 
-def _assert_reach_table_is_bruteforce(o):
-    expected = [reachmap_bruteforce(o, v) for v in range(o.vertex_count())]
-    assert reach_table(o).entries.tolist() == expected
-
-
-def test_reach_table_oracle_all_usos_3(all_usos_3):
-    for o in all_usos_3:
-        _assert_reach_table_is_bruteforce(o)
-
-
 def test_reach_table_oracle_random_consistent_tables():
     # cyclic, multi-sink and sinkless tables take the same fixed point
     rng = SplitMix64(41)
@@ -93,14 +84,15 @@ def test_reach_table_oracle_random_consistent_tables():
             o = random_consistent_table(n, rng)
             cyclic += not is_acyclic(o)
             other_than_one_sink += int((o.outmap == 0).sum()) != 1
-            _assert_reach_table_is_bruteforce(o)
+            assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
     assert cyclic > 0 and other_than_one_sink > 0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_reach_table_oracle_families(family):
     for n in range(4 if family == "auso-lb" else 3, 11):
-        _assert_reach_table_is_bruteforce(build_family(family, n, n))
+        o = build_family(family, n, n)
+        assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
 
 
 def test_reachmap_contains_difference_to_sink(all_usos_3):
