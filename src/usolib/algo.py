@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import full_mask, lowest_coord, popcount
-from .core import EvalCounter, Face, NotUSOError, Orientation, sink_and_source, uso_violation
+from .core import EvalCounter, Face, NotUSOError, Orientation, first_uso_violation, sink_and_source
 from .reach import reach_table
 from .rng import _MASK64, derive_seeds_np, start_values_np, stream_values_np
 
@@ -381,7 +381,7 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
                 break
             visited.add(z)
     # unreachable on a USO: radius n suffices
-    raise uso_violation(o) or AssertionError("derandomized_re exhausted all radii on a USO")
+    raise first_uso_violation(o) or AssertionError("derandomized_re exhausted all radii on a USO")
 
 
 def _fs(oracle: EvalCounter, anchor: int, span: int) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import algo, construct, enumeration
 from .bitops import coord_set_tables, full_mask
-from .core import NotUSOError, is_acyclic, is_decomposable, uso_violation
+from .core import NotUSOError, first_uso_violation, is_acyclic, is_decomposable
 from .io import _TEXT_BLOCK, ParseError, dumps_json, dumps_text, read_orientation
 from .reach import niceness_index
 from .rng import derive_seed
@@ -79,7 +79,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     o = read_orientation(args.path)
-    if error := uso_violation(o):
+    if error := first_uso_violation(o):
         raise error
     print(f"ok: valid USO of dimension {o.n}")
     return 0
@@ -87,7 +87,7 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     o = read_orientation(args.path)
-    if error := uso_violation(o):
+    if error := first_uso_violation(o):
         raise error
     report = niceness_index(o)
     decomposable = is_decomposable(o)

@@ -3,10 +3,10 @@
 An orientation of the n-cube is stored as a dense outmap table: entry v is
 the set of coordinates along which the edges at vertex v point away from v.
 This module provides the table type, faces, one edge-consistency check and
-one unique-sink check (each returns the first violation it finds, and
-:func:`uso_violation` the latter as a ``NotUSOError``), the outmap gate
-:func:`sink_and_source`, ``NotUSOError`` with its certificate, a topological
-order with the acyclicity test built on it, the decomposability test, and
+one unique-sink check (each names the first violation it finds, the latter
+as a ``NotUSOError``), the outmap gate :func:`sink_and_source`,
+``NotUSOError`` with its certificate, a topological order with the
+acyclicity test built on it, the decomposability test, and
 canonicalization under the hypercube automorphism group. The decomposability
 test runs as one kernel over a (B, 2^n) stack of tables
 (:func:`decomposable_rows`), so the census classifies all its tables in one
@@ -18,10 +18,12 @@ sinks are the facet sinks with j incoming. It keeps one sink per face, as
 that sink's outmap in the narrowest unsigned dtype that holds n bits
 (uint8 up to n = 8, uint16 up to 16, then uint32), since the recurrence
 reads nothing else of a sink; so it costs O(3^n) time and never gathers
-from the table. Its low coordinates run as one array sweep of at most
-``_SWEEP_ENTRIES`` = 2^22 sink outmaps (16 MiB at uint32), or 2^n when
-n > 22; the high coordinates run depth first over their spans on arrays
-no larger than that.
+from the table. One rule runs over the coordinates: fold at the root
+while the array fits, branch below. Each coordinate folds into the face
+codes of one root array while that holds at most ``_SWEEP_ENTRIES`` = 2^22
+sink outmaps (16 MiB at uint32), or 2^n when n > 22; the coordinates after
+the first that does not fit branch depth first over their spans, on
+arrays no larger than that.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .bitops import (
 #: Largest dimension for which dense tables are supported (2**n entries).
 MAX_DIMENSION = 24
 
-#: Most face sink outmaps the low-coordinate sweep of
-#: :func:`first_uso_violation` holds in one array (16 MiB at uint32).
+#: Most face sink outmaps the root of :func:`first_uso_violation` folds
+#: into one array (16 MiB at uint32).
 _SWEEP_ENTRIES = 1 << 22
 
 
@@ -323,8 +325,9 @@ def _least_face(
     return face, int(counts[rows[i], codes[i]])
 
 
-def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
-    """First face (ordered by span then anchor) with sink count != 1.
+def first_uso_violation(o: Orientation) -> NotUSOError | None:
+    """``NotUSOError`` naming the first face (ordered by span then anchor)
+    with sink count != 1, and that count; None when ``o`` is a USO.
 
     Recurrence over the top coordinate j of a span: when both facets of a
     face along j have one sink, the face's sinks are the facet sinks with j
@@ -337,63 +340,48 @@ def first_uso_violation(o: Orientation) -> tuple[Face, int] | None:
     that face as a proper subface, so it comes later in span order and is
     never reported.
 
-    Coordinates 1..k run as one sweep over an array x[h, t]: h holds the
-    vertex bits above coordinate j and t is a base-3 face code over
-    coordinates 1..j (digit 0, 1 or "in span"). k is the largest value with
-    3^k * 2^(n-k) <= ``_SWEEP_ENTRIES`` (every coordinate up to n = 13).
-    Spans with a higher top all exceed those with top j, so the sweep stops
-    at the first step that finds a bad face. The coordinates k+1..n follow
-    depth first over their spans T -> T + {j}, j > top(T); each node holds
-    a (2^(n-k-|T|), 3^k) array and spans not below the least bad face found
+    One rule covers every coordinate j = 1..n: fold at the root while the
+    array fits, branch below. The root's array x[h, t] has rows h over the
+    vertex bits above coordinate m and columns t, base-3 face codes over
+    coordinates 1..m (digit 0, 1 or "in span"). Joining along j = m + 1
+    folds j into the codes while the result holds at most
+    ``_SWEEP_ENTRIES`` entries (every coordinate up to n = 13). From the
+    first j that does not fit, each join is a node T + {j} of a depth-first
+    search over the spans T above the codes, j > top(T), on an array half
+    its parent's size. Spans not below the least bad face found so far
     are pruned.
     """
     n = o.n
     full = full_mask(n)
-    k = 0
-    while k < n and 3 ** (k + 1) << (n - k - 1) <= _SWEEP_ENTRIES:
-        k += 1
-    x = o._table.astype(np.min_scalar_type(full), copy=False).reshape(-1, 1)
-    for j in range(1, k + 1):
-        b = bit(j)
-        pairs = x.reshape(-1, 2, x.shape[1])
-        a, c = pairs[:, 0], pairs[:, 1]
-        joined, counts = _join(x.dtype.type(b), a, c)
-        if counts is not None:
-            return _least_face(counts, j - 1, n, b, full ^ (2 * b - 1))
-        x = np.concatenate([a, c, joined], axis=1)
-
     best = None
 
-    def descend(y: np.ndarray, span: int, free: int) -> None:
-        # rows of y hold the vertex bits at the coordinates ``free``
+    def scan(y: np.ndarray, span: int, m: int, free: int, start: int) -> None:
+        # rows of y hold the vertex bits at the coordinates ``free``, columns
+        # the face codes over coordinates 1..m
         nonlocal best
-        for j in range(max(k, span.bit_length()) + 1, n + 1):
+        for j in range(start, n + 1):
             b = bit(j)
-            child = span | b
-            if best is not None and best[0].span < child:
-                return  # every span below here is at least child
+            if best is not None and best[0].span < span | b:
+                return  # every span from here on is at least span | b
             pairs = y.reshape(-1, 2, 1 << popcount(free & (b - 1)), y.shape[1])
-            joined, counts = _join(y.dtype.type(b), pairs[:, 0], pairs[:, 1])
-            joined = joined.reshape(-1, y.shape[1])
+            a, c = pairs[:, 0], pairs[:, 1]
+            joined, counts = _join(y.dtype.type(b), a, c)
             if counts is not None:
                 # the pruning above leaves only spans below ``best``
-                best = _least_face(counts.reshape(joined.shape), k, n, child, free ^ b)
-            descend(joined, child, free ^ b)
+                best = _least_face(counts.reshape(-1, y.shape[1]), m, n, span | b, free ^ b)
+            if span == 0 and 3 * y.size <= 2 * _SWEEP_ENTRIES:
+                y = np.concatenate([a, c, joined], axis=2).reshape(len(a), -1)
+                m, free = j, free ^ b
+            else:
+                scan(joined.reshape(-1, y.shape[1]), span | b, m, free ^ b, j + 1)
 
-    descend(x, 0, full ^ full_mask(k))
-    return best
+    scan(o._table.astype(np.min_scalar_type(full), copy=False).reshape(-1, 1), 0, 0, full, 1)
+    return None if best is None else NotUSOError(face=best[0], count=best[1])
 
 
 def validate_uso(o: Orientation) -> bool:
     """True iff every face has exactly one sink."""
     return first_uso_violation(o) is None
-
-
-def uso_violation(o: Orientation) -> NotUSOError | None:
-    """``NotUSOError`` with the face and sink count that
-    :func:`first_uso_violation` names; None when ``o`` is a USO."""
-    violation = first_uso_violation(o)
-    return None if violation is None else NotUSOError(face=violation[0], count=violation[1])
 
 
 def topological_order(o: Orientation) -> list[int] | None:

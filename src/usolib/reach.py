@@ -157,7 +157,7 @@ def niceness_index(o: Orientation) -> NicenessReport:
     bijective non-USO ``[0, 9, 7, 10, 12, 5, 2, 15, 8, 1, 11, 6, 4, 13, 14,
     3]`` passes them with niceness 1, though face span={1,3} anchor={2} has
     2 sinks. A caller that takes tables from outside runs
-    :func:`~usolib.core.uso_violation` first, as ``uso analyze`` does.
+    :func:`~usolib.core.first_uso_violation` first, as ``uso analyze`` does.
     """
     sink = _sink_reached_by_every_vertex(o)
     table = o._table

@@ -518,3 +518,8 @@ def test_family_dispatch_looks_constructors_up_by_module_name(monkeypatch, capsy
         monkeypatch.setattr(usolib.construct, attr, counted)
     call()
     assert calls == {"km": 0, "cyclic-lb": 0} | {family: 1}
+
+
+def test_build_family_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown family 'klee-minty'"):
+        build_family("klee-minty", 4, 0)

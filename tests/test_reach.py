@@ -28,8 +28,8 @@ from usolib.construct import (
 from usolib.core import (
     NotUSOError,
     Orientation,
+    first_uso_violation,
     is_acyclic,
-    uso_violation,
     validate_orientation,
 )
 from usolib.reach import niceness_index, reach_table
@@ -332,7 +332,7 @@ def test_niceness_gates_are_only_a_prefix_of_the_uso_check():
     # face span={1,3} anchor={2} has two sinks; the sweep still answers
     o = Orientation(4, [0, 9, 7, 10, 12, 5, 2, 15, 8, 1, 11, 6, 4, 13, 14, 3])
     assert niceness_index(o).niceness_index == 1
-    assert str(uso_violation(o)) == "not a USO: face span={1,3} anchor={2} has 2 sinks"
+    assert str(first_uso_violation(o)) == "not a USO: face span={1,3} anchor={2} has 2 sinks"
 
 
 #: tracemalloc peaks in bytes per vertex at n = 16, each about 1.25 times
