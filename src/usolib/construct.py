@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitops import bit, full_mask, mask_deposit
 from .core import Face, Orientation, _check_dimension, _check_vertex
-from .rng import _GOLDEN, SplitMix64, _mix64_inplace
+from .rng import SplitMix64
 
 #: Edges are written (vertex, coordinate), as pairs or (k, 2) array rows, and
 #: denote the edge between ``vertex`` and ``vertex ^ bit(coordinate)``.
@@ -138,12 +138,11 @@ def _shuffled_range(count: int, rng: SplitMix64) -> np.ndarray:
     j_i, and no later step touches i: the item that ends at i is j_i's own
     unless an earlier step s > i into j_i put one there, the item at s
     before step s. Pointer jumping resolves these chains."""
-    # step i draws stream index rng.index + count-1-i; step 0, a swap of
-    # position 0 with itself, reads one value more, which is 0 mod 1
-    key = np.arange(rng.index + count, rng.index, -1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    key += np.uint64(rng.seed)
-    _mix64_inplace(key)
-    rng.index += count - 1
+    # step i >= 1 reads draw count-1-i; step 0, a swap of position 0 with
+    # itself, draws nothing, and any key is 0 mod 1
+    key = np.empty(count, np.uint64)
+    key[0] = 0
+    key[1:] = rng.draw(count - 1)[::-1]
     np.remainder(key, np.arange(1, count + 1, dtype=np.uint64), out=key)
     # one sort groups the steps by j_i, ascending within a group
     shift = count.bit_length()
@@ -201,8 +200,8 @@ def random_maximal_matching(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     """Greedy maximal matching over a seeded shuffle of all cube edges
     (listed by lower endpoint, then coordinate), in pick order.
 
-    The edges are int32 codes; one in-place splitmix64 pass draws the
-    values of a Fisher-Yates shuffle (the list oracle ``shuffle`` in
+    The edges are int32 codes; one ``rng.draw`` block gives the values of
+    a Fisher-Yates shuffle (the list oracle ``shuffle`` in
     ``tests/helpers.py``) and pointer jumping resolves its swaps
     (:func:`_shuffled_range`), leaving ``rng`` where the shuffle would.
     Each greedy round picks every live edge ranked below all other live

@@ -1,9 +1,10 @@
 """Seeded pseudo-randomness with counter-based streams.
 
-All randomness in this package flows through a splitmix64 mixer. A stream
-value is a pure function of (seed, index), so scalar loops and vectorized
-batches produce bit-identical results by construction,
-and per-trial substreams are derived from a master seed the same way on any
+All randomness in this package flows through a splitmix64 mixer. Value k of
+the stream with seed s is mix(s + (k + 1) * golden), a pure function of
+(seed, index), so a block of one stream (:meth:`SplitMix64.draw`) and one
+index across many streams (:func:`stream_values_np`) agree bit for bit, and
+per-trial substreams are derived from a master seed the same way on any
 platform.
 """
 
@@ -18,27 +19,9 @@ _MIX2 = 0x94D049BB133111EB
 _START_SALT = 0x1D8AF066B1F4B2A5
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer over unsigned 64-bit ints."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
-
-
-def stream_value(seed: int, index: int) -> int:
-    """The ``index``-th value of the stream identified by ``seed``."""
-    return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
-
-
-def derive_seed(master: int, index: int) -> int:
-    """Substream seed for e.g. one trial out of many."""
-    return stream_value(master, index)
-
-
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    """:func:`mix64` over a uint64 array that the caller owns, in place;
-    uint64 array arithmetic wraps without a warning."""
+    """The splitmix64 finalizer over a uint64 array that the caller owns, in
+    place; uint64 array arithmetic wraps without a warning."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)
@@ -48,17 +31,18 @@ def _mix64_inplace(x: np.ndarray) -> np.ndarray:
 
 
 def stream_values_np(seeds: np.ndarray, index: int) -> np.ndarray:
-    """Vectorized :func:`stream_value`: one draw per uint64 seed, all at
-    ``index``."""
+    """One draw per uint64 seed, all at stream ``index``."""
     return _mix64_inplace(seeds + np.uint64(((index + 1) * _GOLDEN) & _MASK64))
+
+
+def derive_seed(master: int, index: int) -> int:
+    """Substream seed for e.g. one trial out of many."""
+    return int(stream_values_np(np.array([master & _MASK64], dtype=np.uint64), index)[0])
 
 
 def derive_seeds_np(master: int, count: int) -> np.ndarray:
     """Substream seeds for trials 0..count-1 as a uint64 array."""
-    x = np.arange(1, count + 1, dtype=np.uint64)
-    x *= np.uint64(_GOLDEN)
-    x += np.uint64(master & _MASK64)
-    return _mix64_inplace(x)
+    return SplitMix64(master).draw(count)
 
 
 def start_values_np(seeds: np.ndarray) -> np.ndarray:
@@ -68,11 +52,9 @@ def start_values_np(seeds: np.ndarray) -> np.ndarray:
 
 
 class SplitMix64:
-    """A seeded stream and a cursor into it. The random constructions read
-    only ``seed`` and ``index``, drawing a whole block of stream values at
-    once and advancing ``index`` past them; ``next_u64`` and ``randrange``
-    draw one value at a time, as the list shuffle ``shuffle`` in
-    ``tests/helpers.py`` does. Stable across Python and numpy versions."""
+    """A seeded stream and a cursor into it. ``draw`` returns the next block
+    of stream values and advances ``index`` past them. Stable across Python
+    and numpy versions."""
 
     __slots__ = ("seed", "index")
 
@@ -80,12 +62,10 @@ class SplitMix64:
         self.seed = seed & _MASK64
         self.index = 0
 
-    def next_u64(self) -> int:
-        value = stream_value(self.seed, self.index)
-        self.index += 1
-        return value
-
-    def randrange(self, k: int) -> int:
-        if k <= 0:
-            raise ValueError("randrange bound must be positive")
-        return self.next_u64() % k
+    def draw(self, count: int) -> np.ndarray:
+        """Stream values ``index``..``index + count - 1`` as a uint64 array."""
+        x = np.arange(self.index + 1, self.index + count + 1, dtype=np.uint64)
+        x *= np.uint64(_GOLDEN)
+        x += np.uint64(self.seed)
+        self.index += count
+        return _mix64_inplace(x)

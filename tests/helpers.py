@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from the definitions, without
 reusing the library's fast paths: a coordinate mask from a list, face
-membership, the Fisher-Yates list shuffle, the USO-TEXT reader one line at a
-time, ``uso analyze``'s text one line at a time, a pure-python edge
+membership, the splitmix64 stream one scalar value at a time and the
+cursor draws over it, the Fisher-Yates list shuffle, the USO-TEXT reader one
+line at a time, ``uso analyze``'s text one line at a time, a pure-python edge
 check and face scan,
 the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
@@ -34,7 +35,10 @@ from usolib.bitops import bit, coords, format_coord_set, full_mask, popcount, su
 from usolib.construct import flip_edge, reverse_orientation, uniform
 from usolib.core import MAX_DIMENSION, EvalCounter, Face, NotUSOError, Orientation
 from usolib.io import ParseError
-from usolib.rng import SplitMix64, stream_value
+from usolib.rng import SplitMix64
+
+
+_MASK64 = (1 << 64) - 1
 
 
 def from_coords(items) -> int:
@@ -50,12 +54,37 @@ def face_contains(face: Face, v: int) -> bool:
     return (v ^ face.anchor) & ~face.span == 0
 
 
+def mix64(x: int) -> int:
+    """The splitmix64 finalizer over unsigned 64-bit Python ints."""
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def stream_value(seed: int, index: int) -> int:
+    """Value ``index`` of the splitmix64 stream with ``seed``."""
+    return mix64(seed + (index + 1) * 0x9E3779B97F4A7C15)
+
+
+def next_u64(rng: SplitMix64) -> int:
+    """One value of ``rng``'s stream at its cursor, advancing the cursor."""
+    value = stream_value(rng.seed, rng.index)
+    rng.index += 1
+    return value
+
+
+def randrange(rng: SplitMix64, k: int) -> int:
+    """:func:`next_u64` mod ``k``."""
+    return next_u64(rng) % k
+
+
 def shuffle(items: list, rng: SplitMix64) -> None:
     """Fisher-Yates shuffle of ``items`` in place, step i = len-1, ..., 1
-    swapping positions i and ``rng.randrange(i + 1)``; the list oracle of
+    swapping positions i and ``randrange(rng, i + 1)``; the list oracle of
     ``construct._shuffled_range``."""
     for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        j = randrange(rng, i + 1)
         items[i], items[j] = items[j], items[i]
 
 
@@ -493,7 +522,7 @@ def random_consistent_table(n: int, rng: SplitMix64) -> Orientation:
     """Uniformly random edge-consistent outmap table (usually not a USO)."""
     table = [0] * (1 << n)
     for v, j in cube_edges(n):
-        if rng.randrange(2):
+        if randrange(rng, 2):
             table[v] |= bit(j)
         else:
             table[v ^ bit(j)] |= bit(j)
@@ -688,25 +717,6 @@ def certificate_holds(o: Orientation, exc) -> bool:
         sinks = sum(1 for sub in submasks(span) if o.out(anchor | sub) & span == 0)
         return sinks == exc.count != 1
     return False
-
-
-def one_nice_direct(o: Orientation) -> bool:
-    """1-niceness from the definition, via brute-force reachmaps."""
-    size = o.vertex_count()
-    rm = [reachmap_bruteforce(o, v) for v in range(size)]
-    for v in range(size):
-        s = o.out(v)
-        if s == 0:
-            continue
-        ok = False
-        for j in coords(s):
-            w = v ^ bit(j)
-            if rm[w] != rm[v] and rm[w] & ~rm[v] == 0:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
 
 
 def _permute_mask_table(n: int, perm: tuple[int, ...]) -> list[int]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_usos, reachable_vertices
+from helpers import brute_force_usos, next_u64, randrange, reachable_vertices
 from usolib.algo import (
     derandomized_re,
     fs_revisited,
@@ -191,7 +191,7 @@ def _starts(n: int, seed: int) -> list[int]:
     rng = SplitMix64(seed)
     picks = {0, size - 1}
     while len(picks) < 8:
-        picks.add(rng.randrange(size))
+        picks.add(randrange(rng, size))
     return sorted(picks)
 
 
@@ -291,7 +291,7 @@ def test_criterion_07_restarted_seesaw_bounds():
         if n <= 4:
             starts = range(1 << n)
         else:
-            starts = [SplitMix64(derive_seed(71, k)).randrange(1 << n)]
+            starts = [randrange(SplitMix64(derive_seed(71, k)), 1 << n)]
         for start in starts:
             sink, trace = fs_revisited(o, start)
             runs += 1
@@ -317,9 +317,9 @@ def test_criterion_08_combinator_preservation():
     for k in range(1000):
         frame_dim = 2 if k % 2 == 0 else 1
         fiber_dim = 2 if k % 3 else 3
-        frame = random_fmo(frame_dim, SplitMix64(rng.next_u64()))
+        frame = random_fmo(frame_dim, SplitMix64(next_u64(rng)))
         fibers = [
-            random_fmo(fiber_dim, SplitMix64(rng.next_u64()))
+            random_fmo(fiber_dim, SplitMix64(next_u64(rng)))
             for _ in range(1 << frame_dim)
         ]
         o = product(frame, fibers)
@@ -340,7 +340,7 @@ def test_criterion_08_combinator_preservation():
     base = uniform(4)
     hyperface = Face(0b1000, 0b0111)
     for _ in range(200):
-        rep = random_fmo(3, SplitMix64(rng.next_u64()))
+        rep = random_fmo(3, SplitMix64(next_u64(rng)))
         hypersink_ok &= validate_uso(hypersink_reorient(base, hyperface, rep))
 
     two_nice = []

@@ -7,9 +7,11 @@ from helpers import (
     derandomized_re_by_loops,
     fs_revisited_by_loop,
     kth_set_bit_by_loop,
+    mix64,
     neighbor_join_by_snapshots,
     random_consistent_table,
     random_edge_walk_by_loop,
+    randrange,
     re_expectation_by_solve,
     reachable_vertices,
 )
@@ -39,7 +41,7 @@ from usolib.construct import (
 from usolib.core import EvalCounter, Face, NotUSOError, Orientation, face_sink, sink_and_source
 from usolib.enumeration import _uso_stack
 from usolib.reach import reach_table
-from usolib.rng import _MASK64, _START_SALT, SplitMix64, derive_seed, mix64
+from usolib.rng import _MASK64, _START_SALT, SplitMix64, derive_seed
 
 FAMILIES_N6 = [
     uniform(6),
@@ -486,8 +488,8 @@ def test_join_pair_reachability_and_move_bound():
     rng = SplitMix64(123)
     for o in FAMILIES_N6:
         for _ in range(30):
-            u = rng.randrange(64)
-            v = rng.randrange(64)
+            u = randrange(rng, 64)
+            v = randrange(rng, 64)
             oracle = EvalCounter(o)
             w = join_pair(oracle, u, v)
             assert oracle.evaluations <= (popcount(u ^ v) + 1 if u != v else 0)
@@ -558,13 +560,13 @@ def test_not_uso_certificates_of_the_joins_and_seesaws_are_genuine():
             o = random_consistent_table(n, rng)
             size = 1 << n
             for _ in range(3):
-                u, v = rng.randrange(size), rng.randrange(size)
+                u, v = randrange(rng, size), randrange(rng, size)
                 run("join_pair", lambda: join_pair(EvalCounter(o), u, v), o)
             result = run("fibonacci_seesaw", lambda: fibonacci_seesaw(o), o)
             if result is not None:
                 assert o.out(result[0]) == 0
             for _ in range(2):
-                start = rng.randrange(size)
+                start = randrange(rng, size)
                 result = run("fs_revisited", lambda: fs_revisited(o, start), o)
                 if result is not None:
                     assert o.out(result[0]) == 0
@@ -624,7 +626,7 @@ def test_neighbor_join_budget_and_reachability():
     rng = SplitMix64(124)
     for o in FAMILIES_N6:
         for _ in range(20):
-            v = rng.randrange(64)
+            v = randrange(rng, 64)
             s = o.out(v)
             if s == 0:
                 continue
@@ -712,8 +714,8 @@ def test_fibonacci_seesaw_on_faces_matches_face_sink():
     o = random_fmo(6, SplitMix64(7))
     rng = SplitMix64(70)
     for _ in range(30):
-        span = rng.randrange(63) + 1
-        anchor = rng.randrange(64) & ~span
+        span = randrange(rng, 63) + 1
+        anchor = randrange(rng, 64) & ~span
         f = Face(anchor, span)
         sink, _ = fibonacci_seesaw(o, f)
         assert sink == face_sink(o, f)

@@ -9,6 +9,7 @@ from helpers import (
     from_coords,
     klee_minty_by_definition,
     klee_minty_by_shifts,
+    next_u64,
     random_maximal_matching_by_list,
     shuffle,
     target_combed_by_steps,
@@ -204,7 +205,7 @@ def test_random_maximal_matching_equals_the_list_oracle(n):
             fast, slow = SplitMix64(seed), SplitMix64(seed)
             for rng in (fast, slow):
                 for _ in range(earlier):
-                    rng.next_u64()
+                    next_u64(rng)
             assert random_maximal_matching(n, fast) == random_maximal_matching_by_list(n, slow)
             assert fast.index == slow.index
 
@@ -218,7 +219,7 @@ def test_random_maximal_matching_equals_the_list_oracle_large(n):
 
 def test_random_maximal_matching_edge_cases():
     rng = SplitMix64(9)
-    rng.next_u64()
+    next_u64(rng)
     assert random_maximal_matching(1, rng) == [(0, 1)]  # one edge, no draw
     assert rng.index == 1
     m = random_maximal_matching(2, rng)  # four edges, three draws, two picks

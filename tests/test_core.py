@@ -21,6 +21,7 @@ from helpers import (
     hypercube_automorphisms,
     orientation_from_edge_bits,
     random_consistent_table,
+    randrange,
     uso_by_face_scan_pure,
     uso_by_pairwise,
 )
@@ -71,6 +72,7 @@ def test_face_normalization_and_equality():
     assert f1.dimension == 2
     assert list(f1.vertices()) == [0b100, 0b101, 0b110, 0b111]
     assert face_contains(f1, 0b111) and not face_contains(f1, 0b010)
+    assert repr(f1) == "Face(anchor={3}, span={1,2})"
 
 
 def test_orientation_rejects_bad_tables():
@@ -93,14 +95,22 @@ def test_orientation_rejects_non_integer_tables():
     with pytest.raises(ValueError, match="out of range"):
         Orientation(2, np.array([1, 0, 3, 2 - (1 << 32)], dtype=np.int64))
     # the constructions' uint32 arrays, the loaders' int lists and the
-    # enumerator's uint8 rows are all accepted
-    for table in (
-        np.array([1, 0, 3, 2], dtype=np.uint32),
-        [1, 0, 3, 2],
-        np.array([1, 0, 3, 2], dtype=np.uint8),
-    ):
-        assert Orientation(2, table).outmap.tolist() == [1, 0, 3, 2]
-        assert Orientation(2, table).outmap.dtype == np.uint32
+    # enumerator's uint8 rows are all accepted, as equal orientations
+    accepted = [
+        Orientation(2, table)
+        for table in (
+            np.array([1, 0, 3, 2], dtype=np.uint32),
+            [1, 0, 3, 2],
+            np.array([1, 0, 3, 2], dtype=np.uint8),
+        )
+    ]
+    for o in accepted:
+        assert o.outmap.tolist() == [1, 0, 3, 2]
+        assert o.outmap.dtype == np.uint32
+        assert o == accepted[0] and hash(o) == hash(accepted[0])
+    assert len({*accepted, uniform(2)}) == 2
+    assert accepted[0] != [1, 0, 3, 2]
+    assert repr(accepted[0]) == "Orientation(n=2, outmap=[1, 0, 3, 2])"
 
 
 def test_orientation_table_is_immutable():
@@ -164,7 +174,7 @@ def test_first_edge_violation_matches_pure_loop(n):
     for k in range(60):
         table = random_consistent_table(n, rng).outmap.copy()
         for _ in range(k % 3):  # 0, 1 or 2 flipped bits
-            table[rng.randrange(1 << n)] ^= bit(rng.randrange(n) + 1)
+            table[randrange(rng, 1 << n)] ^= bit(randrange(rng, n) + 1)
         o = Orientation(n, table)
         expect = first_edge_violation_pure(o)
         assert first_edge_violation(o) == expect
@@ -175,8 +185,8 @@ def test_random_flips_preserve_edge_consistency():
     rng = SplitMix64(3)
     o = uniform(4)
     for _ in range(50):
-        v = rng.randrange(16)
-        j = rng.randrange(4) + 1
+        v = randrange(rng, 16)
+        j = randrange(rng, 4) + 1
         u = v ^ bit(j)
         if (o.out(v) ^ o.out(u)) & ~bit(j):
             continue
@@ -225,8 +235,8 @@ def test_not_uso_certificates_of_the_sink_scans_are_genuine():
                 assert len(set(outmaps)) == 1 << n
                 assert o.out(sink) == 0 and o.out(source) == full_mask(n)
             for _ in range(4):
-                span = rng.randrange(full_mask(n)) + 1
-                f = Face(rng.randrange(1 << n), span)
+                span = randrange(rng, full_mask(n)) + 1
+                f = Face(randrange(rng, 1 << n), span)
                 try:
                     sink = face_sink(o, f)
                 except NotUSOError as exc:
@@ -251,7 +261,7 @@ def test_sink_and_source_accepts_exactly_the_bijective_tables():
         tables = usos + [random_consistent_table(n, rng) for _ in range(100)]
         for o in usos:
             for _ in range(10):
-                tables.append(flipped_edge(o, rng.randrange(1 << n), rng.randrange(n) + 1))
+                tables.append(flipped_edge(o, randrange(rng, 1 << n), randrange(rng, n) + 1))
         for o in tables:
             outmaps = o.outmap.tolist()
             bijective = len(set(outmaps)) == 1 << n
@@ -318,7 +328,7 @@ def test_first_uso_violation_matches_face_scan_random_tables(monkeypatch, n, swe
         o = random_consistent_table(n, rng)
         assert checked_certificate(o) == first_uso_violation_by_face_scan(o)
         # arbitrary outmaps, mostly not edge-consistent
-        o = Orientation(n, [rng.randrange(1 << n) for _ in range(1 << n)])
+        o = Orientation(n, [randrange(rng, 1 << n) for _ in range(1 << n)])
         assert checked_certificate(o) == first_uso_violation_by_face_scan(o)
 
 
@@ -328,14 +338,14 @@ def test_first_uso_violation_matches_face_scan_on_flipped_fmos(monkeypatch, n, s
     limit_sweep(monkeypatch, n, sweep)
     rng = SplitMix64(400 + n)
     for _ in range(10):
-        j = rng.randrange(n) + 1
-        o = flipped_edge(random_fmo(n, rng), rng.randrange(1 << n), j)
+        j = randrange(rng, n) + 1
+        o = flipped_edge(random_fmo(n, rng), randrange(rng, 1 << n), j)
         expect = first_uso_violation_by_face_scan(o)
         assert expect is None or expect[0].span & bit(j)
         assert checked_certificate(o) == expect
         # after a second flip one step can find bad faces whose array order
         # is not their (span, anchor) order
-        o = flipped_edge(o, rng.randrange(1 << n), rng.randrange(n) + 1)
+        o = flipped_edge(o, randrange(rng, 1 << n), randrange(rng, n) + 1)
         assert checked_certificate(o) == first_uso_violation_by_face_scan(o)
 
 
@@ -345,7 +355,7 @@ def test_first_uso_violation_depth_first_part_at_n14(seed):
     # coordinate 14 leaves every face without it in its span intact, so the
     # first bad face is found depth first
     rng = SplitMix64(seed)
-    o = flipped_edge(random_fmo(14, rng), rng.randrange(1 << 14), 14)
+    o = flipped_edge(random_fmo(14, rng), randrange(rng, 1 << 14), 14)
     expect = first_uso_violation_by_face_scan(o)
     assert expect is not None and expect[0].span & bit(14)
     assert checked_certificate(o) == expect
@@ -385,7 +395,7 @@ def test_first_uso_violation_traced_peak_at_klee_minty_16():
 def test_first_uso_violation_matches_face_scan_hypothesis(n, seed, flip):
     rng = SplitMix64(seed)
     if flip:
-        o = flipped_edge(random_fmo(n, rng), rng.randrange(1 << n), rng.randrange(n) + 1)
+        o = flipped_edge(random_fmo(n, rng), randrange(rng, 1 << n), randrange(rng, n) + 1)
     else:
         o = random_consistent_table(n, rng)
     assert checked_certificate(o) == first_uso_violation_by_face_scan(o)
@@ -421,8 +431,8 @@ def test_outmap_face_bijection_random_faces_n8():
     o = klee_minty(8)
     full = full_mask(8)
     for _ in range(50):
-        span = rng.randrange(full) + 1
-        anchor = rng.randrange(full + 1) & ~span
+        span = randrange(rng, full) + 1
+        anchor = randrange(rng, full + 1) & ~span
         if popcount(span) > 5:
             continue
         seen = set()
@@ -436,7 +446,7 @@ def test_path_to_face_sink_has_hamming_length(all_usos_3):
     rng = SplitMix64(77)
     for o in all_usos_3[::37]:
         for span in (0b011, 0b111, 0b101):
-            anchor = rng.randrange(8) & ~span
+            anchor = randrange(rng, 8) & ~span
             f = Face(anchor, span)
             u = face_sink(o, f)
             for v in f.vertices():
@@ -448,11 +458,11 @@ def test_path_to_sink_random_faces_larger():
     rng = SplitMix64(6)
     full = full_mask(6)
     for _ in range(20):
-        span = rng.randrange(full) + 1
-        anchor = rng.randrange(full + 1) & ~span
+        span = randrange(rng, full) + 1
+        anchor = randrange(rng, full + 1) & ~span
         f = Face(anchor, span)
         u = face_sink(o, f)
-        v = anchor | (rng.randrange(full + 1) & span)
+        v = anchor | (randrange(rng, full + 1) & span)
         assert bfs_distance_in_face(o, f, v, u) == popcount(v ^ u)
 
 
@@ -507,8 +517,8 @@ def test_canonical_form_invariant_under_automorphisms(all_usos_3):
     rng = SplitMix64(13)
     autos = list(hypercube_automorphisms(3))
     for _ in range(12):
-        o = all_usos_3[rng.randrange(len(all_usos_3))]
-        vertex_map, coord_map = autos[rng.randrange(len(autos))]
+        o = all_usos_3[randrange(rng, len(all_usos_3))]
+        vertex_map, coord_map = autos[randrange(rng, len(autos))]
         transformed = _apply_automorphism(o, vertex_map, coord_map)
         assert validate_uso(transformed)
         assert canonical_form(transformed) == canonical_form(o)
@@ -551,7 +561,7 @@ def test_automorphism_arrays_at_n_6():
 
 def test_canonical_form_invariant_under_automorphisms_at_n_6():
     rng = SplitMix64(29)
-    picks = {rng.randrange(46_080) for _ in range(5)}
+    picks = {randrange(rng, 46_080) for _ in range(5)}
     autos = [a for k, a in enumerate(hypercube_automorphisms(6)) if k in picks]
     assert len(autos) == 5
     for o in (random_fmo(6, SplitMix64(6)), cyclic_full_reach(6)):

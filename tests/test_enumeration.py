@@ -11,6 +11,7 @@ from helpers import (
     enumerate_all_by_backtracking,
     is_acyclic_by_reachability,
     is_decomposable_by_recursion,
+    randrange,
     reachmap_bruteforce,
     uso_by_face_scan_pure,
 )
@@ -158,7 +159,7 @@ def test_lift_stack_dimension_4():
         assert (((stack ^ stack[:, vertices ^ b]) & b) == b).all()
     rng = SplitMix64(4)
     for _ in range(2000):
-        assert validate_uso(Orientation(4, stack[rng.randrange(len(stack))]))
+        assert validate_uso(Orientation(4, stack[randrange(rng, len(stack))]))
 
 
 def test_recurrence_values(census_3):

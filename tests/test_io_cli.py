@@ -15,6 +15,7 @@ from helpers import (
     flipped_edge,
     loads_text_by_lines,
     random_consistent_table,
+    randrange,
 )
 import usolib.algo
 import usolib.cli
@@ -109,8 +110,8 @@ def test_loader_error_text_matches_pure_edge_check(n):
     rng = SplitMix64(700 + n)
     for _ in range(20):
         table = random_consistent_table(n, rng).outmap.tolist()
-        for _flip in range(1 + rng.randrange(2)):
-            table[rng.randrange(1 << n)] ^= bit(rng.randrange(n) + 1)
+        for _flip in range(1 + randrange(rng, 2)):
+            table[randrange(rng, 1 << n)] ^= bit(randrange(rng, n) + 1)
         bad = first_edge_violation_pure(Orientation(n, table))
         if bad is None:
             continue
@@ -292,7 +293,7 @@ def test_check_and_analyze_name_a_face_found_depth_first(tmp_path, capsys):
     # at n = 14 the USO check sweeps coordinates 1..13 and searches spans
     # with coordinate 14 depth first; an edge flipped along 14 is found there
     rng = SplitMix64(4)
-    o = flipped_edge(random_fmo(14, rng), rng.randrange(1 << 14), 14)
+    o = flipped_edge(random_fmo(14, rng), randrange(rng, 1 << 14), 14)
     face, count = first_uso_violation_by_face_scan(o)
     assert face.span & bit(14)
     path = tmp_path / "flipped.uso"

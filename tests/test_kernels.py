@@ -18,6 +18,7 @@ from helpers import (
     niceness_by_python_sweep,
     orientation_from_edge_bits,
     random_consistent_table,
+    randrange,
     reach_table_bruteforce,
     reachmap_bruteforce,
 )
@@ -102,7 +103,7 @@ def test_reach_table_where_both_ends_of_an_edge_point_out():
     assert reach_table(o).entries.tolist() == reach_table_bruteforce(o) == [1, 1, 1, 1]
     rng = SplitMix64(31)
     for n in range(1, 7):
-        values = [rng.randrange(1 << n) for _ in range(1 << n)]
+        values = [randrange(rng, 1 << n) for _ in range(1 << n)]
         o = Orientation(n, values)
         assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
 
@@ -122,7 +123,7 @@ def test_a_stack_mixing_usos_and_other_tables_keeps_each_row_apart(all_usos_3):
     rng = SplitMix64(29)
     others = [random_consistent_table(3, rng) for _ in range(40)]
     mixed = all_usos_3[::20] + others
-    order = np.argsort([rng.randrange(1 << 30) for _ in mixed])
+    order = np.argsort([randrange(rng, 1 << 30) for _ in mixed])
     mixed = [mixed[k] for k in order]
     decomposable = decomposable_rows(_stack(mixed))
     assert 0 < decomposable.sum() < len(mixed)

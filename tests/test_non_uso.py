@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import certificate_holds, random_consistent_table
+from helpers import certificate_holds, random_consistent_table, randrange
 from usolib.algo import (
     derandomized_re,
     fibonacci_seesaw,
@@ -58,7 +58,7 @@ def _entry_points(o, u, v):
 def test_entry_points_return_or_raise_a_genuine_certificate(n, seed):
     rng = SplitMix64(seed)
     o = random_consistent_table(n, rng)
-    u, v = rng.randrange(1 << n), rng.randrange(1 << n)
+    u, v = randrange(rng, 1 << n), randrange(rng, 1 << n)
     for name, call in _entry_points(o, u, v).items():
         if name == "neighbor_join" and o.out(u) == 0:
             with pytest.raises(ValueError, match="undefined at the sink"):
@@ -104,7 +104,7 @@ def test_solver_outcomes_on_non_usos_are_pinned():
         for seed in range(40):
             rng = SplitMix64(seed)
             o = random_consistent_table(n, rng)
-            u = rng.randrange(1 << n)
+            u = randrange(rng, 1 << n)
             lines.extend(f"{n} {seed} {line}" for line in _solver_outcomes(o, u))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
     assert digest == "65668bb25b75f986"

@@ -10,6 +10,7 @@ from helpers import (
     niceness_by_python_sweep,
     orientation_from_edge_bits,
     random_consistent_table,
+    randrange,
     reach_table_bruteforce,
     reachmap_bruteforce,
     uso_by_pairwise,
@@ -71,7 +72,7 @@ def test_reach_table_matches_per_vertex_traversal(make):
     t = reach_table(o)
     rng = SplitMix64(17)
     for _ in range(100):
-        v = rng.randrange(o.vertex_count())
+        v = randrange(rng, o.vertex_count())
         assert t[v] == reachmap_bruteforce(o, v)
 
 
@@ -107,7 +108,7 @@ def test_reachmap_contains_difference_to_sink(all_usos_3):
     sink = next(v for v in range(1 << 10) if big.out(v) == 0)
     rng = SplitMix64(5)
     for _ in range(200):
-        v = rng.randrange(1 << 10)
+        v = randrange(rng, 1 << 10)
         assert t[v] & (v ^ sink) == (v ^ sink)
 
 

@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import shuffle
+from helpers import mix64, next_u64, shuffle, stream_value
 from usolib.rng import (
     _MASK64,
     _START_SALT,
@@ -11,9 +10,7 @@ from usolib.rng import (
     _mix64_inplace,
     derive_seed,
     derive_seeds_np,
-    mix64,
     start_values_np,
-    stream_value,
     stream_values_np,
 )
 
@@ -25,10 +22,19 @@ def test_mix64_scalar_matches_vectorized(x):
     assert mix64(x) == int(_mix64_inplace(np.array([x], dtype=np.uint64))[0])
 
 
-@given(u64, st.integers(min_value=0, max_value=10_000))
-def test_stream_scalar_matches_vectorized(seed, index):
+@given(u64, st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=40))
+@example(seed=7, index=0, count=0)
+@example(seed=7, index=5, count=0)
+def test_stream_scalar_matches_vectorized(seed, index, count):
     vec = stream_values_np(np.array([seed], dtype=np.uint64), index)
     assert stream_value(seed, index) == int(vec[0])
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    block.draw(index)  # a cursor that has already advanced
+    scalar.index = index
+    values = block.draw(count)
+    assert values.dtype == np.uint64
+    assert values.tolist() == [next_u64(scalar) for _ in range(count)]
+    assert block.index == scalar.index == index + count
 
 
 @given(u64)
@@ -38,29 +44,22 @@ def test_start_value_matches_vectorized(seed):
 
 
 def test_derive_seeds_matches_scalar():
-    seeds = derive_seeds_np(123, 50)
-    for k in range(50):
-        assert int(seeds[k]) == derive_seed(123, k)
+    for master in (123, -123):
+        seeds = derive_seeds_np(master, 50)
+        assert seeds.tolist() == [stream_value(master, k) for k in range(50)]
+        assert derive_seed(master, 49) == int(seeds[49])
+        assert derive_seed(master, 10**12) == stream_value(master, 10**12)
 
 
 def test_streams_differ_between_seeds_and_indices():
-    values = {stream_value(s, t) for s in range(4) for t in range(64)}
+    values = {int(x) for s in range(4) for x in SplitMix64(s).draw(64)}
     assert len(values) == 4 * 64
 
 
 def test_splitmix_sequence_is_reproducible():
-    a = SplitMix64(99)
-    b = SplitMix64(99)
-    assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+    assert SplitMix64(99).draw(10).tolist() == SplitMix64(99).draw(10).tolist()
     items = list(range(20))
     other = list(range(20))
     shuffle(items, SplitMix64(5))
     shuffle(other, SplitMix64(5))
     assert items == other and items != list(range(20))
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_randrange_rejects_an_empty_range(k):
-    with pytest.raises(ValueError) as err:
-        SplitMix64(1).randrange(k)
-    assert str(err.value) == "randrange bound must be positive"
