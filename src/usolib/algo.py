@@ -33,7 +33,8 @@ from .rng import _MASK64, derive_seeds_np, start_values_np, stream_values_np
 
 @dataclass(frozen=True)
 class RunStats:
-    """Outcome of one algorithm run."""
+    """Outcome of one :func:`derandomized_re` run; the CLI writes it with
+    ``dataclasses.asdict``."""
 
     steps: int
     evaluations: int

@@ -22,7 +22,8 @@ from .rng import SplitMix64
 #: denote the edge between ``vertex`` and ``vertex ^ bit(coordinate)``.
 Matching = Sequence[tuple[int, int]] | np.ndarray
 
-#: The family names that :func:`build_family` builds.
+#: The family names that :func:`build_family` builds: the ``--family``
+#: choices of ``uso gen`` and ``uso bench``.
 FAMILIES = ("uniform", "km", "fmo", "target-combed", "cyclic-lb", "auso-lb", "product")
 
 
@@ -121,7 +122,8 @@ def validate_matching(n: int, m: Matching) -> np.ndarray:
 
 def flip_matching(n: int, m: Matching) -> Orientation:
     """Forward-uniform orientation with every matching edge reversed (an
-    FMO): one fancy-index xor over the edges' endpoints.
+    FMO): one fancy-index xor over the edges' endpoints. The FMOs over the
+    backward-uniform base are their :func:`reverse_orientation`.
 
     FMOs are always USOs; they may be cyclic.
     """
@@ -207,8 +209,9 @@ def random_maximal_matching(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     Each greedy round picks every live edge ranked below all other live
     edges at both its endpoints and kills the edges touching them; this is
     exactly greedy matching over a fixed order (Blelloch, Fineman & Shun,
-    SPAA 2012), in 7 rounds at n = 14 and 9 at n = 18. The traced peak is
-    25 bytes per edge at n = 16, against 79 for a list of tuples.
+    SPAA 2012), in 7 rounds at n = 14 and 9 at n = 18 (commit c99b645).
+    The traced peak is 25 bytes per edge at n = 16, against 79 for a list
+    of tuples (``tracemalloc``, commit 009130e).
     """
     return [tuple(e) for e in _greedy_matching(n, rng).tolist()]
 

@@ -82,7 +82,12 @@ def enumerate_all(n: int, visitor: Visitor | None = None) -> int:
     lexicographic table order (vertex 0 first); returns the count.
 
     Without a visitor only the last lift's count is taken, so the n-cube's
-    tables are never built.
+    tables are never built: n = 4 counts 5 541 744 USOs in 1.1 s at
+    136 MiB. A visitor gets each table as a validated
+    :class:`~usolib.core.Orientation`, so a no-op visitor at n = 4 builds
+    all 5 541 744 of them and took 27.4 s at 425 MiB (another run of the
+    same code took 41.3 s at 424 MiB). Wall time and fresh-process
+    ``ru_maxrss``, commit 1a30974, 2-CPU host, Python 3.11, numpy 2.4.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")

@@ -25,7 +25,8 @@ from .core import MAX_DIMENSION, Orientation, first_edge_violation
 
 
 class ParseError(ValueError):
-    """Malformed orientation file."""
+    """Malformed orientation file. The message names the text line, the
+    JSON outmap entry, or (for a file that is not UTF-8) the file."""
 
 
 def _finish(n: int, values: Sequence[int] | np.ndarray, where) -> Orientation:
@@ -143,7 +144,9 @@ def dumps_text(o: Orientation) -> str:
 
 
 def loads_json(text: str) -> Orientation:
-    """Parse the JSON mirror of the text format."""
+    """Parse the JSON mirror of the text format. ``n`` and every outmap
+    entry must be true integers: JSON ``true`` and ``false`` raise
+    ``ParseError``, though Python's bool is an int."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,7 +174,10 @@ def dumps_json(o: Orientation) -> str:
 
 def read_orientation(path: str | Path) -> Orientation:
     """Load an orientation; the format is inferred from the extension
-    (.json for JSON, anything else is USO-TEXT)."""
+    (.json for JSON, anything else is USO-TEXT).
+
+    A file that is not UTF-8 raises ``ParseError`` naming the file; a file
+    that cannot be read (missing, a directory) raises the ``OSError``."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

@@ -57,10 +57,11 @@ def reach_table(o: Orientation) -> ReachTable:
     gains bits. R stays inside the true reachmaps, so the fixed point is
     exactly the reachmap on any table (acyclic, cyclic, or not a USO), and
     every sweep but the last sets a new bit: at most n 2^n + 1 sweeps.
-    Measured counts, the final unchanged sweep included, at n = 11, 14 and
-    16 (seeds 0..4 for the random families): uniform 1, Klee-Minty 2,
-    target-combed 2 to 3, product 5 to 11, random FMO 8 to 17, and
-    ``cyclic_full_reach`` and ``auso_lower_bound`` 10 / 13 / 15 (n - 1).
+    Measured counts at commits 208914f and 1a30974, the final unchanged
+    sweep included, at n = 11, 14 and 16 (seeds 0..4 for the random
+    families): uniform 1, Klee-Minty 2, target-combed 2 to 3, product 5 to
+    11, random FMO 8 to 17, and ``cyclic_full_reach`` and
+    ``auso_lower_bound`` 10 / 13 / 15 (n - 1).
 
     Each step is a mask and an OR: the bool out-masks "j in s(v)" are
     built once in the (-1, 2, 2^(j-1)) pair view (n 2^n bytes), and the
@@ -140,20 +141,25 @@ def niceness_index(o: Orientation) -> NicenessReport:
       point: sweep j = 1..n in place, key(v) = min(key(v), key(v xor e_j) +
       2^(n+1)) wherever j is in s(v). An in-place sweep carries a distance
       along any path whose coordinates descend, so few sweeps suffice.
-      Sweeps per call, measured at n = 10, 11 and 16 (seeds 0..4): random
-      FMO 3, ``cyclic_full_reach`` and ``auso_lower_bound`` 2, product 1
-      to 3.
+      Sweeps per call, measured at commit 942ab0e at n = 10, 11 and 16
+      (seeds 0..4): random FMO 3, ``cyclic_full_reach`` and
+      ``auso_lower_bound`` 2, product 1 to 3.
 
     Every vertex v but the sink must first have an outgoing edge along a
     coordinate of v xor sink (Szabo & Welzl's pairwise criterion on the
     pairs with the sink). Then every vertex reaches the sink in |v xor sink|
     steps, so each has a cover and a distance of at most n. Level 1 and
-    each sweep cost O(n 2^n) on top of :func:`reach_table`.
+    each sweep cost O(n 2^n) on top of :func:`reach_table`, whose n masks
+    of 2^n bytes dominate the peak: building ``klee_minty(24)`` or
+    ``cyclic_full_reach(24)`` and taking its niceness peaked at 606 MiB
+    (8.5 s and 34.2 s; fresh-process ``ru_maxrss``, commit 1a30974, 2-CPU
+    host).
 
     Raises ``NotUSOError`` when the outmap fails
     :func:`~usolib.core.sink_and_source`'s bijection gate, or with the pair
     (sink, v) for the least v without an edge towards the sink; neither
-    happens on a USO. Both are only a prefix of the full check: the
+    happens on a USO. Together they reject every bijective edge-consistent
+    non-USO of the 3-cube, but they are only a prefix of the full check: the
     bijective non-USO ``[0, 9, 7, 10, 12, 5, 2, 15, 8, 1, 11, 6, 4, 13, 14,
     3]`` passes them with niceness 1, though face span={1,3} anchor={2} has
     2 sinks. A caller that takes tables from outside runs
