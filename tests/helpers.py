@@ -10,7 +10,8 @@ the numpy face scan that names the first bad face in O(4^n), the pairwise
 unique-sink criterion, an edge flip that ignores the USO property, a check
 of the certificates that ``NotUSOError`` carries, the Klee-Minty table
 from its definition and as n - 1 shifts, the acyclic lower-bound family
-as a chain of flips, target-combed grown one coordinate at a time, the
+as a chain of flips, hypersink reorientation one vertex at a time,
+target-combed grown one coordinate at a time, the
 greedy random maximal matching over a list shuffle and its FMO,
 per-vertex reachability sets, BFS distances, the k-th set bit by
 clearing the lower ones, the Random Edge and Bottom Antipodal walks as
@@ -31,8 +32,8 @@ import math
 import numpy as np
 
 from usolib.algo import RunStats, fibonacci_seesaw, join_set
-from usolib.bitops import bit, coords, format_coord_set, full_mask, popcount, submasks
-from usolib.construct import flip_edge, reverse_orientation, uniform
+from usolib.bitops import bit, coords, format_coord_set, full_mask, mask_deposit, popcount, submasks
+from usolib.construct import HypersinkViolated, flip_edge, reverse_orientation, uniform
 from usolib.core import MAX_DIMENSION, EvalCounter, Face, NotUSOError, Orientation
 from usolib.io import ParseError
 from usolib.rng import SplitMix64
@@ -305,6 +306,21 @@ def auso_lower_bound_by_flips(n: int) -> Orientation:
     return o
 
 
+def hypersink_reorient_by_vertices(o: Orientation, sub: Face, replacement: Orientation):
+    """``hypersink_reorient`` one vertex at a time: the face's vertices are
+    checked in ascending order, then replacement vertex w is written to
+    ``sub.anchor | mask_deposit(w, sub.span)``."""
+    if replacement.n != sub.dimension:
+        raise ValueError(f"replacement dimension {replacement.n} != face dimension {sub.dimension}")
+    for v in sub.vertices():
+        if o.out(v) & ~sub.span:
+            raise HypersinkViolated(f"vertex {v} has outgoing edges leaving the subcube")
+    table = o.outmap.copy()
+    for w in range(replacement.vertex_count()):
+        table[sub.anchor | mask_deposit(w, sub.span)] = mask_deposit(replacement.out(w), sub.span)
+    return Orientation(o.n, table)
+
+
 def target_combed_by_steps(n: int, fiber_choices) -> Orientation:
     """``target_combed`` grown one coordinate at a time, with an
     ``Orientation`` per step."""
@@ -313,7 +329,7 @@ def target_combed_by_steps(n: int, fiber_choices) -> Orientation:
         upper = fiber_choices[k - 1]
         top = np.uint32(bit(k + 1))
         table = np.concatenate([current.outmap, upper.outmap | top])
-        current = Orientation(k + 1, table, copy=False)
+        current = Orientation(k + 1, table)
     return current
 
 
@@ -340,7 +356,7 @@ def fmo_by_list(n: int, rng: SplitMix64) -> Orientation:
     for v, j in random_maximal_matching_by_list(n, rng):
         table[v] ^= np.uint32(bit(j))
         table[v ^ bit(j)] ^= np.uint32(bit(j))
-    return Orientation(n, table, copy=False)
+    return Orientation(n, table)
 
 
 def cube_edges(n: int) -> list[tuple[int, int]]:

@@ -700,6 +700,17 @@ def test_derandomized_re_never_deepens_the_radius_on_a_uso_up_to_n_3(all_usos_3)
     assert not any(_radius_deepens(o, v) for o, v in pairs)
 
 
+def test_derandomized_re_keeps_radius_1_on_the_families_from_n_4_to_8():
+    # pins the n = 4..8 claim of derandomized_re's docstring: every family,
+    # two seeds, eight fixed starts spread over the vertex indices
+    for n in range(4, 9):
+        starts = [k * ((1 << n) - 1) // 7 for k in range(8)]
+        for family in FAMILIES:
+            for seed in (0, 1):
+                o = build_family(family, n, seed)
+                assert not any(_radius_deepens(o, v) for v in starts), (family, n, seed)
+
+
 def test_fibonacci_seesaw_base_cases():
     o = klee_minty(3)
     vertex = 0b101

@@ -6,10 +6,12 @@ import pytest
 from helpers import (
     auso_lower_bound_by_flips,
     fmo_by_list,
+    hypersink_reorient_by_vertices,
     from_coords,
     klee_minty_by_definition,
     klee_minty_by_shifts,
     next_u64,
+    randrange,
     random_maximal_matching_by_list,
     shuffle,
     target_combed_by_steps,
@@ -44,6 +46,7 @@ from usolib.core import (
     first_edge_violation,
     is_acyclic,
     is_decomposable,
+    sink_and_source,
     validate_uso,
 )
 from usolib.enumeration import enumerate_all
@@ -379,6 +382,32 @@ def test_hypersink_can_increase_niceness():
     result = hypersink_reorient(base, Face(0b1000, 0b0111), found[0])
     assert validate_uso(result)
     assert niceness_index(result).niceness_index == 2
+
+
+def test_hypersink_reorient_matches_the_vertex_loop_oracle():
+    # each random span once through a random anchor and once through the
+    # sink, where hypersinks are common; a violation names the least
+    # offending vertex
+    rng = SplitMix64(32)
+    hypersinks = violations = 0
+    for n in range(1, 9):
+        for o in (random_fmo(n, rng), klee_minty(n)):
+            for _ in range(20):
+                span = randrange(rng, (1 << n) - 1) + 1
+                replacement = random_fmo(popcount(span), rng)
+                for anchor in (randrange(rng, 1 << n), sink_and_source(o)[0]):
+                    f = Face(anchor, span)
+                    try:
+                        expected = hypersink_reorient_by_vertices(o, f, replacement)
+                    except HypersinkViolated as exc:
+                        with pytest.raises(HypersinkViolated) as got:
+                            hypersink_reorient(o, f, replacement)
+                        assert str(got.value) == str(exc)
+                        violations += 1
+                    else:
+                        assert hypersink_reorient(o, f, replacement) == expected
+                        hypersinks += 1
+    assert hypersinks > 100 and violations > 100
 
 
 def test_target_combed_uniform_fibers_decomposable():

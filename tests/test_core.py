@@ -119,6 +119,14 @@ def test_orientation_table_is_immutable():
         o.outmap[0] = 0
 
 
+def test_orientation_never_aliases_its_input():
+    table = klee_minty(4).outmap.copy()
+    o = Orientation(4, table)
+    assert table.flags.writeable and not o.outmap.flags.writeable
+    table[:] = 0
+    assert o == klee_minty(4)
+
+
 def test_outmap_of_examples():
     o = uniform(3)
     assert o.out(0) == 0b111
