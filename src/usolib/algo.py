@@ -82,20 +82,19 @@ class WalkBatch:
         return self.found < 0
 
 
-def _select_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Popcounts of the 12-bit values, and the flat select table whose
-    entry 12x + i is the i-th lowest set bit of the 12-bit value x as a
-    mask (0 past the last one)."""
+def _select_table() -> np.ndarray:
+    """The flat select table whose entry 12x + i is the i-th lowest set bit
+    of the 12-bit value x as a mask (0 past the last one)."""
     x = np.arange(1 << 12, dtype=np.uint32)
     bits = (x[:, None] >> np.arange(12, dtype=np.uint32)) & np.uint32(1)
     rows, cols = bits.nonzero()
     rank = bits.cumsum(axis=1)[rows, cols] - 1  # bit cols is set bit rank of x
     select = np.zeros((x.size, 12), dtype=np.uint32)
     select[rows, rank] = np.uint32(1) << cols.astype(np.uint32)
-    return np.bitwise_count(x), select.reshape(-1)
+    return select.reshape(-1)
 
 
-_POPCOUNT12, _SELECT12 = _select_tables()
+_SELECT12 = _select_table()
 
 
 def _kth_set_bit(s: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -103,7 +102,7 @@ def _kth_set_bit(s: np.ndarray, k: np.ndarray) -> np.ndarray:
     k < popcount(s): the low 12-bit half holds it when k is below that
     half's popcount c, else the high half holds it as its own set bit
     k - c."""
-    c = _POPCOUNT12[s & np.uint32(0xFFF)]
+    c = np.bitwise_count(s & np.uint32(0xFFF))
     high = k >= c
     shift = high * np.uint32(12)
     half = (s >> shift) & np.uint32(0xFFF)

@@ -389,12 +389,13 @@ def topological_order(o: Orientation) -> list[int] | None:
     """Vertices ordered so that every edge points forward (Kahn's
     algorithm); None when the directed edge relation has a cycle.
 
-    In-degree of a vertex is n minus its out-degree, so the scan needs no
+    In-degree of a vertex is n minus its out-degree, and the first sources
+    are the vertices whose every edge is outgoing, so the scan needs no
     adjacency construction.
     """
     table = o._table.tolist()
-    indeg = [o.n - s.bit_count() for s in table]
-    stack = [v for v, d in enumerate(indeg) if d == 0]
+    indeg = (o.n - np.bitwise_count(o._table)).tolist()
+    stack = np.flatnonzero(o._table == full_mask(o.n)).tolist()
     order: list[int] = []
     while stack:
         v = stack.pop()

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Orientation, canonical_form, decomposable_rows, topological_order
+from .core import Orientation, canonical_form, decomposable_rows, is_acyclic
 from .reach import niceness_index
 
 Visitor = Callable[[Orientation], None]
@@ -122,7 +122,7 @@ def census(n: int) -> Census:
 
     Decomposability is one :func:`~usolib.core.decomposable_rows` call on
     the (B, 2^n) stack of all the tables. Decomposable implies acyclic, so
-    Kahn's :func:`~usolib.core.topological_order` runs only on the rows the
+    :func:`~usolib.core.is_acyclic` runs only on the rows the
     decomposability test rejects. :func:`~usolib.reach.niceness_index` and
     :func:`~usolib.core.canonical_form` classify each orientation in turn.
     Classifying the millions of 4-dimensional USOs one at a time is out of
@@ -135,7 +135,7 @@ def census(n: int) -> Census:
     enumerate_all(n, orientations.append)
     decomposable = decomposable_rows(np.stack([o.outmap for o in orientations]))
     acyclic = int(decomposable.sum()) + sum(
-        topological_order(orientations[i]) is not None for i in np.flatnonzero(~decomposable)
+        is_acyclic(orientations[i]) for i in np.flatnonzero(~decomposable)
     )
     histogram = Counter(niceness_index(o).niceness_index for o in orientations)
     orbits = Counter(

@@ -1,21 +1,23 @@
 """Reading and writing orientations.
 
-Text format (USO-TEXT v1): line 1 is ``uso <n>``; the following 2**n lines
-hold the decimal outmap bitmask of vertex k for k = 0, 1, ... (vertex index
-equals the vertex bitmask read as an unsigned integer). The JSON form
-mirrors the same data as {"n": ..., "outmap": [...]}. Both loaders reject
-edge-inconsistent tables and name the first violation that
-:func:`usolib.core.first_edge_violation` finds.
+USO-TEXT v1: line 1 is ``uso <n>``, with one space and n in 1..24 in ASCII
+digits. The next 2**n lines hold the outmap bitmask of vertex k = 0, 1,
+... (the vertex bitmask read as an unsigned integer) in ASCII digits, each
+at most 2**n - 1; leading zeros are allowed. Lines end in LF or CRLF, the
+final line end is optional, and trailing empty lines are ignored. The JSON
+form mirrors the same data as {"n": ..., "outmap": [...]}.
 
-A text in the form :func:`dumps_text` writes is decoded in bulk with numpy;
-any other text is read line by line, which accepts the same texts with the
-same values and names every error.
+:func:`loads_text` names the first error in this order: the header; a
+count of outmap lines other than 2**n; the first outmap line that is empty
+or holds a byte other than a digit, a CR not before LF included (``not a
+decimal outmap value``), or whose value exceeds 2**n - 1 (``out of
+range``). Both loaders then reject edge-inconsistent tables and name the
+first violation that :func:`usolib.core.first_edge_violation` finds.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -29,103 +31,73 @@ class ParseError(ValueError):
     JSON outmap entry, or (for a file that is not UTF-8) the file."""
 
 
-def _finish(n: int, values: Sequence[int] | np.ndarray, where) -> Orientation:
+def _finish(n: int, values: list[int] | np.ndarray, where) -> Orientation:
     """The orientation of ``values``; an edge-inconsistent table raises,
     naming the place of the first bad vertex v as ``where(v)``."""
     o = Orientation(n, values)
     bad = first_edge_violation(o)
     if bad is not None:
         v, j = bad
-        raise ParseError(
-            f"{where(v)}: edge-inconsistent table (vertex {v}, coordinate {j})"
-        )
+        raise ParseError(f"{where(v)}: edge-inconsistent table (vertex {v}, coordinate {j})")
     return o
 
 
-#: the header line of each dimension, as dumps_text writes it
-_HEADERS = {f"uso {n}": n for n in range(1, MAX_DIMENSION + 1)}
-
-
-def _decode_bulk(text: str) -> tuple[int, np.ndarray] | None:
-    """The dimension and outmap values of a text in :func:`dumps_text`'s form,
-    or None for any other text.
-
-    The form: the header is exactly ``uso <n>``, and the body holds only
-    ASCII digits and newlines, as 2**n non-empty lines of at most
-    len(str(full_mask(n))) digits with values up to full_mask(n), followed
-    only by empty lines. :func:`_decode_lines` reads such a text to the same
-    values.
-    """
-    cut = text.find("\n")
-    n = _HEADERS.get(text[:cut]) if cut > 0 else None
-    if n is None:
-        return None
-    # a lone surrogate encodes too, to bytes that send the text to the loop
-    body = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)[cut + 1 :]
-    ends = np.flatnonzero(body == ord("\n"))
-    # uint8 wraps, so only the bytes "0".."9" land below 10
-    if np.count_nonzero(body - ord("0") < 10) + len(ends) != body.size:
-        return None
-    count = 1 << n
-    # every byte after the end of line 2**n is a newline
-    if len(ends) < count or body.size - 1 - ends[count - 1] != len(ends) - count:
-        return None
-    ends = ends[:count]
-    lengths = np.diff(ends, prepend=-1) - 1
-    width = len(str(full_mask(n)))
-    if lengths.min() < 1 or lengths.max() > width:
-        return None
-    # Horner's rule over the digit columns, the line's last digit in column 1
-    values = np.zeros(count, dtype=np.int32)
-    for k in range(width, 0, -1):
-        digits = np.where(lengths >= k, body[ends - k], ord("0"))
-        values = values * 10 + digits - ord("0")
-    if values.max() > full_mask(n):
-        return None
-    return n, values
-
-
-def _decode_lines(text: str) -> tuple[int, list[int]]:
-    """The dimension and outmap values of any text, read one line at a time;
-    a text that is not USO-TEXT v1 raises, naming the line."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("line 1: empty input, expected 'uso <n>' header")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "uso":
-        raise ParseError("line 1: expected 'uso <n>' header")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise ParseError("line 1: dimension is not an integer") from None
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ParseError(f"line 1: dimension must be in 1..{MAX_DIMENSION}")
-    body = lines[1:]
-    while body and body[-1] == "":
-        body.pop()
-    expected = 1 << n
-    if len(body) != expected:
-        raise ParseError(
-            f"line {len(lines)}: expected {expected} outmap lines for n={n}, "
-            f"got {len(body)}"
-        )
-    top = full_mask(n)
-    values = []
-    for k, raw in enumerate(body):
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParseError(f"line {k + 2}: not a decimal outmap value: {raw!r}") from None
-        if not 0 <= value <= top:
-            raise ParseError(f"line {k + 2}: outmap value {value} out of range")
-        values.append(value)
-    return n, values
+_LF, _CR, _ZERO = ord("\n"), ord("\r"), ord("0")
 
 
 def loads_text(text: str) -> Orientation:
-    """Parse USO-TEXT v1."""
-    decoded = _decode_bulk(text)
-    n, values = decoded if decoded is not None else _decode_lines(text)
+    """Parse USO-TEXT v1; any other text raises ``ParseError``, naming the
+    first error in the order the module docstring gives."""
+    # a lone surrogate encodes too, to bytes that are not digits
+    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    if "\r" in text:  # drop each CR that ends a line; any other is refused
+        data = np.delete(data, np.flatnonzero((data[:-1] == _CR) & (data[1:] == _LF)))
+    ends = np.flatnonzero(data == _LF)
+    if data.size and data[-1] != _LF:
+        ends = np.append(ends, data.size)  # the last line has no line end
+    if not ends.size:
+        raise ParseError("line 1: empty input, expected 'uso <n>' header")
+    fields = data[: ends[0]].tobytes().decode(errors="surrogatepass").split(" ")
+    if len(fields) != 2 or fields[0] != "uso":
+        raise ParseError("line 1: expected 'uso <n>' header")
+    if not (fields[1].isascii() and fields[1].isdigit()):
+        raise ParseError("line 1: dimension is not an integer")
+    dim = fields[1].lstrip("0")
+    n = int(dim) if 0 < len(dim) < 3 else 0
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ParseError(f"line 1: dimension must be in 1..{MAX_DIMENSION}")
+    count, top, width = 1 << n, full_mask(n), len(str(full_mask(n)))
+    lengths = np.diff(ends, prepend=-1) - 1
+    # line count + 1 is the last outmap line: it holds a byte, no later one does
+    if np.flatnonzero(lengths[count:]).tolist() != [0]:
+        got = len(np.trim_zeros(lengths[1:], "b"))
+        raise ParseError(f"line {ends.size}: expected {count} outmap lines for n={n}, got {got}")
+    start = ends[0] + 1
+    ends, lengths, body = ends[1 : count + 1], lengths[1 : count + 1], data[start:]
+    # uint8 wraps, so only the bytes "0".."9" land below 10
+    digits_only = np.count_nonzero(body - _ZERO < 10) == lengths.sum()
+    # Horner's rule over the last `width` digit columns; a column that a
+    # line does not reach reads "0", and the "0"s are taken off at the end
+    values = np.zeros(count, dtype=np.int32)
+    for k in range(width, 0, -1):
+        digits = data.take(ends - k)
+        digits[lengths < k] = _ZERO
+        values *= 10
+        values += digits
+    values -= _ZERO * (10**width - 1) // 9
+    bad = (lengths == 0) | (values > top)
+    if not digits_only or lengths.max() > width:
+        # a byte other than a digit, or a digit other than 0 left of the
+        # last `width` columns, spoils its line
+        pos = np.flatnonzero((body != _ZERO) & (body != _LF)) + start
+        line = np.searchsorted(ends, pos)
+        bad[line[(data[pos] - _ZERO >= 10) | (ends[line] - pos > width)]] = True
+    k = int(np.argmax(bad))
+    if bad[k]:
+        raw = data[ends[k] - lengths[k] : ends[k]].tobytes().decode(errors="surrogatepass")
+        if raw.isascii() and raw.isdigit():
+            raise ParseError(f"line {k + 2}: outmap value {raw.lstrip('0')} out of range")
+        raise ParseError(f"line {k + 2}: not a decimal outmap value: {raw!r}")
     return _finish(n, values, lambda v: f"line {v + 2}")
 
 
@@ -176,11 +148,13 @@ def read_orientation(path: str | Path) -> Orientation:
     """Load an orientation; the format is inferred from the extension
     (.json for JSON, anything else is USO-TEXT).
 
-    A file that is not UTF-8 raises ``ParseError`` naming the file; a file
-    that cannot be read (missing, a directory) raises the ``OSError``."""
+    The file's text reaches the loader as it is, with no newline
+    translation. A file that is not UTF-8 raises ``ParseError`` naming the
+    file; a file that cannot be read (missing, a directory) raises the
+    ``OSError``."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     if path.suffix == ".json":

@@ -118,20 +118,22 @@ def first_edge_violation_pure(o: Orientation) -> tuple[int, int] | None:
 
 
 def loads_text_by_lines(text: str) -> Orientation:
-    """USO-TEXT v1 by its definition: ``splitlines``, the ``uso <n>``
-    header, ``int`` and a range check per line, then
-    :func:`first_edge_violation_pure`; raises ``ParseError`` with the
-    loader's messages."""
-    lines = text.splitlines()
+    """USO-TEXT v1 by its definition, one line at a time: lines end in LF
+    or CRLF, the last line end is optional and trailing empty lines are
+    ignored; the header is ``uso``, one space and ASCII digits naming n in
+    1..MAX_DIMENSION; each of the 2**n outmap lines is ASCII digits with a
+    value of at most 2**n - 1. Then :func:`first_edge_violation_pure`.
+    Raises ``ParseError`` with the loader's messages, in its order."""
+    *ended, last = text.split("\n")
+    lines = [line.removesuffix("\r") for line in ended] + ([last] if last else [])
     if not lines:
         raise ParseError("line 1: empty input, expected 'uso <n>' header")
-    header = lines[0].split()
+    header = lines[0].split(" ")
     if len(header) != 2 or header[0] != "uso":
         raise ParseError("line 1: expected 'uso <n>' header")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise ParseError("line 1: dimension is not an integer") from None
+    if not (header[1].isascii() and header[1].isdigit()):
+        raise ParseError("line 1: dimension is not an integer")
+    n = int(header[1])
     if not 1 <= n <= MAX_DIMENSION:
         raise ParseError(f"line 1: dimension must be in 1..{MAX_DIMENSION}")
     body = lines[1:]
@@ -144,11 +146,11 @@ def loads_text_by_lines(text: str) -> Orientation:
         )
     values = []
     for k, raw in enumerate(body, start=2):
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParseError(f"line {k}: not a decimal outmap value: {raw!r}") from None
-        if not 0 <= value <= full_mask(n):
+        # str.isdigit alone also takes digits such as "\u0663" and "\u00b2"
+        if not (raw.isascii() and raw.isdigit()):
+            raise ParseError(f"line {k}: not a decimal outmap value: {raw!r}")
+        value = int(raw)
+        if value > full_mask(n):
             raise ParseError(f"line {k}: outmap value {value} out of range")
         values.append(value)
     o = Orientation(n, values)

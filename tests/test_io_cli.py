@@ -34,7 +34,6 @@ from usolib.construct import (
 from usolib.core import Orientation, is_acyclic, is_decomposable
 from usolib.io import (
     ParseError,
-    _decode_bulk,
     dumps_json,
     dumps_text,
     loads_json,
@@ -204,10 +203,78 @@ def test_bulk_decode_accepts_every_dumped_table(family):
             o = build_family(family, n, seed=n)
         text = dumps_text(o)
         assert text == dumps_text_by_lines(o), (family, n)
-        decoded = _decode_bulk(text)
-        assert decoded is not None, (family, n)
-        assert decoded[0] == n
-        assert np.array_equal(decoded[1], o.outmap)
+        assert np.array_equal(loads_text(text).outmap, o.outmap), (family, n)
+
+
+#: uniform(4) in USO-TEXT: line k + 2 holds vertex k's outmap 15 - k, so
+#: line 7 holds 10 and line 14 holds 3
+_U4 = dumps_text(uniform(4))
+#: uniform(4)'s text with one line replaced: name -> (line k, its new text,
+#: the error that names line k, or None when the text still reads as
+#: uniform(4))
+_LINE_EDITS = {
+    "leading-zeros": (7, "0010", None),
+    "leading-zeros-past-width": (7, "0" * 40 + "10", None),
+    "header-leading-zero": (1, "uso 04", None),
+    "plus": (7, "+10", "not a decimal outmap value: '+10'"),
+    "space": (7, " 10", "not a decimal outmap value: ' 10'"),
+    "underscore": (7, "1_0", "not a decimal outmap value: '1_0'"),
+    "arabic-digit": (14, "\u0663", "not a decimal outmap value: '\u0663'"),
+    "superscript": (14, "\u00b3", "not a decimal outmap value: '\u00b3'"),
+    "lone-cr": (7, "1\r0", "not a decimal outmap value: '1\\r0'"),
+    "vertical-tab": (7, "10\x0b", "not a decimal outmap value: '10\\x0b'"),
+    "empty-line": (7, "", "not a decimal outmap value: ''"),
+    "out-of-range": (7, "26", "outmap value 26 out of range"),
+    "out-of-range-past-width": (7, "1" + "0" * 30, f"outmap value 1{'0' * 30} out of range"),
+    "header-two-spaces": (1, "uso  4", "expected 'uso <n>' header"),
+    "header-trailing-space": (1, "uso 4 ", "expected 'uso <n>' header"),
+    "header-form-feed": (1, "uso 4\x0c", "dimension is not an integer"),
+}
+
+
+def _with_line(k: int, raw: str) -> str:
+    lines = _U4.split("\n")
+    lines[k - 1] = raw
+    return "\n".join(lines)
+
+
+#: every edge case of the grammar: name -> (text, error or None)
+_GRAMMAR_EDGES = {
+    "crlf": (_U4.replace("\n", "\r\n"), None),
+    "no-final-newline": (_U4.removesuffix("\n"), None),
+    "trailing-empty-lines": (_U4 + "\n\r\n\n", None),
+    "final-lone-cr": (_U4.removesuffix("\n") + "\r", "line 17: not a decimal outmap value: '0\\r'"),
+    **{
+        name: (_with_line(k, raw), error and f"line {k}: {error}")
+        for name, (k, raw, error) in _LINE_EDITS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("text,error", _GRAMMAR_EDGES.values(), ids=_GRAMMAR_EDGES)
+def test_text_grammar_edge_cases(text, error):
+    # accepted texts read as uniform(4); refused ones name their line
+    expected = uniform(4) if error is None else error
+    assert _load(loads_text, text) == expected
+    assert _load(loads_text_by_lines, text) == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_reads_back_from_crlf_text(family, tmp_path):
+    for n in range(_MIN_DIMENSION.get(family, 1), 11):
+        o = build_family(family, n, seed=n)
+        path = tmp_path / f"{family}{n}.uso"
+        path.write_bytes(dumps_text(o).replace("\n", "\r\n").encode())
+        assert read_orientation(path) == o, (family, n)
+
+
+def test_read_orientation_translates_no_newlines(tmp_path):
+    # a lone CR is not a line end in a file either
+    text = "uso 2\n3\r2\n1\n0\n"
+    path = tmp_path / "u2.uso"
+    path.write_bytes(text.encode())
+    expect = "line 4: expected 4 outmap lines for n=2, got 3"
+    assert _load(read_orientation, path) == _load(loads_text, text) == expect
 
 
 def test_dumps_text_across_a_block_boundary():
