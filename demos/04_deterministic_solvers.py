@@ -21,6 +21,7 @@ from usolib import (
     klee_minty,
     neighbor_join,
     popcount,
+    reach_table,
     sink_and_source,
 )
 from usolib.bitops import format_coord_set
@@ -64,9 +65,13 @@ for n in (2, 4, 6, 8, 10):
 print()
 print("=== restarted seesaw, bounded by the start's reachmap ===")
 o = auso_lower_bound(8)  # its source is the empty vertex
+# the solver sees only what it evaluates; the reachmap sizes along its trace
+# come from the reach table
+rt = reach_table(o)
 for start in (sink_and_source(o)[1], 0b00000001, 0b11110000):
     sink, trace = fs_revisited(o, start)
-    print(f"start {start:3}: |r(start)| {trace.reachmap_sizes[0]:2},"
-          f" {len(trace.iterations)} iterations,"
+    sizes = [popcount(rt[v]) for v in trace.vertices]
+    print(f"start {start:3}: |r(start)| {sizes[0]:2},"
+          f" {len(trace.coordinates)} iterations,"
           f" {trace.evaluations} evaluations,"
-          f" reachmap sizes {list(trace.reachmap_sizes)}")
+          f" reachmap sizes {sizes}")

@@ -5,9 +5,12 @@ lockstep engine that branches on the rule), join operations, a deterministic
 replacement for Random Edge built from joins, the Fibonacci Seesaw, and
 the restarted seesaw that is bounded by the reachmap of the start vertex.
 Every algorithm counts distinct vertex evaluations through a caching
-oracle. When a join or seesaw step finds no way forward, it raises
-``NotUSOError`` naming a vertex pair whose outmaps agree wherever the
-vertices differ; only a non-USO has such a pair.
+oracle, and the joins and oracle solvers read the cube only through it:
+their records hold vertices and counts, and a caller that wants reachmap
+sizes along a seesaw trace reads them from ``reach_table``. When a join or
+seesaw step finds no way forward, it raises ``NotUSOError`` naming a vertex
+pair whose outmaps agree wherever the vertices differ; only a non-USO has
+such a pair.
 
 Every start that :func:`resolve_start` or :func:`walk_batch` resolves first
 passes the outmap gate :func:`~usolib.core.sink_and_source`. The oracle
@@ -25,45 +28,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import full_mask, lowest_coord, popcount
+from .bitops import full_mask
 from .core import EvalCounter, Face, NotUSOError, Orientation, first_uso_violation, sink_and_source
-from .reach import reach_table
 from .rng import _MASK64, derive_seeds_np, start_values_np, stream_values_np
 
 
 @dataclass(frozen=True)
 class RunStats:
-    """Outcome of one :func:`derandomized_re` run; the CLI writes it with
-    ``dataclasses.asdict``."""
+    """Outcome of one :func:`derandomized_re` run: join rounds, distinct
+    evaluations and the sink found."""
 
     steps: int
     evaluations: int
-    found_sink: int | None
-    seed: int
-    capped: bool
-
-
-@dataclass(frozen=True)
-class SeesawStep:
-    """One iteration of the restarted seesaw: the coordinate crossed, the
-    dimension of the face solved beyond it, and the evaluations spent."""
-
-    coordinate: int
-    face_dimension: int
-    evaluations: int
+    found_sink: int
 
 
 @dataclass(frozen=True)
 class SeesawTrace:
-    """Per-iteration record of the restarted seesaw; the CLI writes it with
-    ``dataclasses.asdict``.
+    """Record of one :func:`fs_revisited` run: the start and the face sink
+    reached after each iteration, the coordinate each iteration crossed and
+    the evaluations it spent, and the run's total. Iteration i solves a face
+    of dimension i."""
 
-    ``reachmap_sizes`` holds the reachmap size of the current vertex before
-    the first and after every iteration.
-    """
-
-    iterations: tuple[SeesawStep, ...]
-    reachmap_sizes: tuple[int, ...]
+    vertices: tuple[int, ...]
+    coordinates: tuple[int, ...]
+    step_evaluations: tuple[int, ...]
     evaluations: int
 
 
@@ -354,7 +343,7 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
     """
     oracle = EvalCounter(o)
     if oracle(start) == 0:
-        return RunStats(0, oracle.evaluations, start, 0, False)
+        return RunStats(0, oracle.evaluations, start)
     v = start
     rounds = 0
     for radius in range(1, o.n + 1):
@@ -370,14 +359,14 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
                         if w not in seen:
                             seen.add(w)
                             if oracle(w) == 0:
-                                return RunStats(rounds, oracle.evaluations, w, 0, False)
+                                return RunStats(rounds, oracle.evaluations, w)
                             nxt.append(w)
                 frontier = nxt
             joined = {neighbor_join(oracle, u) for u in seen}
             z = join_set(oracle, sorted(joined))
             rounds += 1
             if oracle(z) == 0:
-                return RunStats(rounds, oracle.evaluations, z, 0, False)
+                return RunStats(rounds, oracle.evaluations, z)
             v = z
             if z in visited:
                 break
@@ -447,34 +436,30 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     The current vertex is always the sink of the face spanned by the used
     coordinates through the start, so the iteration count is bounded by the
     reachmap size of the start vertex and the reachmaps along the way only
-    shrink. The trace records both for inspection. A seesaw sink that has
-    the crossed coordinate outgoing, like the vertex it was crossed from,
-    forms with that vertex a pair only a non-USO allows and raises
+    shrink; the trace keeps the vertices, so a caller can read those sizes
+    from :func:`~usolib.reach.reach_table`. Like the joins, the solver sees
+    the cube only through its ``EvalCounter``. A seesaw sink that has the
+    crossed coordinate outgoing, like the vertex it was crossed from, forms
+    with that vertex a pair only a non-USO allows and raises
     ``NotUSOError``; so every iteration adds a coordinate and the loop ends
     within n iterations on any table.
     """
     oracle = EvalCounter(o)
-    rt = reach_table(o)  # instrumentation, not charged to the oracle
     v = start
-    iterations: list[SeesawStep] = []
-    sizes = [popcount(rt[v])]
+    vertices = [v]
+    coordinates: list[int] = []
+    step_evaluations: list[int] = []
     spanned = 0
-    while oracle(v) != 0:
-        s = oracle(v)
+    while s := oracle(v):
         b = s & -s
         before = oracle.evaluations
         w = _fs(oracle, v ^ b, spanned)
         if oracle(w) & b:
             raise NotUSOError(pair=(v, w))
-        iterations.append(
-            SeesawStep(lowest_coord(b), popcount(spanned), oracle.evaluations - before)
-        )
+        vertices.append(w)
+        coordinates.append(b.bit_length())
+        step_evaluations.append(oracle.evaluations - before)
         spanned |= b
         v = w
-        sizes.append(popcount(rt[v]))
-    trace = SeesawTrace(
-        iterations=tuple(iterations),
-        reachmap_sizes=tuple(sizes),
-        evaluations=oracle.evaluations,
-    )
+    trace = SeesawTrace(tuple(vertices), tuple(coordinates), tuple(step_evaluations), oracle.evaluations)
     return v, trace

@@ -33,14 +33,6 @@ def _check_mask(mask: int) -> None:
         raise ValueError(f"coordinate sets are nonnegative masks, got {mask}")
 
 
-def lowest_coord(mask: int) -> int:
-    """Smallest coordinate in a nonempty mask."""
-    _check_mask(mask)
-    if mask == 0:
-        raise ValueError("empty coordinate set")
-    return (mask & -mask).bit_length()
-
-
 def coords(mask: int) -> Iterator[int]:
     """Coordinates of ``mask`` in ascending order; a negative mask raises
     ``ValueError``, since it has infinitely many."""
@@ -49,17 +41,6 @@ def coords(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length()
         mask ^= low
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of ``mask``, in increasing numeric order."""
-    _check_mask(mask)
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
 
 
 def mask_deposit(value: int, positions: int) -> int:

@@ -30,7 +30,7 @@ from . import algo, construct, enumeration
 from .bitops import coord_set_tables, full_mask
 from .core import NotUSOError, first_uso_violation, is_acyclic, is_decomposable
 from .io import _TEXT_BLOCK, ParseError, dumps_json, dumps_text, read_orientation
-from .reach import niceness_index
+from .reach import niceness_index, reach_table
 from .rng import derive_seed
 
 CSV_HEADER = "family,n,seed,steps,evaluations,capped"
@@ -212,6 +212,22 @@ def cmd_walk(args) -> int:
     return 0
 
 
+def _trace_json(o, trace: algo.SeesawTrace) -> dict:
+    """The ``trace`` object of ``uso solve --algo fsr``: each iteration with
+    the dimension of the face it solved (its index), and the reachmap size of
+    every vertex the run reached, read from one
+    :func:`~usolib.reach.reach_table`."""
+    steps = zip(trace.coordinates, trace.step_evaluations)
+    sizes = np.bitwise_count(reach_table(o).entries[list(trace.vertices)])
+    return {
+        "iterations": [
+            {"coordinate": c, "face_dimension": k, "evaluations": e} for k, (c, e) in enumerate(steps)
+        ],
+        "reachmap_sizes": sizes.tolist(),
+        "evaluations": trace.evaluations,
+    }
+
+
 def cmd_solve(args) -> int:
     o = read_orientation(args.path)
     start = algo.resolve_start(o, args.start, args.seed)
@@ -219,14 +235,16 @@ def cmd_solve(args) -> int:
     if args.algo == "dre":
         stats = algo.derandomized_re(o, start)
         sink = stats.found_sink
-        payload: dict = {"run": dataclasses.asdict(stats)}
+        payload: dict = {"run": {"steps": stats.steps, "evaluations": stats.evaluations,
+                                 "found_sink": sink, "seed": 0, "capped": False}}
     elif args.algo == "fs":
         sink, evaluations = algo.fibonacci_seesaw(o)
         payload = {"evaluations": evaluations}
     else:  # fsr
         sink, trace = algo.fs_revisited(o, start)
-        payload = {"trace": dataclasses.asdict(trace)}
     wall_ms = int((time.perf_counter() - started) * 1000)
+    if args.algo == "fsr":  # wall_ms times the solver, not the reach table
+        payload = {"trace": _trace_json(o, trace)}
     obj = {
         "algorithm": args.algo,
         "n": o.n,

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .bitops import bit, coords, full_mask
+from .bitops import bit, full_mask
 from .core import Face, Orientation, _check_dimension, _check_vertex
 from .rng import SplitMix64
 
@@ -254,17 +254,14 @@ def hypersink_reorient(
     if replacement.n != sub.dimension:
         raise ValueError(f"replacement dimension {replacement.n} != face dimension {sub.dimension}")
     _check_vertex(o.n, sub.anchor | sub.span)
-    # the face's vertices anchor | subs[w], ascending: doubling over its coordinates
-    subs = np.zeros(1, np.uint32)
-    for c in coords(sub.span):
-        subs = np.concatenate([subs, subs | np.uint32(bit(c))])
-    verts = sub.anchor | subs
+    verts = sub.vertices()
     leaving = np.flatnonzero(o.outmap[verts] & np.uint32(full_mask(o.n) ^ sub.span))
     if leaving.size:
         v = verts[leaving[0]]
         raise HypersinkViolated(f"vertex {v} has outgoing edges leaving the subcube")
     table = o.outmap.copy()
-    table[verts] = subs[replacement.outmap]
+    # replacement vertex w is the face's w-th vertex, at offset verts[w] ^ anchor
+    table[verts] = (verts ^ sub.anchor)[replacement.outmap]
     return Orientation(o.n, table)
 
 

@@ -37,11 +37,11 @@ import numpy as np
 from .bitops import (
     _check_mask,
     bit,
+    coords,
     format_coord_set,
     full_mask,
     mask_deposit,
     popcount,
-    submasks,
 )
 
 #: Largest dimension for which dense tables are supported (2**n entries).
@@ -121,10 +121,13 @@ class Face:
     def dimension(self) -> int:
         return popcount(self.span)
 
-    def vertices(self):
-        """All vertices of the face, ascending by vertex index."""
-        for sub in submasks(self.span):
-            yield self.anchor | sub
+    def vertices(self) -> np.ndarray:
+        """All vertices of the face as an ascending int64 array, built by
+        doubling over the span's coordinates."""
+        verts = np.full(1, self.anchor, dtype=np.int64)
+        for c in coords(self.span):
+            verts = np.concatenate([verts, verts | bit(c)])
+        return verts
 
     @classmethod
     def whole_cube(cls, n: int) -> "Face":
@@ -248,12 +251,18 @@ def face_sink(o: Orientation, f: Face) -> int:
     """The unique vertex of ``f`` with no outgoing edge inside ``f``.
 
     Raises ``NotUSOError`` with the face and its sink count when the face
-    has other than one sink.
+    has other than one sink, and ``ValueError`` naming the least vertex of
+    ``f`` outside the cube: the anchor, or the anchor plus the lowest span
+    coordinate above n.
     """
-    sinks = [v for v in f.vertices() if o.out(v) & f.span == 0]
-    if len(sinks) != 1:
-        raise NotUSOError(face=f, count=len(sinks))
-    return sinks[0]
+    high = f.span >> o.n << o.n
+    _check_vertex(o.n, f.anchor)
+    _check_vertex(o.n, f.anchor | (high & -high))
+    verts = f.vertices()
+    sinks = verts[o._table[verts] & f.span == 0]
+    if sinks.size != 1:
+        raise NotUSOError(face=f, count=sinks.size)
+    return int(sinks[0])
 
 
 def sink_and_source(o: Orientation) -> tuple[int, int]:

@@ -1,9 +1,9 @@
 """Independent oracles used to cross-check the library.
 
 Everything here is deliberately written from the definitions, without
-reusing the library's fast paths: a coordinate mask from a list, face
-membership, the splitmix64 stream one scalar value at a time and the
-cursor draws over it, the Fisher-Yates list shuffle, the USO-TEXT reader one
+reusing the library's fast paths: a coordinate mask from a list, the
+subsets of a mask in order, face membership, the splitmix64 stream one
+scalar value at a time and the cursor draws over it, the Fisher-Yates list shuffle, the USO-TEXT reader one
 line at a time, ``uso analyze``'s text one line at a time, a pure-python edge
 check and face scan,
 the numpy face scan that names the first bad face in O(4^n), the pairwise
@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from usolib.algo import RunStats, fibonacci_seesaw, join_set
-from usolib.bitops import bit, coords, format_coord_set, full_mask, mask_deposit, popcount, submasks
+from usolib.bitops import _check_mask, bit, coords, format_coord_set, full_mask, mask_deposit, popcount
 from usolib.construct import HypersinkViolated, flip_edge, reverse_orientation, uniform
 from usolib.core import MAX_DIMENSION, EvalCounter, Face, NotUSOError, Orientation
 from usolib.io import ParseError
@@ -48,6 +49,18 @@ def from_coords(items) -> int:
     for c in items:
         out |= bit(c)
     return out
+
+
+def submasks(mask: int):
+    """All subsets of ``mask``, in increasing numeric order: the face
+    enumeration that ``Face.vertices`` is checked against."""
+    _check_mask(mask)
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def face_contains(face: Face, v: int) -> bool:
@@ -314,7 +327,8 @@ def hypersink_reorient_by_vertices(o: Orientation, sub: Face, replacement: Orien
     ``sub.anchor | mask_deposit(w, sub.span)``."""
     if replacement.n != sub.dimension:
         raise ValueError(f"replacement dimension {replacement.n} != face dimension {sub.dimension}")
-    for v in sub.vertices():
+    for offset in submasks(sub.span):
+        v = sub.anchor | offset
         if o.out(v) & ~sub.span:
             raise HypersinkViolated(f"vertex {v} has outgoing edges leaving the subcube")
     table = o.outmap.copy()
@@ -556,9 +570,21 @@ def kth_set_bit_by_loop(s: np.ndarray, k: np.ndarray) -> np.ndarray:
     return s & -s
 
 
+@dataclass(frozen=True)
+class WalkRun:
+    """Outcome of one walk run by a per-step loop; ``found_sink`` is None
+    when the walk was capped."""
+
+    steps: int
+    evaluations: int
+    found_sink: int | None
+    seed: int
+    capped: bool
+
+
 def random_edge_walk_by_loop(
     o: Orientation, start: int, seed: int, cap: int
-) -> RunStats:
+) -> WalkRun:
     """Random Edge one step at a time: step t crosses the outgoing edge
     with index (value t of the seed's stream) mod |s(v)|, counted from the
     lowest coordinate; the evaluations are the distinct vertices entered."""
@@ -571,9 +597,9 @@ def random_edge_walk_by_loop(
     while True:
         s = o.out(v)
         if s == 0:
-            return RunStats(steps, evals, v, seed, False)
+            return WalkRun(steps, evals, v, seed, False)
         if steps >= cap:
-            return RunStats(steps, evals, None, seed, True)
+            return WalkRun(steps, evals, None, seed, True)
         z = stream_value(seed, steps)
         bits = []
         b = s
@@ -588,7 +614,7 @@ def random_edge_walk_by_loop(
             evals += 1
 
 
-def bottom_antipodal_by_loop(o: Orientation, start: int, cap: int) -> RunStats:
+def bottom_antipodal_by_loop(o: Orientation, start: int, cap: int) -> WalkRun:
     """Bottom Antipodal one step at a time: v <- v xor s(v) until the sink
     or the cap."""
     if cap < 1:
@@ -600,9 +626,9 @@ def bottom_antipodal_by_loop(o: Orientation, start: int, cap: int) -> RunStats:
     while True:
         s = o.out(v)
         if s == 0:
-            return RunStats(steps, evals, v, 0, False)
+            return WalkRun(steps, evals, v, 0, False)
         if steps >= cap:
-            return RunStats(steps, evals, None, 0, True)
+            return WalkRun(steps, evals, None, 0, True)
         v ^= s
         steps += 1
         if not (visited >> v) & 1:
@@ -673,7 +699,7 @@ def derandomized_re_by_loops(o: Orientation, start: int) -> RunStats:
     """
     oracle = EvalCounter(o)
     if oracle(start) == 0:
-        return RunStats(0, oracle.evaluations, start, 0, False)
+        return RunStats(0, oracle.evaluations, start)
     v = start
     rounds = 0
     for radius in range(1, o.n + 1):
@@ -705,14 +731,14 @@ def derandomized_re_by_loops(o: Orientation, start: int) -> RunStats:
                     break
                 frontier = nxt
             if sink is not None:
-                return RunStats(rounds, oracle.evaluations, sink, 0, False)
+                return RunStats(rounds, oracle.evaluations, sink)
             joined = set()
             for u in sorted(ball):
                 joined.add(neighbor_join_by_snapshots(oracle, u))
             z = join_set(oracle, sorted(joined))
             rounds += 1
             if oracle(z) == 0:
-                return RunStats(rounds, oracle.evaluations, z, 0, False)
+                return RunStats(rounds, oracle.evaluations, z)
             if z == v or z in visited:
                 v = z
                 break
@@ -789,8 +815,8 @@ def _combed_direction(o: Orientation, f: Face, j: int) -> int:
     b = bit(j)
     lower = Face(f.anchor, f.span & ~b)
     direction = -1
-    for v in lower.vertices():
-        d = 1 if o.out(v) & b else 0
+    for offset in submasks(lower.span):
+        d = 1 if o.out(lower.anchor | offset) & b else 0
         if direction < 0:
             direction = d
         elif d != direction:

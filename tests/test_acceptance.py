@@ -295,10 +295,10 @@ def test_criterion_07_restarted_seesaw_bounds():
         for start in starts:
             sink, trace = fs_revisited(o, start)
             runs += 1
-            rho = len(trace.iterations)
+            rho = len(trace.coordinates)
             reach_size = popcount(rt[start])
             iter_ok &= rho <= reach_size
-            sizes = trace.reachmap_sizes
+            sizes = [popcount(rt[v]) for v in trace.vertices]
             chain_ok &= all(a >= b for a, b in zip(sizes, sizes[1:]))
             eval_ok &= trace.evaluations <= FS_ENVELOPE_FACTOR * FS_ENVELOPE_BASE**reach_size
     ok = iter_ok and chain_ok and eval_ok

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_coords, mask_extract
+from helpers import from_coords, mask_extract, submasks
 from usolib.core import Face
 from usolib.bitops import (
     bit,
@@ -10,10 +10,8 @@ from usolib.bitops import (
     coord_set_tables,
     format_coord_set,
     full_mask,
-    lowest_coord,
     mask_deposit,
     popcount,
-    submasks,
 )
 
 
@@ -30,9 +28,6 @@ def test_coords_roundtrip():
     assert mask == 0b100101
     assert list(coords(mask)) == [1, 3, 6]
     assert popcount(mask) == 3
-    assert lowest_coord(mask) == 1
-    with pytest.raises(ValueError, match="^empty coordinate set$"):
-        lowest_coord(0)
     assert format_coord_set(mask) == "{1,3,6}"
     assert format_coord_set(0) == "{}"
 
@@ -52,9 +47,8 @@ def test_negative_masks_raise():
         (lambda: list(submasks(-2)), -2),
         (lambda: mask_deposit(1, -2), -2),
         (lambda: list(Face(0, -2).vertices()), -2),
-        (lambda: lowest_coord(-4), -4),
     ],
-    ids=["submasks", "mask_deposit", "face_span", "lowest_coord"],
+    ids=["submasks", "mask_deposit", "face_span"],
 )
 def test_helpers_that_walk_a_mask_reject_a_negative_one(call, mask):
     # each of these used to loop forever or answer for a wrapped mask

@@ -22,10 +22,11 @@ from helpers import (
     orientation_from_edge_bits,
     random_consistent_table,
     randrange,
+    submasks,
     uso_by_face_scan_pure,
     uso_by_pairwise,
 )
-from usolib.bitops import bit, full_mask, popcount, submasks
+from usolib.bitops import bit, full_mask, popcount
 from usolib.core import (
     EvalCounter,
     Face,
@@ -73,6 +74,19 @@ def test_face_normalization_and_equality():
     assert list(f1.vertices()) == [0b100, 0b101, 0b110, 0b111]
     assert face_contains(f1, 0b111) and not face_contains(f1, 0b010)
     assert repr(f1) == "Face(anchor={3}, span={1,2})"
+
+
+def test_face_vertices_match_the_submask_enumeration():
+    # the doubling lists the anchor plus every subset of the span, ascending
+    rng = SplitMix64(10)
+    for n in range(11):
+        full = full_mask(n)
+        for _ in range(20):
+            span = randrange(rng, full + 1)
+            f = Face(randrange(rng, full + 1), span)
+            verts = f.vertices()
+            assert verts.dtype == np.int64
+            assert verts.tolist() == [f.anchor | sub for sub in submasks(span)]
 
 
 def test_orientation_rejects_bad_tables():
@@ -142,6 +156,8 @@ def test_outmap_of_examples():
         (lambda: derandomized_re(klee_minty(3), -1), -1),
         (lambda: fs_revisited(klee_minty(3), -2), -2),
         (lambda: face_sink(klee_minty(3), Face(-8, 3)), -8),
+        (lambda: face_sink(klee_minty(3), Face(8, 3)), 8),
+        (lambda: face_sink(klee_minty(3), Face(1, 0b11000)), 9),
         (lambda: flip_edge(uniform(3), -1, 1), -1),
         (lambda: join_pair(EvalCounter(klee_minty(3)), -1, 3), -1),
         (lambda: reach_table(klee_minty(3))[-1], -1),
@@ -151,6 +167,8 @@ def test_outmap_of_examples():
         "derandomized_re",
         "fs_revisited",
         "face_sink",
+        "face_sink-past-end",
+        "face_sink-span-past-end",
         "flip_edge",
         "join_pair",
         "reach_table-negative",
@@ -457,7 +475,7 @@ def test_path_to_face_sink_has_hamming_length(all_usos_3):
             anchor = randrange(rng, 8) & ~span
             f = Face(anchor, span)
             u = face_sink(o, f)
-            for v in f.vertices():
+            for v in f.vertices().tolist():
                 assert bfs_distance_in_face(o, f, v, u) == popcount(v ^ u)
 
 

@@ -25,3 +25,16 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 imported.setdefault(name.partition(".")[0], path.name)
     assert "numpy" in imported
     assert {top: where for top, where in imported.items() if top not in ALLOWED} == {}
+
+
+def test_algo_imports_nothing_from_reach():
+    # the solvers see the cube only through their EvalCounter; reachmaps
+    # are read by whoever renders a trace
+    path = Path(usolib.__file__).parent / "algo.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert modules & {".reach", "usolib.reach"} == set()

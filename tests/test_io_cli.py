@@ -562,6 +562,28 @@ def test_walk_and_solve_pass_the_gate_once(tmp_path, capsys, monkeypatch, name):
     assert hashlib.sha256("".join(out).encode()).hexdigest()[:16] == digest
 
 
+#: sha256 prefix of the stdout of ``uso solve`` from the starts source,
+#: antipodal, random and 0 on ``gen --family <f> --n <n> --seed 3`` for every
+#: family and n = 4..8, with wall_ms read as 0; the records are rendered in
+#: ``cmd_solve``, so a change to a solver's return type must change no byte
+_SOLVE_STDOUT = {"dre": "81b3e80be6896f6c", "fs": "41afd8f881c6f47c", "fsr": "5edd58bdc10205b9"}
+
+
+@pytest.mark.parametrize("solver", list(_SOLVE_STDOUT))
+def test_solve_output_is_pinned_on_every_family(tmp_path, capsys, monkeypatch, solver):
+    monkeypatch.setattr(usolib.cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    out = []
+    for family in FAMILIES:
+        for n in range(4, 9):
+            path = str(tmp_path / f"{family}{n}.uso")
+            assert main(["gen", "--family", family, "--n", str(n), "--seed", "3", "--out", path]) == 0
+            for start in ("source", "antipodal", "random", "0"):
+                argv = ["solve", path, "--algo", solver, "--seed", "3", "--start", start]
+                assert main(argv) == 0
+                out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest()[:16] == _SOLVE_STDOUT[solver]
+
+
 def test_enum_count_and_census(tmp_path, capsys):
     assert main(["enum", "--n", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"n": 2, "count": 12}
