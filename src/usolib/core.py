@@ -101,6 +101,15 @@ def _check_vertex(n: int, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for dimension {n}")
 
 
+def _check_face(n: int, f: "Face") -> None:
+    """Raise ``ValueError`` unless every vertex of ``f`` is a vertex of the
+    n-cube, naming the least one that is not: the anchor, or the anchor
+    plus the lowest span coordinate above n."""
+    high = f.span >> n << n
+    _check_vertex(n, f.anchor)
+    _check_vertex(n, f.anchor | (high & -high))
+
+
 @dataclass(frozen=True)
 class Face:
     """Subcube spanned by ``span`` through the vertex ``anchor``.
@@ -252,12 +261,9 @@ def face_sink(o: Orientation, f: Face) -> int:
 
     Raises ``NotUSOError`` with the face and its sink count when the face
     has other than one sink, and ``ValueError`` naming the least vertex of
-    ``f`` outside the cube: the anchor, or the anchor plus the lowest span
-    coordinate above n.
+    ``f`` outside the cube (see :func:`_check_face`).
     """
-    high = f.span >> o.n << o.n
-    _check_vertex(o.n, f.anchor)
-    _check_vertex(o.n, f.anchor | (high & -high))
+    _check_face(o.n, f)
     verts = f.vertices()
     sinks = verts[o._table[verts] & f.span == 0]
     if sinks.size != 1:

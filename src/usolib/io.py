@@ -67,7 +67,12 @@ def loads_text(text: str) -> Orientation:
     if not 1 <= n <= MAX_DIMENSION:
         raise ParseError(f"line 1: dimension must be in 1..{MAX_DIMENSION}")
     count, top, width = 1 << n, full_mask(n), len(str(full_mask(n)))
-    lengths = np.diff(ends, prepend=-1) - 1
+    # line k ends at ends[k] and starts after ends[k - 1]; one array, no
+    # temporaries (np.diff with prepend builds three of 2**n entries)
+    lengths = np.empty_like(ends)
+    lengths[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
     # line count + 1 is the last outmap line: it holds a byte, no later one does
     if np.flatnonzero(lengths[count:]).tolist() != [0]:
         got = len(np.trim_zeros(lengths[1:], "b"))

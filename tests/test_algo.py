@@ -18,6 +18,7 @@ from helpers import (
     reachable_vertices,
 )
 from usolib.algo import (
+    _BLOCK,
     SeesawTrace,
     _kth_set_bit,
     derandomized_re,
@@ -398,6 +399,38 @@ def test_random_edge_batch_matches_the_loop_at_high_dimension(build):
         ),
         range(4),
     )
+
+
+def test_random_edge_batch_matches_the_loop_across_stream_blocks():
+    # the engine draws each trial's stream values a block of steps at a
+    # time; walks that end on either side of a block boundary, and walks
+    # that outlast two blocks, equal the one-step-at-a-time loop
+    o = klee_minty(12)
+    cap = 4**12
+    batch = walk_batch(o, "re", "random", 200, seed=3, cap=cap)
+    ends = set(batch.steps.tolist())
+    assert {_BLOCK - 1, _BLOCK, _BLOCK + 1} <= ends and max(ends) > 2 * _BLOCK
+    _scalar_matches_batch(
+        batch,
+        lambda k: random_edge_walk_by_loop(
+            o, int(batch.starts[k]), int(batch.seeds[k]), cap
+        ),
+        range(200),
+    )
+
+
+def test_wide_random_edge_batch_peaks_under_1_kib_per_trial():
+    # the stream block holds 32 values per walking trial; with the log it
+    # must stay under 1 KiB per trial
+    o = klee_minty(12)
+    trials = 20_000
+    tracemalloc.start()
+    try:
+        walk_batch(o, "re", "antipodal", trials, 1, 4**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * trials
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

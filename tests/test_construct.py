@@ -43,6 +43,7 @@ from usolib.core import (
     Face,
     Orientation,
     canonical_form,
+    face_sink,
     first_edge_violation,
     is_acyclic,
     is_decomposable,
@@ -366,6 +367,18 @@ def test_hypersink_violation_detected():
         hypersink_reorient(o, not_a_hypersink, klee_minty(2))
     with pytest.raises(ValueError):
         hypersink_reorient(o, Face(0b100, 0b011), klee_minty(3))
+
+
+@pytest.mark.parametrize(
+    "face, v", [(Face(-8, 3), -8), (Face(8, 3), 8), (Face(1, 0b11000), 9)]
+)
+def test_hypersink_reorient_and_face_sink_name_one_vertex_out_of_range(face, v):
+    # both name the least vertex of the face outside the cube
+    message = f"^vertex {v} out of range for dimension 3$"
+    with pytest.raises(ValueError, match=message):
+        face_sink(uniform(3), face)
+    with pytest.raises(ValueError, match=message):
+        hypersink_reorient(uniform(3), face, uniform(face.dimension))
 
 
 def test_hypersink_can_increase_niceness():

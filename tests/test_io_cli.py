@@ -665,6 +665,17 @@ def test_walk_and_bench_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_bench_bytes_are_pinned_across_stream_blocks(capsys):
+    # Random Edge walks that end at 31, 32 and 33 steps and reach 66, on
+    # either side of the engine's 32-step stream blocks
+    argv = ["bench", "--family", "km", "--algo", "re", "--n", "10..12"]
+    assert main(argv + ["--trials", "200", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    steps = {int(line.split(",")[3]) for line in out.splitlines()[1:]}
+    assert {31, 32, 33} <= steps and max(steps) == 66
+    assert _digest(out) == "be07d46ad33f67df"
+
+
 def test_walk_summary_bytes_are_pinned(tmp_path, capsys):
     # the summary of a multi-trial walk, with capped runs and fractional
     # statistics; the sha256 prefix is of the output without its wall_ms line

@@ -1,16 +1,19 @@
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import mix64, next_u64, shuffle, stream_value
 from usolib.rng import (
     _MASK64,
+    _MIX_CHUNK,
     _START_SALT,
     SplitMix64,
     _mix64_inplace,
     derive_seed,
     derive_seeds_np,
     start_values_np,
+    stream_block,
     stream_values_np,
 )
 
@@ -35,6 +38,21 @@ def test_stream_scalar_matches_vectorized(seed, index, count):
     assert values.dtype == np.uint64
     assert values.tolist() == [next_u64(scalar) for _ in range(count)]
     assert block.index == scalar.index == index + count
+
+
+@pytest.mark.parametrize(
+    "width, count", [(1, 3 * _MIX_CHUNK + 1), (1000, 100), (_MIX_CHUNK + 5, 3)]
+)
+def test_stream_block_matches_scalar_across_mixing_chunks(width, count):
+    # one long stream, a block of many rows per chunk, and rows wider than
+    # a chunk: the entries on both sides of each chunk boundary are right
+    seeds = derive_seeds_np(17, width)
+    block = stream_block(seeds, 5, count)
+    assert block.shape == (count, width) and block.dtype == np.uint64
+    rows = max(1, _MIX_CHUNK // width)
+    for i in sorted({0, rows - 1, rows, count - 1} & set(range(count))):
+        for k in sorted({0, width - 1, width // 2}):
+            assert int(block[i, k]) == stream_value(int(seeds[k]), 5 + i)
 
 
 @given(u64)
