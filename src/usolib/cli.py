@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import algo, construct, enumeration
-from .bitops import coord_set_tables, full_mask
+from .bitops import coord_set_tables, full_mask, popcount
 from .core import NotUSOError, first_uso_violation, is_acyclic, is_decomposable
 from .io import _TEXT_BLOCK, ParseError, dumps_json, dumps_text, read_orientation
-from .reach import niceness_index, reach_table
+from .reach import niceness_index, reachmap
 from .rng import derive_seed
 
 CSV_HEADER = "family,n,seed,steps,evaluations,capped"
@@ -215,15 +215,15 @@ def cmd_walk(args) -> int:
 def _trace_json(o, trace: algo.SeesawTrace) -> dict:
     """The ``trace`` object of ``uso solve --algo fsr``: each iteration with
     the dimension of the face it solved (its index), and the reachmap size of
-    every vertex the run reached, read from one
-    :func:`~usolib.reach.reach_table`."""
+    every vertex the run reached, each from one
+    :func:`~usolib.reach.reachmap` search, so no reach table of the whole
+    cube is built."""
     steps = zip(trace.coordinates, trace.step_evaluations)
-    sizes = np.bitwise_count(reach_table(o).entries[list(trace.vertices)])
     return {
         "iterations": [
             {"coordinate": c, "face_dimension": k, "evaluations": e} for k, (c, e) in enumerate(steps)
         ],
-        "reachmap_sizes": sizes.tolist(),
+        "reachmap_sizes": [popcount(reachmap(o, v)) for v in trace.vertices],
         "evaluations": trace.evaluations,
     }
 
@@ -243,7 +243,7 @@ def cmd_solve(args) -> int:
     else:  # fsr
         sink, trace = algo.fs_revisited(o, start)
     wall_ms = int((time.perf_counter() - started) * 1000)
-    if args.algo == "fsr":  # wall_ms times the solver, not the reach table
+    if args.algo == "fsr":  # wall_ms times the solver, not the reachmaps
         payload = {"trace": _trace_json(o, trace)}
     obj = {
         "algorithm": args.algo,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bit
-from .core import NotUSOError, Orientation, _check_vertex, sink_and_source
+from .bitops import bit, full_mask
+from .core import MAX_DIMENSION, NotUSOError, Orientation, _check_vertex, sink_and_source
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +87,69 @@ def reach_table(o: Orientation) -> ReachTable:
         if total == before:
             reach.setflags(write=False)
             return ReachTable(o.n, reach)
+
+
+#: one row per coordinate, bit(j) in row j - 1
+_COORDINATE_BITS = np.left_shift(np.uint32(1), np.arange(MAX_DIMENSION, dtype=np.uint32))[:, None]
+
+
+def reachmap(o: Orientation, v: int) -> int:
+    """The reachmap of one vertex, equal to ``reach_table(o)[v]`` on any
+    table, from a breadth-first search that stops as soon as it has proved
+    its answer; a vertex outside the cube raises ``ValueError``.
+
+    ``acc``, the OR of the outmaps of the vertices visited so far, lies
+    inside R(v) throughout, and the search returns it at the first of three
+    stops, each of which proves ``acc`` = R(v):
+
+    1. ``acc`` holds every coordinate;
+    2. the face through v spanned by ``acc`` is closed: none of its vertices
+       has an outgoing coordinate outside ``acc``, so every path from v
+       stays in it. Tested only when ``acc`` grows, so at most n times, as
+       an OR-reduce over a strided view of the table, with no copy;
+    3. no vertex is left to visit.
+
+    Each level's frontier drops the vertices already visited and is
+    deduplicated by a sort (``np.unique`` cost 2-10 times as much on these
+    small arrays under numpy 2.4). :func:`reach_table` answers every vertex
+    at once and remains the function for whole-cube analysis; this one
+    answers the few vertices of a seesaw trace, and holds one bool per
+    vertex plus its frontiers.
+    Fresh-process ``uso solve --algo fsr --start random --seed 5`` on seed-0
+    files at n = 22 (2-CPU host, Python 3.11, numpy 2.4), two runs each,
+    with the trace read from a full reach table (commit 960d1ce) and then
+    from this search: cyclic-lb 4.94-5.01 s against 0.74-0.85 s, random FMO
+    3.26-3.39 s against 0.70-0.72 s, Klee-Minty 1.20-1.29 s against
+    0.81-0.85 s. ``ru_maxrss`` was 228-229 MiB on both sides, because the
+    loader, not the trace, sets the peak.
+    """
+    _check_vertex(o.n, v)
+    table = o._table
+    full = full_mask(o.n)
+    cube = table.reshape((2,) * o.n)  # axis k holds bit n - 1 - k
+    bits = _COORDINATE_BITS[: o.n]
+    acc = level = int(table[v])  # level: the OR of the frontier's outmaps
+    visited = np.zeros(len(table), dtype=bool)
+    visited[v] = True
+    frontier = np.array([v], dtype=np.uint32)
+    outs = table[frontier]
+    grew = True
+    while acc != full and level:
+        if grew:
+            face = [slice(None) if acc >> i & 1 else v >> i & 1 for i in reversed(range(o.n))]
+            if int(np.bitwise_or.reduce(cube[tuple(face)], axis=None)) & ~acc == 0:
+                break
+        steps = (frontier ^ bits)[(outs & bits).astype(bool)]  # row j - 1: the steps along j
+        steps = np.sort(steps[~visited[steps]])
+        first = np.ones(len(steps), dtype=bool)  # the first copy of each vertex
+        np.not_equal(steps[1:], steps[:-1], out=first[1:])
+        frontier = steps[first]
+        visited[frontier] = True
+        outs = table[frontier]
+        level = int(np.bitwise_or.reduce(outs))
+        grew = level & ~acc != 0
+        acc |= level
+    return acc
 
 
 @dataclass(frozen=True, eq=False)

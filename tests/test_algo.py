@@ -780,6 +780,52 @@ def test_fibonacci_seesaw_envelope_on_random_fmos():
             assert evals <= 10 * 1.62**n
 
 
+def _fibonacci(k: int) -> int:
+    """F(k), with F(1) = F(2) = 1."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_fibonacci_seesaw_spends_exactly_f_k_plus_2_on_a_k_face(all_usos_3):
+    # each extension re-solves a face disjoint from every face solved
+    # before, so the counts add: T(k) = 2 + T(0) + ... + T(k - 2) = F(k + 2)
+    assert all(fibonacci_seesaw(o)[1] == 5 for o in all_usos_3)
+    for family in FAMILIES:
+        for n in range(4, 13):
+            for seed in range(3):
+                o = build_family(family, n, seed)
+                assert fibonacci_seesaw(o)[1] == _fibonacci(n + 2), (family, n, seed)
+    o = random_fmo(8, SplitMix64(8))
+    rng = SplitMix64(80)
+    for _ in range(50):
+        span = randrange(rng, 256)
+        face = Face(randrange(rng, 256), span)
+        assert fibonacci_seesaw(o, face)[1] == _fibonacci(popcount(span) + 2)
+
+
+def _assert_fs_revisited_costs_are_fibonacci(o, start):
+    trace = fs_revisited(o, start)[1]
+    r = len(trace.coordinates)
+    assert trace.step_evaluations == tuple(_fibonacci(k + 2) for k in range(r))
+    assert trace.evaluations == _fibonacci(r + 3) - 1
+
+
+def test_fs_revisited_spends_exactly_f_r_plus_3_minus_1(all_usos_3):
+    # iteration k solves a k-face for F(k + 2) evaluations, none of them
+    # made before, and the start adds one: 1 + F(2) + ... + F(r + 1)
+    for o in all_usos_3:
+        for start in range(8):
+            _assert_fs_revisited_costs_are_fibonacci(o, start)
+    for family in FAMILIES:
+        for n in range(4, 13):
+            for seed in range(3):
+                o = build_family(family, n, seed)
+                for k in range(10):
+                    _assert_fs_revisited_costs_are_fibonacci(o, resolve_start(o, "random", k))
+
+
 def _reachmap_sizes(o, trace):
     """The reachmap size of every vertex of the trace, from ``reach_table``."""
     rt = reach_table(o)

@@ -55,7 +55,7 @@ from usolib.construct import (
     uniform,
 )
 from usolib.algo import derandomized_re, fs_revisited, join_pair
-from usolib.reach import reach_table
+from usolib.reach import reach_table, reachmap
 from usolib.rng import SplitMix64
 
 # edge-consistent non-USO tables used below: a directed 4-cycle on the
@@ -162,6 +162,8 @@ def test_outmap_of_examples():
         (lambda: join_pair(EvalCounter(klee_minty(3)), -1, 3), -1),
         (lambda: reach_table(klee_minty(3))[-1], -1),
         (lambda: reach_table(klee_minty(3))[8], 8),
+        (lambda: reachmap(klee_minty(3), -1), -1),
+        (lambda: reachmap(klee_minty(3), 8), 8),
     ],
     ids=[
         "derandomized_re",
@@ -173,6 +175,8 @@ def test_outmap_of_examples():
         "join_pair",
         "reach_table-negative",
         "reach_table-past-end",
+        "reachmap-negative",
+        "reachmap-past-end",
     ],
 )
 def test_negative_vertices_raise_instead_of_wrapping(call, v):

@@ -692,6 +692,9 @@ def test_walk_summary_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+_FSR_RANDOM_11 = ["--algo", "fsr", "--start", "random", "--seed", "11"]
+
+
 @pytest.mark.parametrize(
     "family, solve, digest",
     [
@@ -707,6 +710,11 @@ def test_walk_summary_bytes_are_pinned(tmp_path, capsys):
             "cae20edbe6ed4f4d",
         ),
         (["cyclic-lb", "--n", "7"], ["--algo", "fsr", "--start", "5"], "eeb394a2cb0acbe0"),
+        # fsr traces whose reachmap searches end at each of their stops
+        (["fmo", "--n", "13", "--seed", "2"], _FSR_RANDOM_11, "59fb5aef1ed0ae96"),
+        (["cyclic-lb", "--n", "13", "--seed", "2"], _FSR_RANDOM_11, "1db23cc89b502140"),
+        (["product", "--n", "13", "--seed", "2"], _FSR_RANDOM_11, "fa664d19c488007c"),
+        (["target-combed", "--n", "13", "--seed", "2"], _FSR_RANDOM_11, "17e59f988fa198fb"),
     ],
 )
 def test_solve_bytes_are_pinned(tmp_path, capsys, family, solve, digest):

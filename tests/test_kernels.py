@@ -1,10 +1,10 @@
 """The numpy kernels of ``core`` and ``reach`` against their per-table
 oracles: the decomposition tree ``decomposable_rows`` on every USO of the
-2- and 3-cube as one stack, and ``reach_table``, ``niceness_index``,
-``sink_and_source`` and ``canonical_form`` on each of them; the
-``uso gen`` families one table at a time; random edge-consistent tables
-that are mostly not USOs; and ``reach_table`` on tables that are not even
-edge-consistent."""
+2- and 3-cube as one stack, and ``reach_table``, ``reachmap``,
+``niceness_index``, ``sink_and_source`` and ``canonical_form`` on each of
+them; the ``uso gen`` families one table at a time; random edge-consistent
+tables that are mostly not USOs; and ``reach_table`` and ``reachmap`` on
+tables that are not even edge-consistent."""
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from usolib.core import (
     sink_and_source,
     topological_order,
 )
-from usolib.reach import niceness_index, reach_table
+from usolib.reach import niceness_index, reach_table, reachmap
 from usolib.rng import SplitMix64
 
 
@@ -47,10 +47,10 @@ def _assert_usos_match(orientations, *, full_reach=True, canonical=True):
         assert d == is_decomposable(o) == is_decomposable_by_recursion(o)
         reach = reach_table(o).entries
         if full_reach:
-            assert reach.tolist() == reach_table_bruteforce(o)
+            assert reach.tolist() == reach_table_bruteforce(o) == [reachmap(o, v) for v in range(size)]
         else:
             for v in range(0, size, size // 16):
-                assert reach[v] == reachmap_bruteforce(o, v)
+                assert reach[v] == reachmap_bruteforce(o, v) == reachmap(o, v)
         sink, cover, witness, index = niceness_by_python_sweep(o, reach.tolist())
         assert sink_and_source(o)[0] == sink == [v for v in range(size) if o.out(v) == 0][0]
         report = niceness_index(o)
@@ -79,6 +79,13 @@ def test_kernels_on_the_families_one_table_at_a_time(family):
         _assert_usos_match([o], full_reach=n <= 9, canonical=n <= 5)
 
 
+def _assert_reach_matches(o):
+    """``reach_table`` and ``reachmap`` of every vertex against the oracle."""
+    expected = reach_table_bruteforce(o)
+    assert reach_table(o).entries.tolist() == expected
+    assert [reachmap(o, v) for v in range(o.vertex_count())] == expected
+
+
 def test_decomposable_rows_and_reach_table_on_random_consistent_tables():
     rng = SplitMix64(23)
     for n in range(1, 8):
@@ -86,26 +93,26 @@ def test_decomposable_rows_and_reach_table_on_random_consistent_tables():
         decomposable = decomposable_rows(_stack(same_n))
         for o, d in zip(same_n, decomposable):
             assert d == is_decomposable_by_recursion(o)
-            assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
+            _assert_reach_matches(o)
 
 
 @pytest.mark.parametrize("values", [[0, 1], [1, 0], [0, 0], [1, 1]])
 def test_reach_table_on_the_1_cube(values):
     # the pair view of coordinate 1 has width 1
     o = Orientation(1, values)
-    assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
+    _assert_reach_matches(o)
 
 
 def test_reach_table_where_both_ends_of_an_edge_point_out():
     # both ends of such a pair update in one step, each from the other's old
     # value; edge-consistent tables are covered by the test above
     o = Orientation(2, [1, 1, 1, 1])
-    assert reach_table(o).entries.tolist() == reach_table_bruteforce(o) == [1, 1, 1, 1]
+    assert reach_table_bruteforce(o) == [1, 1, 1, 1]
+    _assert_reach_matches(o)
     rng = SplitMix64(31)
     for n in range(1, 7):
         values = [randrange(rng, 1 << n) for _ in range(1 << n)]
-        o = Orientation(n, values)
-        assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
+        _assert_reach_matches(Orientation(n, values))
 
 
 def test_reach_table_leaves_the_outmap_and_returns_a_read_only_uint32_array():
@@ -145,7 +152,7 @@ def test_decomposable_rows_and_reach_table_hypothesis(case):
     decomposable = decomposable_rows(_stack(orientations))
     for o, d in zip(orientations, decomposable):
         assert d == is_decomposable_by_recursion(o)
-        assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
+        _assert_reach_matches(o)
 
 
 def test_is_decomposable_on_a_table_that_is_not_edge_consistent():

@@ -33,7 +33,8 @@ from usolib.core import (
     is_acyclic,
     validate_orientation,
 )
-from usolib.reach import niceness_index, reach_table
+from usolib.algo import fs_revisited, resolve_start
+from usolib.reach import niceness_index, reach_table, reachmap
 from usolib.rng import SplitMix64
 
 
@@ -85,7 +86,9 @@ def test_reach_table_oracle_random_consistent_tables():
             o = random_consistent_table(n, rng)
             cyclic += not is_acyclic(o)
             other_than_one_sink += int((o.outmap == 0).sum()) != 1
-            assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
+            expected = reach_table_bruteforce(o)
+            assert reach_table(o).entries.tolist() == expected
+            assert [reachmap(o, v) for v in range(o.vertex_count())] == expected
     assert cyclic > 0 and other_than_one_sink > 0
 
 
@@ -357,3 +360,21 @@ def test_traced_peak_memory_per_vertex_at_n_16(family, compute):
     finally:
         tracemalloc.stop()
     assert peak <= _PEAK_BYTES_PER_VERTEX[compute] * o.vertex_count()
+
+
+@pytest.mark.parametrize("family", ["km", "cyclic-lb", "fmo"])
+def test_traced_peak_memory_of_the_reachmaps_of_a_trace_at_n_16(family):
+    # the trace of ``uso solve --algo fsr`` from five random starts: each
+    # search holds one bool per vertex and its frontiers, 1.3 (km), 4.3
+    # (cyclic-lb) and 1.6 (fmo) B/vertex at most, against reach_table's 25.1
+    o = build_family(family, 16, 0)
+    for seed in range(5):
+        trace = fs_revisited(o, resolve_start(o, "random", seed))[1]
+        tracemalloc.start()
+        try:
+            for v in trace.vertices:
+                reachmap(o, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * o.vertex_count()
