@@ -85,9 +85,12 @@ def enumerate_all(n: int, visitor: Visitor | None = None) -> int:
     tables are never built: n = 4 counts 5 541 744 USOs in 1.1 s at
     136 MiB. A visitor gets each table as a validated
     :class:`~usolib.core.Orientation`, so a no-op visitor at n = 4 builds
-    all 5 541 744 of them and took 27.4 s at 425 MiB (another run of the
-    same code took 41.3 s at 424 MiB). Wall time and fresh-process
-    ``ru_maxrss``, commit 1a30974, 2-CPU host, Python 3.11, numpy 2.4.
+    all 5 541 744 of them: 19.7-20.3 s at 424 MiB, against 27.2-27.3 s at
+    commit 9b83d3d, where the constructor also took the ``min`` of each
+    uint8 row. The constructor dominates: 3.0 us a row, about 16.6 s of
+    the run (4.3-5.4 us at 9b83d3d; timed on the first 500 000 rows). Wall
+    time and fresh-process ``ru_maxrss``, two runs each, 2-CPU host,
+    Python 3.11, numpy 2.4.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")

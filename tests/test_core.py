@@ -305,6 +305,18 @@ def test_sink_and_source_accepts_exactly_the_bijective_tables():
                 assert (sink, source) == (outmaps.index(0), outmaps.index(full_mask(n)))
                 accepted += 1
     assert accepted and rejected
+    # a 17-cube spans two of the gate's scatter blocks
+    block = usolib.core._SCATTER_BLOCK
+    km = klee_minty(17)
+    assert km.vertex_count() == 2 * block
+    assert sink_and_source(km) == (0, km.outmap.tolist().index(full_mask(17)))
+    # one outmap repeated inside the second block, then across the boundary
+    for u, v in [(block + 4_465, block + 34_465), (1_000, block + 34_465)]:
+        table = km.outmap.copy()
+        table[v] = table[u]
+        with pytest.raises(NotUSOError) as exc:
+            sink_and_source(Orientation(17, table))
+        assert exc.value.pair == (u, v)
 
 
 def checked_certificate(o: Orientation):
