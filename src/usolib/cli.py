@@ -9,7 +9,10 @@ one ``error: <message>`` line. All randomness is controlled by --seed and
 outputs are deterministic for fixed flags.
 
 Commands call the library (instances come from ``construct.build_family``)
-and only render its results as text, JSON or CSV.
+and only render its results as text, JSON or CSV. An orientation file's
+format follows its extension, by the one rule of :mod:`usolib.io`: ``uso
+gen --out`` writes through ``write_orientation`` and every reading command
+through ``read_orientation``, so each file ``gen`` writes reads back.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import algo, construct, enumeration
 from .bitops import coord_set_tables, full_mask, popcount
 from .core import NotUSOError, first_uso_violation, is_acyclic, is_decomposable
-from .io import _TEXT_BLOCK, ParseError, dumps_json, dumps_text, read_orientation
+from .io import _TEXT_BLOCK, ParseError, dumps_text, read_orientation, write_orientation
 from .reach import niceness_index, reachmap
 from .rng import derive_seed
 
@@ -72,8 +75,10 @@ def _json_dumps(obj) -> str:
 
 def cmd_gen(args) -> int:
     o = construct.build_family(args.family, args.n, args.seed)
-    text = dumps_json(o) if args.format == "json" else dumps_text(o)
-    _emit(text, args.out)
+    if args.out is None or args.out == "-":
+        sys.stdout.write(dumps_text(o))
+    else:
+        write_orientation(o, args.out)
     return 0
 
 
@@ -302,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=construct.FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 

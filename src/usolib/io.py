@@ -7,6 +7,11 @@ at most 2**n - 1; leading zeros are allowed. Lines end in LF or CRLF, the
 final line end is optional, and trailing empty lines are ignored. The JSON
 form mirrors the same data as {"n": ..., "outmap": [...]}.
 
+A file's format follows one rule, its extension: ``.json`` is JSON and any
+other is USO-TEXT. :func:`read_orientation` and :func:`write_orientation`
+apply it, and ``uso gen --out`` writes through the latter, so every
+orientation file the CLI writes reads back.
+
 :func:`loads_text` names the first error in this order: the header; a
 count of outmap lines other than 2**n; the first outmap line that is empty
 or holds a byte other than a digit, a CR not before LF included (``not a

@@ -746,6 +746,26 @@ def test_derandomized_re_keeps_radius_1_on_the_families_from_n_4_to_8():
                 assert not any(_radius_deepens(o, v) for v in starts), (family, n, seed)
 
 
+def test_derandomized_re_rounds_stay_within_the_start_reachmap_plus_1(all_usos_3):
+    # pins the round envelope of derandomized_re's docstring; the + 1 is
+    # reached, and a round can leave the reachmap unchanged, so "every round
+    # shrinks it" is not claimed
+    usos = [Orientation(n, row) for n in (1, 2) for row in _uso_stack(n)] + all_usos_3
+    runs = [(o, range(o.vertex_count())) for o in usos]
+    for family in FAMILIES:
+        for n in range(4 if family == "auso-lb" else 3, 13):
+            for seed in range(3):
+                drawn = (SplitMix64(seed + 100).draw(10) % np.uint64(1 << n)).tolist()
+                runs.append((build_family(family, n, seed), [0, (1 << n) - 1, *drawn]))
+    slack = []
+    for o, starts in runs:
+        rt = reach_table(o)
+        slack += [popcount(rt[s]) + 1 - derandomized_re(o, s).steps for s in starts]
+    assert len(slack) == 6_004 + 2_484
+    assert min(slack) >= 0
+    assert 0 in slack  # the + 1 is needed
+
+
 def test_fibonacci_seesaw_base_cases():
     o = klee_minty(3)
     vertex = 0b101

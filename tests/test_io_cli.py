@@ -800,8 +800,25 @@ def test_walk_and_bench_reject_a_cap_below_1(tmp_path, capsys, command, cap):
     assert (captured.out, captured.err) == ("", "error: cap must be >= 1\n")
 
 
-def test_gen_stdout_and_json_format(capsys):
+def test_gen_stdout_and_json_format(tmp_path, capsys):
     assert main(["gen", "--family", "uniform", "--n", "2"]) == 0
     assert capsys.readouterr().out == "uso 2\n3\n2\n1\n0\n"
-    assert main(["gen", "--family", "uniform", "--n", "2", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"n": 2, "outmap": [3, 2, 1, 0]}
+    # the extension names the format; gen has no --format of its own
+    path = tmp_path / "x.json"
+    assert main(["gen", "--family", "uniform", "--n", "2", "--out", str(path)]) == 0
+    assert json.loads(path.read_text()) == {"n": 2, "outmap": [3, 2, 1, 0]}
+    assert main(["gen", "--family", "uniform", "--n", "2", "--format", "json"]) == 2
+
+
+@pytest.mark.parametrize("name", ["x.uso", "x.json"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gen_out_reads_back_in_the_format_its_extension_names(tmp_path, capsys, family, name):
+    path = tmp_path / name
+    assert main(["gen", "--family", family, "--n", "6", "--seed", "5", "--out", str(path)]) == 0
+    assert read_orientation(path) == build_family(family, 6, 5)
+    if path.suffix == ".json":
+        json.loads(path.read_text())
+    else:
+        assert path.read_text().startswith("uso 6\n")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: valid USO of dimension 6\n"
