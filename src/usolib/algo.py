@@ -7,10 +7,10 @@ the restarted seesaw that is bounded by the reachmap of the start vertex.
 Every algorithm counts distinct vertex evaluations through a caching
 oracle, and the joins and oracle solvers read the cube only through it:
 their records hold vertices and counts, and a caller that wants reachmap
-sizes along a seesaw trace reads them from :func:`~usolib.reach.reachmap`,
-one vertex at a time. When a join or seesaw step finds no way forward, it
-raises ``NotUSOError`` naming a vertex pair whose outmaps agree wherever the
-vertices differ; only a non-USO has such a pair.
+sizes along a seesaw trace reads the whole trace with one
+:func:`~usolib.reach.reachmaps` call. When a join or seesaw step finds no
+way forward, it raises ``NotUSOError`` naming a vertex pair whose outmaps
+agree wherever the vertices differ; only a non-USO has such a pair.
 
 Every start that :func:`resolve_start` or :func:`walk_batch` resolves first
 passes the outmap gate :func:`~usolib.core.sink_and_source`. The oracle
@@ -483,12 +483,12 @@ def fs_revisited(o: Orientation, start: int) -> tuple[int, SeesawTrace]:
     coordinates through the start, so the iteration count is bounded by the
     reachmap size of the start vertex and the reachmaps along the way only
     shrink; the trace keeps the vertices, so a caller can read those sizes
-    from :func:`~usolib.reach.reachmap`, as ``uso solve`` does. On a USO,
-    iteration k solves a k-face for exactly F(k + 2) evaluations, none made
-    before (see :func:`fibonacci_seesaw`), so r iterations cost exactly
-    F(r + 3) - 1 with the start, and at most F(|R(start)| + 3) - 1. Tested
-    on every (3-cube USO, start) pair and on ten random starts of every
-    family at n = 4..12.
+    with one :func:`~usolib.reach.reachmaps` call, as ``uso solve`` does.
+    On a USO, iteration k solves a k-face for exactly F(k + 2) evaluations,
+    none made before (see :func:`fibonacci_seesaw`), so r iterations cost
+    exactly F(r + 3) - 1 with the start, and at most F(|R(start)| + 3) - 1.
+    Tested on every (3-cube USO, start) pair and on ten random starts of
+    every family at n = 4..12.
 
     Like the joins, the solver sees the cube only through its
     ``EvalCounter``. A seesaw sink that has the crossed coordinate

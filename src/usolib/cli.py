@@ -33,7 +33,7 @@ from . import algo, construct, enumeration
 from .bitops import coord_set_tables, full_mask, popcount
 from .core import NotUSOError, first_uso_violation, is_acyclic, is_decomposable
 from .io import _TEXT_BLOCK, ParseError, dumps_text, read_orientation, write_orientation
-from .reach import niceness_index, reachmap
+from .reach import niceness_index, reachmaps
 from .rng import derive_seed
 
 CSV_HEADER = "family,n,seed,steps,evaluations,capped"
@@ -220,15 +220,15 @@ def cmd_walk(args) -> int:
 def _trace_json(o, trace: algo.SeesawTrace) -> dict:
     """The ``trace`` object of ``uso solve --algo fsr``: each iteration with
     the dimension of the face it solved (its index), and the reachmap size of
-    every vertex the run reached, each from one
-    :func:`~usolib.reach.reachmap` search, so no reach table of the whole
+    every vertex the run reached, all from one
+    :func:`~usolib.reach.reachmaps` call, so no reach table of the whole
     cube is built."""
     steps = zip(trace.coordinates, trace.step_evaluations)
     return {
         "iterations": [
             {"coordinate": c, "face_dimension": k, "evaluations": e} for k, (c, e) in enumerate(steps)
         ],
-        "reachmap_sizes": [popcount(reachmap(o, v)) for v in trace.vertices],
+        "reachmap_sizes": [popcount(r) for r in reachmaps(o, trace.vertices)],
         "evaluations": trace.evaluations,
     }
 

@@ -11,6 +11,10 @@ R(v) is s(v) joined with R(w) for every out-neighbour w. One vectorised
 sweep per round ORs each out-neighbour's R into R(v), coordinate by
 coordinate and in place, until a round changes nothing; it needs no
 topological order, so cyclic tables and non-USOs take the same path.
+:func:`reachmaps` answers a few vertices instead, by breadth-first searches
+that reuse each other's answers: ``uso solve --algo fsr`` reads the
+reachmap sizes along its whole seesaw trace with one call, and
+:func:`reachmap` is that call on one vertex.
 
 Cover distances follow a recurrence over the reach table, because a vertex
 reachable from v never has a larger reachmap than v: d(v) = 1 when some
@@ -107,61 +111,105 @@ _COORDINATE_BITS = np.left_shift(np.uint32(1), np.arange(MAX_DIMENSION, dtype=np
 
 def reachmap(o: Orientation, v: int) -> int:
     """The reachmap of one vertex, equal to ``reach_table(o)[v]`` on any
-    table, from a breadth-first search that stops as soon as it has proved
-    its answer; a vertex outside the cube raises ``ValueError``.
+    table: ``reachmaps(o, [v])[0]``, so one search; a vertex outside the
+    cube raises ``ValueError``."""
+    return reachmaps(o, [v])[0]
 
-    ``acc``, the OR of the outmaps of the vertices visited so far, lies
-    inside R(v) throughout, and the search returns it at the first of three
-    stops, each of which proves ``acc`` = R(v):
+
+def reachmaps(o: Orientation, vertices) -> list[int]:
+    """The reachmaps of ``vertices``, in their order, each equal to
+    ``reach_table(o)[v]`` on any table, from breadth-first searches that
+    stop as soon as they have proved their answers; a vertex outside the
+    cube raises ``ValueError`` before any search.
+
+    The vertices are searched last first, and a repeated vertex is
+    answered once. When a search enters a vertex u answered earlier, it ORs
+    R(u) into its answer and does not expand u: every vertex u reaches, v
+    reaches too, so R(u) lies inside R(v) and covers all that expanding u
+    would find. That holds on any table. Along a seesaw trace each vertex
+    reaches the next one, so every search after the first usually meets
+    its successor within a few levels.
+
+    ``acc``, the OR of the outmaps of the vertices expanded so far and of
+    the reachmaps of the answered vertices entered, lies inside R(v)
+    throughout, and the search returns it at the first of three stops, each
+    of which proves ``acc`` = R(v):
 
     1. ``acc`` holds every coordinate;
     2. the face through v spanned by ``acc`` is closed: none of its vertices
        has an outgoing coordinate outside ``acc``, so every path from v
        stays in it. Tested only when ``acc`` grows, so at most n times, as
        an OR-reduce over a strided view of the table, with no copy;
-    3. no vertex is left to visit.
+    3. no vertex is left to expand.
 
     Each level's frontier drops the vertices already visited and is
     deduplicated by a sort (``np.unique`` cost 2-10 times as much on these
-    small arrays under numpy 2.4). :func:`reach_table` answers every vertex
-    at once and remains the function for whole-cube analysis; this one
-    answers the few vertices of a seesaw trace, and holds one bool per
-    vertex plus its frontiers.
+    small arrays under numpy 2.4); one gather of ``visited`` at the
+    answered vertices not yet entered then finds those the level entered.
+    :func:`reach_table` answers every vertex at once and remains the
+    function for whole-cube analysis; this one answers the few vertices of
+    a seesaw trace, and holds one bool per vertex plus its frontiers.
+    ``uso solve --algo fsr`` reads its whole trace with one call. On the
+    fsr traces of seed-1..3 files from ``resolve_start(o, "random", seed)``,
+    one call against one search per vertex at commit 2bb6fb3 (median of
+    15, both in one process, 2-CPU host, Python 3.11, numpy 2.4):
+    cyclic-lb 15 3.15-3.60 -> 0.72-0.76 ms, random FMO 14 0.88-1.13 ->
+    0.63-0.86 ms, target-combed 14 0.40-1.48 -> 0.38-0.90 ms, product 15
+    1.80-2.31 -> 0.76-1.93 ms, and Klee-Minty 16, whose searches mostly
+    stop at the first face test, 0.40-0.52 -> 0.42-0.55 ms.
     Fresh-process ``uso solve --algo fsr --start random --seed 5`` on seed-0
     files at n = 22 (2-CPU host, Python 3.11, numpy 2.4), two runs each,
     with the trace read from a full reach table (commit 960d1ce) and then
-    from this search: cyclic-lb 4.94-5.01 s against 0.74-0.85 s, random FMO
-    3.26-3.39 s against 0.70-0.72 s, Klee-Minty 1.20-1.29 s against
-    0.81-0.85 s. ``ru_maxrss`` was 228-229 MiB on both sides, because the
-    loader, not the trace, sets the peak.
+    from one search per vertex: cyclic-lb 4.94-5.01 s against 0.74-0.85 s,
+    random FMO 3.26-3.39 s against 0.70-0.72 s, Klee-Minty 1.20-1.29 s
+    against 0.81-0.85 s. ``ru_maxrss`` was 228-229 MiB on both sides,
+    because the loader, not the trace, sets the peak.
     """
-    _check_vertex(o.n, v)
+    vertices = list(vertices)
+    for v in vertices:
+        _check_vertex(o.n, v)
     table = o._table
     full = full_mask(o.n)
     cube = table.reshape((2,) * o.n)  # axis k holds bit n - 1 - k
     bits = _COORDINATE_BITS[: o.n]
-    acc = level = int(table[v])  # level: the OR of the frontier's outmaps
-    visited = np.zeros(len(table), dtype=bool)
-    visited[v] = True
-    frontier = np.array([v], dtype=np.uint32)
-    outs = table[frontier]
-    grew = True
-    while acc != full and level:
-        if grew:
-            face = [slice(None) if acc >> i & 1 else v >> i & 1 for i in reversed(range(o.n))]
-            if int(np.bitwise_or.reduce(cube[tuple(face)], axis=None)) & ~acc == 0:
-                break
-        steps = (frontier ^ bits)[(outs & bits).astype(bool)]  # row j - 1: the steps along j
-        steps = np.sort(steps[~visited[steps]])
-        first = np.ones(len(steps), dtype=bool)  # the first copy of each vertex
-        np.not_equal(steps[1:], steps[:-1], out=first[1:])
-        frontier = steps[first]
-        visited[frontier] = True
+    # each vertex once, last first, and the reachmaps answered so far
+    order = np.array(list(dict.fromkeys(reversed(vertices))), dtype=np.intp)
+    maps = np.empty(len(order), dtype=np.uint32)
+    visited = np.empty(len(table), dtype=bool)
+    for k, v in enumerate(order.tolist()):
+        pending, pending_maps = order[:k], maps[:k]
+        acc = level = int(table[v])  # level: the OR of the frontier's outmaps
+        visited.fill(False)
+        visited[v] = True
+        frontier = np.array([v], dtype=np.uint32)
         outs = table[frontier]
-        level = int(np.bitwise_or.reduce(outs))
-        grew = level & ~acc != 0
-        acc |= level
-    return acc
+        grew = True
+        while acc != full and level:
+            if grew:
+                face = [slice(None) if acc >> i & 1 else v >> i & 1 for i in reversed(range(o.n))]
+                if int(np.bitwise_or.reduce(cube[tuple(face)], axis=None)) & ~acc == 0:
+                    break
+            steps = (frontier ^ bits)[(outs & bits).astype(bool)]  # row j - 1: the steps along j
+            steps = np.sort(steps[~visited[steps]])
+            first = np.ones(len(steps), dtype=bool)  # the first copy of each vertex
+            np.not_equal(steps[1:], steps[:-1], out=first[1:])
+            frontier = steps[first]
+            visited[frontier] = True
+            entered = visited[pending]
+            found = 0
+            if np.count_nonzero(entered):  # answered vertices, not expanded
+                found = int(np.bitwise_or.reduce(pending_maps[entered]))
+                keep = np.ones(len(frontier), dtype=bool)
+                keep[np.searchsorted(frontier, pending[entered])] = False
+                frontier = frontier[keep]
+                pending, pending_maps = pending[~entered], pending_maps[~entered]
+            outs = table[frontier]
+            level = int(np.bitwise_or.reduce(outs))
+            grew = (level | found) & ~acc != 0
+            acc |= level | found
+        maps[k] = acc
+    answers = dict(zip(order.tolist(), maps.tolist()))
+    return [answers[v] for v in vertices]
 
 
 @dataclass(frozen=True, eq=False)

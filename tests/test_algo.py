@@ -32,6 +32,7 @@ from usolib.algo import (
     walk_batch,
 )
 from usolib.bitops import bit, coords, full_mask, popcount
+from usolib.cli import _trace_json
 from usolib.construct import (
     FAMILIES,
     auso_lower_bound,
@@ -844,6 +845,20 @@ def test_fs_revisited_spends_exactly_f_r_plus_3_minus_1(all_usos_3):
                 o = build_family(family, n, seed)
                 for k in range(10):
                     _assert_fs_revisited_costs_are_fibonacci(o, resolve_start(o, "random", k))
+
+
+def test_fsr_reachmap_sizes_never_increase_along_a_trace():
+    # on a USO each trace vertex reaches the next, so its reachmap holds the
+    # next one's: the fact that makes reachmaps' last-first order pay off,
+    # though its searches are exact without it
+    for family in FAMILIES:
+        for n in range(4, 13):
+            for seed in range(3):
+                o = build_family(family, n, seed)
+                for k in range(10):
+                    trace = fs_revisited(o, resolve_start(o, "random", k))[1]
+                    sizes = _trace_json(o, trace)["reachmap_sizes"]
+                    assert sizes == sorted(sizes, reverse=True), (family, n, seed, k)
 
 
 def _reachmap_sizes(o, trace):

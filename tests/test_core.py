@@ -55,7 +55,7 @@ from usolib.construct import (
     uniform,
 )
 from usolib.algo import derandomized_re, fs_revisited, join_pair
-from usolib.reach import reach_table, reachmap
+from usolib.reach import reach_table, reachmap, reachmaps
 from usolib.rng import SplitMix64
 
 # edge-consistent non-USO tables used below: a directed 4-cycle on the
@@ -164,6 +164,7 @@ def test_outmap_of_examples():
         (lambda: reach_table(klee_minty(3))[8], 8),
         (lambda: reachmap(klee_minty(3), -1), -1),
         (lambda: reachmap(klee_minty(3), 8), 8),
+        (lambda: reachmaps(klee_minty(3), [0, 8, -1]), 8),
     ],
     ids=[
         "derandomized_re",
@@ -177,6 +178,7 @@ def test_outmap_of_examples():
         "reach_table-past-end",
         "reachmap-negative",
         "reachmap-past-end",
+        "reachmaps-past-end",
     ],
 )
 def test_negative_vertices_raise_instead_of_wrapping(call, v):
@@ -209,6 +211,28 @@ def test_first_edge_violation_matches_pure_loop(n):
         expect = first_edge_violation_pure(o)
         assert first_edge_violation(o) == expect
         assert validate_orientation(o) == (expect is None)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_first_edge_violation_matches_pure_loop_on_both_pair_view_orders(n):
+    # coordinates 1..4 are XORed transposed and the higher ones in numpy's
+    # default order; plant one bad edge on either side, then both, with
+    # the least bad vertex on the higher coordinate
+    rng = SplitMix64(900 + n)
+    size = 1 << n
+    for base in (klee_minty(n), random_consistent_table(n, rng)):
+        low_j, high_j = 1 + randrange(rng, 4), 5 + randrange(rng, n - 4)
+        # each planted vertex is the lower end of its edge, and high_v < low_v
+        high_v = randrange(rng, size // 2) & ~bit(high_j)
+        low_v = (size // 2 + randrange(rng, size // 2)) & ~bit(low_j)
+        plants = {"low": [(low_v, low_j)], "high": [(high_v, high_j)]}
+        plants["both"] = plants["low"] + plants["high"]
+        for planted in plants.values():
+            table = base.outmap.copy()
+            for v, j in planted:
+                table[v] ^= bit(j)
+            o = Orientation(n, table)
+            assert first_edge_violation(o) == first_edge_violation_pure(o) == min(planted)
 
 
 def test_random_flips_preserve_edge_consistency():

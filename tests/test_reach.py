@@ -12,7 +12,9 @@ from helpers import (
     random_consistent_table,
     randrange,
     reach_table_bruteforce,
+    reachable_vertices,
     reachmap_bruteforce,
+    shuffle,
     uso_by_pairwise,
 )
 from usolib.bitops import bit, coords
@@ -34,7 +36,7 @@ from usolib.core import (
     validate_orientation,
 )
 from usolib.algo import fs_revisited, resolve_start
-from usolib.reach import niceness_index, reach_table, reachmap
+from usolib.reach import niceness_index, reach_table, reachmap, reachmaps
 from usolib.rng import SplitMix64
 
 
@@ -97,6 +99,63 @@ def test_reach_table_oracle_families(family):
     for n in range(4 if family == "auso-lb" else 3, 11):
         o = build_family(family, n, n)
         assert reach_table(o).entries.tolist() == reach_table_bruteforce(o)
+
+
+def _vertex_lists(o, rng, vertices=None):
+    """Lists that are not traces, for ``reachmaps``: ``vertices`` (every
+    vertex by default) in a random order, and a short list with repeats."""
+    size = o.vertex_count()
+    shuffled = list(range(size)) if vertices is None else list(vertices)
+    shuffle(shuffled, rng)
+    repeats = [randrange(rng, size) for _ in range(6)]
+    return [shuffled, repeats + repeats[::2] + shuffled[:3]]
+
+
+def _assert_reachmaps_match_the_table(o, lists):
+    """``reachmaps`` on each list equals ``reach_table``; returns how many
+    pairs of distinct listed vertices reach neither one the other."""
+    t = reach_table(o)
+    unrelated = 0
+    for vertices in lists:
+        assert reachmaps(o, vertices) == [t[v] for v in vertices]
+        if o.n <= 8:
+            reach = {v: reachable_vertices(o, v) for v in vertices}
+            unrelated += sum(not (reach[u] >> w & 1 or reach[w] >> u & 1) for u in reach for w in reach)
+    return unrelated
+
+
+def test_reachmaps_oracle_on_all_3_cubes(all_usos_3):
+    rng = SplitMix64(43)
+    unrelated = sum(_assert_reachmaps_match_the_table(o, _vertex_lists(o, rng)) for o in all_usos_3)
+    assert unrelated > 0
+
+
+def test_reachmaps_oracle_random_consistent_tables():
+    # an answered vertex stands in for its whole reach on any table,
+    # cyclic, multi-sink and sinkless ones included
+    rng = SplitMix64(44)
+    cyclic = other_than_one_sink = unrelated = 0
+    for n in range(1, 9):
+        for _ in range(5):
+            o = random_consistent_table(n, rng)
+            cyclic += not is_acyclic(o)
+            other_than_one_sink += int((o.outmap == 0).sum()) != 1
+            unrelated += _assert_reachmaps_match_the_table(o, _vertex_lists(o, rng))
+    assert cyclic > 0 and other_than_one_sink > 0 and unrelated > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reachmaps_oracle_on_fsr_traces(family):
+    # each trace as reported, reversed, and shuffled among random vertices
+    # with repeats
+    rng = SplitMix64(45)
+    for n in range(4 if family == "auso-lb" else 3, 13):
+        o = build_family(family, n, 0)
+        for k in range(10):
+            trace = fs_revisited(o, resolve_start(o, "random", k))[1].vertices
+            extra = [randrange(rng, o.vertex_count()) for _ in range(4)]
+            lists = [trace, trace[::-1], *_vertex_lists(o, rng, trace + tuple(extra))]
+            _assert_reachmaps_match_the_table(o, lists)
 
 
 def test_reachmap_contains_difference_to_sink(all_usos_3):
@@ -364,17 +423,19 @@ def test_traced_peak_memory_per_vertex_at_n_16(family, compute):
 
 @pytest.mark.parametrize("family", ["km", "cyclic-lb", "fmo"])
 def test_traced_peak_memory_of_the_reachmaps_of_a_trace_at_n_16(family):
-    # the trace of ``uso solve --algo fsr`` from five random starts: each
-    # search holds one bool per vertex and its frontiers, 1.3 (km), 4.3
-    # (cyclic-lb) and 1.6 (fmo) B/vertex at most, against reach_table's 25.1
+    # the trace of ``uso solve --algo fsr`` from five random starts, one
+    # vertex at a time and in the one reachmaps call that command makes:
+    # a search holds one bool per vertex and its frontiers, at most 1.3 / 1.3
+    # (km), 4.3 / 1.6 (cyclic-lb) and 1.6 / 1.6 (fmo) B/vertex, against
+    # reach_table's 25.1
     o = build_family(family, 16, 0)
     for seed in range(5):
         trace = fs_revisited(o, resolve_start(o, "random", seed))[1]
-        tracemalloc.start()
-        try:
-            for v in trace.vertices:
-                reachmap(o, v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * o.vertex_count()
+        for read in (lambda: [reachmap(o, v) for v in trace.vertices], lambda: reachmaps(o, trace.vertices)):
+            tracemalloc.start()
+            try:
+                read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * o.vertex_count()
