@@ -71,34 +71,44 @@ class WalkBatch:
         return self.found < 0
 
 
-def _select_table() -> np.ndarray:
-    """The flat select table whose entry 12x + i is the i-th lowest set bit
-    of the 12-bit value x as a mask (0 past the last one)."""
-    x = np.arange(1 << 12, dtype=np.uint32)
-    bits = (x[:, None] >> np.arange(12, dtype=np.uint32)) & np.uint32(1)
-    rows, cols = bits.nonzero()
-    rank = bits.cumsum(axis=1)[rows, cols] - 1  # bit cols is set bit rank of x
-    select = np.zeros((x.size, 12), dtype=np.uint32)
-    select[rows, rank] = np.uint32(1) << cols.astype(np.uint32)
-    return select.reshape(-1)
+def _pick_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The two flat tables of :func:`_kth_set_bit`, 784 KiB in all.
+
+    Entry 24x + k of the first is r << 12 for the 12-bit low part x and
+    k < 24, where r is the index of the k-th lowest set bit of x with all
+    12 high bits set (24 past the last one): the bit's own index when x
+    holds it, else 12 + (k - popcount(x)). Entry (r << 12) | h of the
+    second is the bit picked by row r in the 12-bit high part h, as a mask:
+    1 << r for r < 12, the (r - 12)-th lowest set bit of h << 12 for
+    r < 24 (0 past the last one), and 0 in row 24. Every intermediate is
+    a 12-bit row of uint32 or the uint8 index array."""
+    part = np.arange(1 << 12, dtype=np.uint32)
+    low = part | np.uint32(0xFFF000)
+    high = part << np.uint32(12)
+    index = np.empty((part.size, 24), dtype=np.uint8)
+    for k in range(24):
+        lowest = low & -low
+        index[:, k] = np.minimum(np.bitwise_count(lowest - np.uint32(1)), 24)
+        low ^= lowest
+    mask = np.zeros((25, part.size), dtype=np.uint32)
+    mask[:12] = np.uint32(1) << np.arange(12, dtype=np.uint32)[:, None]
+    for row in mask[12:24]:
+        row[:] = high & -high
+        high ^= row
+    return np.left_shift(index, 12, dtype=np.uint32).reshape(-1), mask.reshape(-1)
 
 
-_SELECT12 = _select_table()
+_PICK_ROW, _PICK_MASK = _pick_tables()
 _LOW12 = np.uint32(0xFFF)
 _TWELVE = np.uint32(12)
 
 
 def _kth_set_bit(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The k-th lowest set bit of each uint32 ``s`` < 2^24 as a mask, for
-    k < popcount(s): the low 12-bit half holds it when k is below that
-    half's popcount c, else the high half holds it as its own set bit
-    k - c. ``k`` is cast to uint32 once, so every step stays in uint32."""
-    k = k.astype(np.uint32, copy=False)
-    c = np.bitwise_count(s & _LOW12)
-    high = k >= c
-    shift = high * _TWELVE
-    half = (s >> shift) & _LOW12
-    return _SELECT12.take(half * _TWELVE + (k - high * c)) << shift
+    """The k-th lowest set bit of each uint32 ``s`` < 2^24 as a uint32
+    mask, for k < popcount(s), in seven numpy calls: the low 12 bits of s
+    and k give the row of the second table in ``_PICK_ROW``, and the high
+    12 bits of s the column (see :func:`_pick_tables`)."""
+    return _PICK_MASK.take(_PICK_ROW.take((s & _LOW12) * 24 + k) | (s >> _TWELVE))
 
 
 def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
@@ -113,6 +123,8 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
 
 #: a Random Edge walk draws its stream values for this many steps at once
 _BLOCK = 32
+#: the walk log is folded only once it holds more keys than this (512 KiB)
+_FOLD_KEYS = 1 << 16
 
 
 def _walk_lockstep(
@@ -128,7 +140,7 @@ def _walk_lockstep(
     xor s(v)), and seeds only pick starts. Otherwise it is a Random Edge
     step: step t crosses the k-th lowest outgoing edge, k = z mod |s(v)|
     for value z of the trial's stream at index t, picked by
-    :func:`_kth_set_bit` in uint32 in a fixed number of numpy calls.
+    :func:`_kth_set_bit` in uint32 in seven numpy calls.
 
     The values z come in blocks. At every step t that is a multiple of
     ``_BLOCK`` = 32, :func:`~usolib.rng.stream_block` draws values
@@ -136,22 +148,27 @@ def _walk_lockstep(
     and gives each trial a column ``col``; step t reads row t mod 32
     through ``col``. When trials stop, ``col`` is compacted along with
     ``active`` and ``cur``, and the block is never copied (copying it at
-    each compaction made batches of 10 000 and more trials slower). So a
-    Random Edge step makes 22 numpy calls: the lookup, the zero test, two
-    to read the block, two for the modulus, 12 in the pick and one for its
-    cast, the move, and two for the log key; a block adds 15 calls per 32
-    steps. Drawing each step's values afresh took 29 calls, 10 of them for
-    the draw (the seed gather, the add and eight mixer calls), and built
-    ten numpy scalars. The per-step count is what matters, since a step
-    costs it however few trials still walk.
+    each compaction made batches of 10 000 and more trials slower). The
+    pick is two table lookups: the low 12 bits of s(v) and k give a row,
+    the high 12 bits a column. So a Random Edge step makes 16 numpy calls:
+    the lookup, the zero test, two to read the block, two for the modulus,
+    seven in the pick, the move, and two for the log key; a block adds 15
+    calls per 32 steps. The pick was 12 calls plus a cast when it split
+    s(v) into halves by arithmetic, which made 22 a step, and drawing each
+    step's values afresh took 29 calls, 10 of them for the draw (the seed
+    gather, the add and eight mixer calls). The per-step count is what
+    matters, since a step costs it however few trials still walk.
 
     Every vertex a trial enters is logged as the key trial * 2^n + vertex.
-    The log is folded into the sorted distinct keys ``seen`` whenever it
-    outgrows them (plus one key per trial), so memory follows the distinct
-    (trial, vertex) pairs rather than the steps; a trial's evaluations are
-    its number of distinct keys. The fold sorts and drops repeats rather
-    than calling ``np.unique``, whose hash path is several times slower on
-    int64 keys. A trial that hits the cap keeps ``found`` at -1.
+    The log is folded into the sorted distinct keys ``seen`` once it holds
+    more keys than ``seen`` plus one per trial, and more than
+    ``_FOLD_KEYS`` = 2^16, so memory follows the distinct (trial, vertex)
+    pairs rather than the steps, and a batch of a few hundred trials folds
+    only at its end, where it used to fold 3-5 times; a trial's
+    evaluations are its number of distinct keys. The fold sorts and drops
+    repeats rather than calling ``np.unique``, whose hash path is several
+    times slower on int64 keys. A trial that hits the cap keeps ``found``
+    at -1.
 
     A Bottom Antipodal step depends on the vertex alone, so a trial that
     re-enters a vertex is in a cycle: it never reaches a sink, and every
@@ -205,7 +222,7 @@ def _walk_lockstep(
         t += 1
         log.append((active << n) | cur)
         logged += active.size
-        if logged > seen.size + count:
+        if logged > max(seen.size + count, _FOLD_KEYS):
             seen = _distinct_sorted(np.concatenate([seen, *log]))
             log, logged = [], 0
         if bottom_antipodal:

@@ -337,18 +337,19 @@ def sink_and_source(o: Orientation) -> tuple[int, int]:
 
 
 def _join(b: np.unsignedinteger, a: np.ndarray, c: np.ndarray):
-    """Sink outmaps of the faces joined along coordinate bit ``b`` from the
-    facet sink outmaps ``a`` (b clear) and ``c`` (b set): the one of the two
-    with b incoming. Also returns the sink count of every face where both or
-    neither have b incoming (-1 elsewhere), or None when there is none.
-    ``b`` has the dtype of ``a`` and ``c``, so no operand is widened.
+    """Which facet sink has coordinate bit ``b`` incoming, for the faces
+    joined along b from the facet sink outmaps ``a`` (b clear) and ``c``
+    (b set): True where ``a``'s does, so the joined sink outmaps are
+    ``np.where(in_a, a, c)``. Also returns the sink count of every face
+    where both or neither have b incoming (-1 elsewhere), or None when
+    there is none. ``b`` has the dtype of ``a`` and ``c``, so no operand
+    is widened.
     """
     in_a = (a & b) == 0
-    joined = np.where(in_a, a, c)
     bad = in_a == ((c & b) == 0)
     if not bad.any():
-        return joined, None
-    return joined, np.where(bad, 2 * in_a, -1)
+        return in_a, None
+    return in_a, np.where(bad, 2 * in_a, -1)
 
 
 def _least_face(
@@ -400,7 +401,8 @@ def first_uso_violation(o: Orientation) -> NotUSOError | None:
     first j that does not fit, each join is a node T + {j} of a depth-first
     search over the spans T above the codes, j > top(T), on an array half
     its parent's size. Spans not below the least bad face found so far
-    are pruned.
+    are pruned. At j = n only the sink counts are computed: no join reads
+    the sinks of a face that spans coordinate n.
     """
     n = o.n
     full = full_mask(n)
@@ -416,10 +418,13 @@ def first_uso_violation(o: Orientation) -> NotUSOError | None:
                 return  # every span from here on is at least span | b
             pairs = y.reshape(-1, 2, 1 << popcount(free & (b - 1)), y.shape[1])
             a, c = pairs[:, 0], pairs[:, 1]
-            joined, counts = _join(y.dtype.type(b), a, c)
+            in_a, counts = _join(y.dtype.type(b), a, c)
             if counts is not None:
                 # the pruning above leaves only spans below ``best``
                 best = _least_face(counts.reshape(-1, y.shape[1]), m, n, span | b, free ^ b)
+            if j == n:
+                return  # no join reads the sinks of spans with top coordinate n
+            joined = np.where(in_a, a, c)
             if span == 0 and 3 * y.size <= 2 * _SWEEP_ENTRIES:
                 y = np.concatenate([a, c, joined], axis=2).reshape(len(a), -1)
                 m, free = j, free ^ b

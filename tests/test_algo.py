@@ -17,6 +17,7 @@ from helpers import (
     re_expectation_by_solve,
     reachable_vertices,
 )
+from usolib import algo
 from usolib.algo import (
     _BLOCK,
     SeesawTrace,
@@ -370,6 +371,8 @@ def test_kth_set_bit_matches_the_loop_on_every_12_bit_value():
     _assert_kth_set_bit_matches_the_loop(
         (x << np.uint32(12)) | low, k + np.bitwise_count(low)
     )
+    # the pick's two tables, built at import, stay within 1 MiB
+    assert algo._PICK_ROW.nbytes + algo._PICK_MASK.nbytes <= 1 << 20
 
 
 def test_kth_set_bit_matches_the_loop_on_random_24_bit_values():
@@ -436,8 +439,9 @@ def test_wide_random_edge_batch_peaks_under_1_kib_per_trial():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_bottom_antipodal_batch_counts_revisits_once(n):
-    # Bottom Antipodal cycles on this family, so long walks revisit vertices
-    # and the evaluation log is merged and deduplicated many times
+    # Bottom Antipodal cycles on this family, so long walks revisit vertices;
+    # the log stays under algo._FOLD_KEYS, so it is deduplicated in the final
+    # fold only (the fold mid-walk is tested below on a wider batch)
     o = cyclic_full_reach(n)
     trials, cap = 4 << n, 2000
     batch = walk_batch(o, "ba", "random", trials, seed=29, cap=cap)
@@ -507,6 +511,34 @@ def test_random_edge_on_cyclic_table_counts_revisits_once():
             o, int(batch.starts[k]), int(batch.seeds[k]), cap
         ),
         range(200),
+    )
+
+
+def test_random_edge_batch_folds_its_log_mid_walk(monkeypatch):
+    # 60 000 trials log a key each per step, so the log outgrows both the
+    # distinct keys plus one per trial and algo._FOLD_KEYS within a few
+    # steps and is folded twice before the final fold; this FMO has cycles,
+    # and some trials revisit a vertex on them
+    folds = []
+
+    def counted(keys):
+        folds.append(keys.size)
+        return distinct_sorted(keys)
+
+    distinct_sorted = algo._distinct_sorted
+    monkeypatch.setattr(algo, "_distinct_sorted", counted)
+    o = random_fmo(10, SplitMix64(0))
+    trials, cap = 60_000, 4**10
+    batch = walk_batch(o, "re", "random", trials, seed=0, cap=cap)
+    assert len(folds) >= 3
+    revisiting = np.flatnonzero(batch.evaluations < batch.steps + 1)
+    assert revisiting.size
+    _scalar_matches_batch(
+        batch,
+        lambda k: random_edge_walk_by_loop(
+            o, int(batch.starts[k]), int(batch.seeds[k]), cap
+        ),
+        [*revisiting[:10].tolist(), *range(0, trials, 3001), trials - 1],
     )
 
 

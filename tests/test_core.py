@@ -442,10 +442,11 @@ def test_first_uso_violation_across_the_uint32_boundary():
 
 
 def test_first_uso_violation_traced_peak_at_klee_minty_16():
-    # 21.6 MiB measured with uint16 sink outmaps, and the bound is 1.25
-    # times that; keeping the root's last fold arrays alive through the
-    # depth-first part peaked at 28.8 MiB, and int32 sink ids, gathered from
-    # the table at every join, at 59.5 MiB
+    # 19.8 MiB measured with uint16 sink outmaps, and the bound is 1.25
+    # times that; joining the sinks at the last coordinate too, which no
+    # later join reads, peaked at 21.6 MiB, keeping the root's last fold
+    # arrays alive through the depth-first part at 28.8 MiB, and int32 sink
+    # ids, gathered from the table at every join, at 59.5 MiB
     o = klee_minty(16)
     tracemalloc.start()
     try:
@@ -453,7 +454,7 @@ def test_first_uso_violation_traced_peak_at_klee_minty_16():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 27 << 20
+    assert peak <= 25 << 20
 
 
 @settings(deadline=None)
