@@ -21,7 +21,7 @@ from usolib import (
     klee_minty,
     neighbor_join,
     popcount,
-    reach_table,
+    reachmaps,
     sink_and_source,
 )
 from usolib.bitops import format_coord_set
@@ -66,11 +66,10 @@ print()
 print("=== restarted seesaw, bounded by the start's reachmap ===")
 o = auso_lower_bound(8)  # its source is the empty vertex
 # the solver sees only what it evaluates; the reachmap sizes along its trace
-# come from the reach table
-rt = reach_table(o)
+# come from one reachmaps call over the trace's vertices, as in `uso solve`
 for start in (sink_and_source(o)[1], 0b00000001, 0b11110000):
     sink, trace = fs_revisited(o, start)
-    sizes = [popcount(rt[v]) for v in trace.vertices]
+    sizes = [popcount(r) for r in reachmaps(o, trace.vertices)]
     print(f"start {start:3}: |r(start)| {sizes[0]:2},"
           f" {len(trace.coordinates)} iterations,"
           f" {trace.evaluations} evaluations,"

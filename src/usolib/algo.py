@@ -30,7 +30,7 @@ import numpy as np
 
 from .bitops import full_mask
 from .core import EvalCounter, Face, NotUSOError, Orientation, first_uso_violation, sink_and_source
-from .rng import _MASK64, derive_seeds_np, start_values_np, stream_block
+from .rng import _MASK64, SIDE_INDEX, derive_seeds_np, stream_block
 
 
 @dataclass(frozen=True)
@@ -239,9 +239,9 @@ def _walk_lockstep(
 def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
     """Resolve a start policy for a single run: a vertex (any integer, numpy
     ones included), "source", "antipodal" (the vertex opposite the sink) or
-    "random" (a draw of ``seed``). Every policy first passes
-    :func:`sink_and_source`'s gate, so it raises ``NotUSOError`` unless the
-    outmap is a bijection.
+    "random" (``seed``'s side value of :mod:`usolib.rng`, mod 2^n). Every
+    policy first passes :func:`sink_and_source`'s gate, so it raises
+    ``NotUSOError`` unless the outmap is a bijection.
     """
     return int(_starts_array(o, policy, np.array([seed & _MASK64], dtype=np.uint64))[0])
 
@@ -249,7 +249,8 @@ def resolve_start(o: Orientation, policy: int | str, seed: int = 0) -> int:
 def _starts_array(o: Orientation, policy: int | str, seeds: np.ndarray) -> np.ndarray:
     sink, source = sink_and_source(o)
     if policy == "random":
-        return (start_values_np(seeds) % np.uint64(o.vertex_count())).astype(np.int64)
+        draws = stream_block(seeds, SIDE_INDEX, 1)[0]  # each trial seed's side value
+        return (draws % np.uint64(o.vertex_count())).astype(np.int64)
     if policy == "source":
         vertex = source
     elif policy == "antipodal":
@@ -383,18 +384,21 @@ def derandomized_re(o: Orientation, start: int) -> RunStats:
     i can reach. On an orientation where the current vertex is i-covered, z
     has a strictly smaller reachmap, so at most n productive rounds happen
     per radius. When z repeats a vertex of this radius, the radius is
-    deepened. No USO has been seen to deepen it: none at n <= 3 from any
-    start, nor the seven ``uso gen`` families at n = 4..8 (seeds 0 and 1,
-    eight fixed starts; both tested) or at n = 4..12 (seeds 0-3, 40
-    random starts, a one-off run). On a USO radius n always suffices, so a
-    search that exhausts all radii raises ``NotUSOError`` with the least
-    bad face. ``steps`` counts join rounds.
+    deepened. No USO has been seen to deepen it: none at n <= 3 (tested) or
+    n = 4 (all 88 667 904 runs, a one-off) from any start, nor the seven
+    ``uso gen`` families at n = 4..8 (seeds 0 and 1, eight fixed starts;
+    tested) or n = 4..12 (seeds 0-3, 40 random starts, a one-off). No
+    acyclic table can: each z is reached from the vertex before it by a
+    directed path of length >= 1, so a repeat closes a directed cycle. On a
+    USO radius n always suffices, so a search that exhausts all radii
+    raises ``NotUSOError`` with the least bad face.
 
-    The rounds stay within |R(start)| + 1. Tested on every USO of n <= 3
-    from every start and on the seven families at n = 3..12 (seeds 0-2,
-    twelve starts each): 53 of those 8 488 runs reach the + 1. A round
-    need not shrink the reachmap, though: up to three rounds of one run
-    left it unchanged.
+    ``steps`` counts join rounds. They stay within |R(start)| + 1 on every
+    USO of n <= 3 from every start and on the seven families at n = 3..12
+    (seeds 0-2, twelve starts each; tested): 53 of those 8 488 runs reach
+    the + 1. At n = 4 the bound fails by one round on 31 232 (table, start)
+    pairs (a one-off over every 4-USO; two are tested). A round need not
+    shrink the reachmap: up to three rounds of one run left it unchanged.
     """
     oracle = EvalCounter(o)
     if oracle(start) == 0:

@@ -34,7 +34,7 @@ from .bitops import coord_set_tables, full_mask, popcount
 from .core import NotUSOError, first_uso_violation, is_acyclic, is_decomposable
 from .io import _TEXT_BLOCK, ParseError, dumps_text, read_orientation, write_orientation
 from .reach import niceness_index, reachmaps
-from .rng import derive_seed
+from .rng import SIDE_INDEX, derive_seed
 
 CSV_HEADER = "family,n,seed,steps,evaluations,capped"
 
@@ -279,10 +279,12 @@ def cmd_bench(args) -> int:
     rows: list[str] = []
     means: list[tuple[int, float]] = []
     for n in range(lo, hi + 1):
-        instance_seed = derive_seed(args.seed, n)
-        o = construct.build_family(args.family, n, instance_seed)
+        # the trials read the master's indices 0..trials-1, the instance its
+        # side value, and a random start its trial seed's side value (see rng)
+        master = derive_seed(args.seed, n)
+        o = construct.build_family(args.family, n, derive_seed(master, SIDE_INDEX))
         cap = args.cap if args.cap is not None else 4**n
-        batch = algo.walk_batch(o, args.algo, args.start, args.trials, instance_seed, cap)
+        batch = algo.walk_batch(o, args.algo, args.start, args.trials, master, cap)
         rows.extend(_csv_rows(batch, args.family, n))
         means.append((n, float(batch.steps.mean())))
     _emit(_csv_text(rows), args.out)

@@ -2,13 +2,14 @@
 
 All randomness in this package flows through a splitmix64 mixer. Value k of
 the stream with seed s is mix(s + (k + 1) * golden), a pure function of
-(seed, index). :func:`stream_block` is the one place that computes it: a
-block of consecutive values of many streams at once. A run of one stream
-(:meth:`SplitMix64.draw`) and one index across many streams
-(:func:`stream_values_np`) are views of such a block, and the walk engine
-reads its Random Edge values from blocks too, so all of them agree bit for
-bit, and per-trial substreams are derived from a master seed the same way
-on any platform.
+(seed, index), and :func:`stream_block` is the one place that computes it.
+Each (seed, index) has one use: a walk batch's trial seeds are indices
+0..trials-1 of its master seed, a trial's Random Edge steps read indices 0,
+1, ... of its trial seed, index :data:`SIDE_INDEX` holds a seed's one side
+value (a trial seed's random start, or a ``uso bench`` dimension master's
+instance seed), and a random family draws indices 0, 1, ... of its seed
+through a :class:`SplitMix64` cursor. A walk would need about 6.5e18 steps
+to reach index SIDE_INDEX.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_START_SALT = 0x1D8AF066B1F4B2A5
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+#: the stream index of a seed's one side value (see the module docstring);
+#: value SIDE_INDEX of seed s is mix(s + 0x1D8AF066B1F4B2A5)
+SIDE_INDEX = 0x5A1656C55201B050
 
 #: :func:`stream_block` mixes about this many values at a time, so the
 #: mixer's temporaries stay in cache however large the block
@@ -58,25 +62,14 @@ def stream_block(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     return out
 
 
-def stream_values_np(seeds: np.ndarray, index: int) -> np.ndarray:
-    """One draw per uint64 seed, all at stream ``index``."""
-    return stream_block(seeds, index, 1)[0]
-
-
 def derive_seed(master: int, index: int) -> int:
     """Substream seed for e.g. one trial out of many."""
-    return int(stream_values_np(np.array([master & _MASK64], dtype=np.uint64), index)[0])
+    return int(stream_block(np.array([master & _MASK64], dtype=np.uint64), index, 1)[0, 0])
 
 
 def derive_seeds_np(master: int, count: int) -> np.ndarray:
     """Substream seeds for trials 0..count-1 as a uint64 array."""
     return SplitMix64(master).draw(count)
-
-
-def start_values_np(seeds: np.ndarray) -> np.ndarray:
-    """Auxiliary draw per uint64 seed, separated from the streams used for
-    steps."""
-    return _mix64_inplace(seeds + np.uint64(_START_SALT))
 
 
 class SplitMix64:

@@ -81,6 +81,13 @@ def stream_value(seed: int, index: int) -> int:
     return mix64(seed + (index + 1) * 0x9E3779B97F4A7C15)
 
 
+def start_value(seed: int) -> int:
+    """The random-start draw of ``seed`` by its first definition: the
+    splitmix64 finalizer of seed plus a fixed salt. It is value
+    ``rng.SIDE_INDEX`` of the seed's stream."""
+    return mix64((seed + 0x1D8AF066B1F4B2A5) & _MASK64)
+
+
 def next_u64(rng: SplitMix64) -> int:
     """One value of ``rng``'s stream at its cursor, advancing the cursor."""
     value = stream_value(rng.seed, rng.index)

@@ -9,17 +9,18 @@ from helpers import (
     derandomized_re_by_loops,
     fs_revisited_by_loop,
     kth_set_bit_by_loop,
-    mix64,
     neighbor_join_by_snapshots,
     random_consistent_table,
     random_edge_walk_by_loop,
     randrange,
     re_expectation_by_solve,
     reachable_vertices,
+    start_value,
 )
 from usolib import algo
 from usolib.algo import (
     _BLOCK,
+    RunStats,
     SeesawTrace,
     _kth_set_bit,
     derandomized_re,
@@ -44,10 +45,19 @@ from usolib.construct import (
     random_target_combed,
     uniform,
 )
-from usolib.core import EvalCounter, Face, NotUSOError, Orientation, face_sink, sink_and_source
+from usolib.core import (
+    EvalCounter,
+    Face,
+    NotUSOError,
+    Orientation,
+    face_sink,
+    is_acyclic,
+    sink_and_source,
+    validate_uso,
+)
 from usolib.enumeration import _uso_stack
-from usolib.reach import reach_table
-from usolib.rng import _MASK64, _START_SALT, SplitMix64, derive_seed
+from usolib.reach import niceness_index, reach_table
+from usolib.rng import _MASK64, SplitMix64, derive_seed
 
 FAMILIES_N6 = [
     uniform(6),
@@ -74,8 +84,8 @@ def test_resolve_start():
     assert resolve_start(o, "antipodal") == 7  # sink is 0
     assert resolve_start(o, "source") == sink_and_source(o)[1]
     for seed in (9, -1, 1 << 70):
-        # the auxiliary draw of the seed, reduced to a vertex
-        assert resolve_start(o, "random", seed) == mix64((seed + _START_SALT) & _MASK64) % 8
+        # the start draw of the seed, reduced to a vertex
+        assert resolve_start(o, "random", seed) == start_value(seed) % 8
     with pytest.raises(ValueError):
         resolve_start(o, "center")
     with pytest.raises(ValueError):
@@ -797,6 +807,25 @@ def test_derandomized_re_rounds_stay_within_the_start_reachmap_plus_1(all_usos_3
     assert len(slack) == 6_004 + 2_484
     assert min(slack) >= 0
     assert 0 in slack  # the + 1 is needed
+
+
+@pytest.mark.parametrize(
+    "table, acyclic",
+    [
+        ([0, 1, 3, 2, 5, 14, 7, 4, 13, 10, 11, 12, 9, 6, 15, 8], True),
+        ([0, 1, 3, 2, 5, 14, 7, 4, 15, 10, 12, 13, 9, 6, 11, 8], False),
+    ],
+)
+def test_derandomized_re_exceeds_the_start_reachmap_plus_1_at_n_4(table, acyclic):
+    # two of the 31 232 (4-USO, start) pairs that break the + 1 envelope
+    # above, one acyclic and one cyclic: from start 12, with |R(12)| = 4,
+    # DRE takes 6 rounds, all at radius 1
+    o = Orientation(4, table)
+    assert validate_uso(o) and is_acyclic(o) == acyclic
+    assert niceness_index(o).niceness_index == 2
+    assert popcount(reach_table(o)[12]) == 4
+    assert derandomized_re(o, 12) == RunStats(6, 9, 0) == derandomized_re_by_loops(o, 12)
+    assert not _radius_deepens(o, 12)
 
 
 def test_fibonacci_seesaw_base_cases():

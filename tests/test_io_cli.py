@@ -676,6 +676,22 @@ def test_bench_bytes_are_pinned_across_stream_blocks(capsys):
     assert _digest(out) == "be07d46ad33f67df"
 
 
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        ("fmo", "c862d42e00152a52"),
+        ("target-combed", "ad7d1b1598614762"),
+        ("product", "b28305262105b381"),
+    ],
+)
+def test_random_family_bench_bytes_are_pinned(capsys, family, digest):
+    # the instance is built from its dimension master's side value, apart
+    # from the trial seeds, which are the master's first values
+    argv = ["bench", "--family", family, "--algo", "re", "--n", "5..7", "--trials", "50"]
+    assert main(argv + ["--seed", "7"]) == 0
+    assert _digest(capsys.readouterr().out) == digest
+
+
 def test_walk_summary_bytes_are_pinned(tmp_path, capsys):
     # the summary of a multi-trial walk, with capped runs and fractional
     # statistics; the sha256 prefix is of the output without its wall_ms line

@@ -3,18 +3,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import mix64, next_u64, shuffle, stream_value
+import usolib.rng
+from helpers import mix64, next_u64, shuffle, start_value, stream_value
+from usolib.cli import main
+from usolib.construct import FAMILIES
 from usolib.rng import (
-    _MASK64,
     _MIX_CHUNK,
-    _START_SALT,
+    SIDE_INDEX,
     SplitMix64,
     _mix64_inplace,
     derive_seed,
     derive_seeds_np,
-    start_values_np,
     stream_block,
-    stream_values_np,
 )
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -29,8 +29,8 @@ def test_mix64_scalar_matches_vectorized(x):
 @example(seed=7, index=0, count=0)
 @example(seed=7, index=5, count=0)
 def test_stream_scalar_matches_vectorized(seed, index, count):
-    vec = stream_values_np(np.array([seed], dtype=np.uint64), index)
-    assert stream_value(seed, index) == int(vec[0])
+    vec = stream_block(np.array([seed], dtype=np.uint64), index, 1)
+    assert stream_value(seed, index) == int(vec[0, 0])
     block, scalar = SplitMix64(seed), SplitMix64(seed)
     block.draw(index)  # a cursor that has already advanced
     scalar.index = index
@@ -55,10 +55,15 @@ def test_stream_block_matches_scalar_across_mixing_chunks(width, count):
             assert int(block[i, k]) == stream_value(int(seeds[k]), 5 + i)
 
 
-@given(u64)
-def test_start_value_matches_vectorized(seed):
-    vec = start_values_np(np.array([seed], dtype=np.uint64))
-    assert mix64((seed + _START_SALT) & _MASK64) == int(vec[0])
+@given(st.lists(u64, min_size=1, max_size=8))
+@example(seeds=[0, 1, 12345, 2**63 + 7, 2**64 - 1])
+def test_start_value_matches_vectorized(seeds):
+    # the start's first definition, a salted mix, equals stream value
+    # SIDE_INDEX of the seed, one seed at a time and all at once as the walk
+    # engine reads them
+    vec = stream_block(np.array(seeds, dtype=np.uint64), SIDE_INDEX, 1)[0]
+    assert [start_value(s) for s in seeds] == [stream_value(s, SIDE_INDEX) for s in seeds]
+    assert vec.tolist() == [start_value(s) for s in seeds]
 
 
 def test_derive_seeds_matches_scalar():
@@ -81,3 +86,44 @@ def test_splitmix_sequence_is_reproducible():
     shuffle(items, SplitMix64(5))
     shuffle(other, SplitMix64(5))
     assert items == other and items != list(range(20))
+
+
+_LEDGER_CALLS = [
+    *(
+        ["bench", "--family", family, "--algo", walk, "--n", "5..6", "--trials", "20"]
+        + ["--seed", "3", "--start", "random"]
+        for family in FAMILIES
+        for walk in ("re", "ba")
+    ),
+    *(["walk", "FILE", "--algo", walk, "--start", "random", "--trials", "20", "--seed", "3"]
+      for walk in ("re", "ba")),
+    *(["solve", "FILE", "--algo", solver, "--start", "random", "--seed", "3"]
+      for solver in ("dre", "fs", "fsr")),
+    *(["gen", "--family", family, "--n", "6", "--seed", "3"]
+      for family in ("fmo", "target-combed", "product")),
+]
+
+
+def _ledger_id(argv):
+    return "-".join(a for a in argv[:5] if not a.startswith("-") and a != "FILE")
+
+
+@pytest.mark.parametrize("argv", _LEDGER_CALLS, ids=_ledger_id)
+def test_one_cli_call_mixes_each_input_once(argv, tmp_path, monkeypatch, capsys):
+    # every random value is the mix of one 64-bit input; an input mixed
+    # twice in one call is a value that two uses share (a bench instance
+    # that read its trials' seeds did)
+    path = tmp_path / "fmo6.uso"
+    assert main(["gen", "--family", "fmo", "--n", "6", "--seed", "3", "--out", str(path)]) == 0
+    inputs = []
+
+    def recording(x):
+        inputs.append(x.ravel().copy())
+        return _mix64_inplace(x)
+
+    monkeypatch.setattr(usolib.rng, "_mix64_inplace", recording)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 0
+    capsys.readouterr()
+    mixed = np.concatenate(inputs)
+    twice = mixed.size - np.unique(mixed).size
+    assert mixed.size > 0 and twice == 0, f"{twice} inputs mixed twice"
