@@ -50,7 +50,7 @@ from .algo import (
     neighbor_join,
     walk_batch,
 )
-from .enumeration import Census, census, enumerate_all
+from .enumeration import Census, census, enumerate_all, uso_stack
 from .io import ParseError, read_orientation, write_orientation
 from .rng import SplitMix64, derive_seed
 

@@ -282,7 +282,7 @@ def walk_batch(
     a larger batch equal a batch of k.
     """
     # the gate comes first, so a non-USO is reported before a bad argument
-    seeds = derive_seeds_np(seed, trials)
+    seeds = derive_seeds_np(seed, max(trials, 0))
     starts = _starts_array(o, start_policy, seeds)
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -8,23 +8,21 @@ for all lower vertices u, w where A(u) and B(w) agree on u xor w, so each
 pair (A, B) yields 2^k tables for the k components of that "agree" graph.
 n lifts from the 0-cube's one table give every USO of the n-cube.
 
-The census classifies every generated USO: decomposability on one
-(B, 2^n) stack of all the tables, niceness and the isomorphism class one
-orientation at a time.
+:func:`uso_stack` returns the tables as one sorted uint8 stack and
+:func:`enumerate_all` only their count. The census classifies every
+table: decomposability on the whole stack, niceness and the isomorphism
+class one orientation at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import Orientation, canonical_form, decomposable_rows, is_acyclic
 from .reach import niceness_index
-
-Visitor = Callable[[Orientation], None]
 
 
 def _components(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,40 +67,33 @@ def _lift(stack: np.ndarray) -> np.ndarray:
     return table[np.argsort(key)]
 
 
-def _uso_stack(n: int) -> np.ndarray:
-    """All USOs of the n-cube as a (count, 2^n) uint8 stack, sorted."""
-    stack = np.zeros((1, 1), dtype=np.uint8)
-    for _ in range(n):
-        stack = _lift(stack)
-    return stack
-
-
-def enumerate_all(n: int, visitor: Visitor | None = None) -> int:
-    """Visit every USO of dimension ``n`` <= 4 exactly once, in
-    lexicographic table order (vertex 0 first); returns the count.
-
-    Without a visitor only the last lift's count is taken, so the n-cube's
-    tables are never built: n = 4 counts 5 541 744 USOs in 1.1 s at
-    136 MiB. A visitor gets each table as a validated
-    :class:`~usolib.core.Orientation`, so a no-op visitor at n = 4 builds
-    all 5 541 744 of them: 19.7-20.3 s at 424 MiB, against 27.2-27.3 s at
-    commit 9b83d3d, where the constructor also took the ``min`` of each
-    uint8 row. The constructor dominates: 3.0 us a row, about 16.6 s of
-    the run (4.3-5.4 us at 9b83d3d; timed on the first 500 000 rows). Wall
-    time and fresh-process ``ru_maxrss``, two runs each, 2-CPU host,
-    Python 3.11, numpy 2.4.
-    """
+def _facet_stack(n: int) -> np.ndarray:
+    """All USOs of the n-cube's facets, the (n-1)-cube; n is checked first."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if n > 4:
         raise ValueError("enumeration is supported for n <= 4 only")
-    if visitor is None:
-        _, leaders = _components(_uso_stack(n - 1))
-        return int((1 << leaders.sum(-1)).sum())
-    stack = _uso_stack(n)
-    for row in stack:
-        visitor(Orientation(n, row))
-    return len(stack)
+    stack = np.zeros((1, 1), dtype=np.uint8)
+    for _ in range(n - 1):
+        stack = _lift(stack)
+    return stack
+
+
+def uso_stack(n: int) -> np.ndarray:
+    """Every USO of dimension ``n`` <= 4 as a (count, 2^n) uint8 stack of
+    outmap tables, in lexicographic table order (vertex 0 first). n = 4
+    gives 5 541 744 rows in 2.7-3.4 s at 425 MiB (fresh process, 2-CPU
+    host)."""
+    return _lift(_facet_stack(n))
+
+
+def enumerate_all(n: int) -> int:
+    """The number of USOs of dimension ``n`` <= 4, from the last lift's
+    component counts, so the n-cube's tables are never built: n = 4
+    counts 5 541 744 USOs in 1.1 s at 136 MiB (fresh process, 2-CPU host).
+    """
+    _, leaders = _components(_facet_stack(n))
+    return int((1 << leaders.sum(-1)).sum())
 
 
 @dataclass(frozen=True)
@@ -124,19 +115,22 @@ def census(n: int) -> Census:
     """Full classification of all n-dimensional USOs; n <= 3 only.
 
     Decomposability is one :func:`~usolib.core.decomposable_rows` call on
-    the (B, 2^n) stack of all the tables. Decomposable implies acyclic, so
+    :func:`uso_stack`. Decomposable implies acyclic, so
     :func:`~usolib.core.is_acyclic` runs only on the rows the
     decomposability test rejects. :func:`~usolib.reach.niceness_index` and
-    :func:`~usolib.core.canonical_form` classify each orientation in turn.
+    :func:`~usolib.core.canonical_form` classify each table in turn.
     Classifying the millions of 4-dimensional USOs one at a time is out of
-    reach for this routine (:func:`enumerate_all` gives the bare count
-    there).
+    reach for this routine (:func:`uso_stack` gives the tables there and
+    :func:`enumerate_all` the bare count).
     """
     if n > 3:
-        raise ValueError("census supports n <= 3; use enumerate_all(4) for the count")
-    orientations: list[Orientation] = []
-    enumerate_all(n, orientations.append)
-    decomposable = decomposable_rows(np.stack([o.outmap for o in orientations]))
+        raise ValueError(
+            "census supports n <= 3; use uso_stack(4) for the tables"
+            " or enumerate_all(4) for the count"
+        )
+    stack = uso_stack(n)
+    orientations = [Orientation(n, row) for row in stack]
+    decomposable = decomposable_rows(stack)
     acyclic = int(decomposable.sum()) + sum(
         is_acyclic(orientations[i]) for i in np.flatnonzero(~decomposable)
     )
@@ -144,13 +138,13 @@ def census(n: int) -> Census:
     orbits = Counter(
         " ".join(map(str, canonical_form(o).outmap.tolist())) for o in orientations
     )
+    total = enumerate_all(n)
     return Census(
         n=n,
-        total_uso=len(orientations),
+        total_uso=total,
         acyclic=acyclic,
-        cyclic=len(orientations) - acyclic,
+        cyclic=total - acyclic,
         decomposable=int(decomposable.sum()),
         niceness_histogram=dict(histogram),
         iso_classes=dict(orbits),
     )
-

@@ -5,21 +5,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from usolib.enumeration import census, enumerate_all
+from usolib.core import Orientation
+from usolib.enumeration import census, uso_stack
 
 
 @pytest.fixture(scope="session")
 def all_usos_3():
-    acc = []
-    enumerate_all(3, acc.append)
-    return acc
+    return [Orientation(3, row) for row in uso_stack(3)]
 
 
 @pytest.fixture(scope="session")
 def all_usos_2():
-    acc = []
-    enumerate_all(2, acc.append)
-    return acc
+    return [Orientation(2, row) for row in uso_stack(2)]
 
 
 @pytest.fixture(scope="session")

@@ -35,13 +35,14 @@ from usolib.construct import (
 from usolib.core import (
     EvalCounter,
     Face,
+    Orientation,
     canonical_form,
     is_acyclic,
     is_decomposable,
     sink_and_source,
     validate_uso,
 )
-from usolib.enumeration import census, enumerate_all
+from usolib.enumeration import census, enumerate_all, uso_stack
 from usolib.reach import niceness_index, reach_table
 from usolib.rng import SplitMix64, derive_seed
 
@@ -343,14 +344,12 @@ def test_criterion_08_combinator_preservation():
         rep = random_fmo(3, SplitMix64(next_u64(rng)))
         hypersink_ok &= validate_uso(hypersink_reorient(base, hyperface, rep))
 
-    two_nice = []
-
-    def visit(o):
-        if not two_nice and is_acyclic(o) and niceness_index(o).niceness_index == 2:
-            two_nice.append(o)
-
-    enumerate_all(3, visit)
-    witness = hypersink_reorient(base, hyperface, two_nice[0])
+    two_nice = next(
+        o
+        for o in (Orientation(3, row) for row in uso_stack(3))
+        if is_acyclic(o) and niceness_index(o).niceness_index == 2
+    )
+    witness = hypersink_reorient(base, hyperface, two_nice)
     increased = (
         niceness_index(base).niceness_index == 1
         and validate_uso(witness)

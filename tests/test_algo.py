@@ -55,7 +55,7 @@ from usolib.core import (
     sink_and_source,
     validate_uso,
 )
-from usolib.enumeration import _uso_stack
+from usolib.enumeration import uso_stack
 from usolib.reach import niceness_index, reach_table
 from usolib.rng import _MASK64, SplitMix64, derive_seed
 
@@ -656,10 +656,16 @@ def test_not_uso_certificates_of_the_joins_and_seesaws_are_genuine():
     "call, reason",
     [
         (lambda: walk_batch(klee_minty(3), "re", 0, 0, 1, 10), "trials must be >= 1"),
+        (lambda: walk_batch(klee_minty(3), "re", 0, -1, 1, 10), "trials must be >= 1"),
         (lambda: walk_batch(klee_minty(3), "rw", 0, 1, 1, 10), "unknown walk algorithm 'rw'"),
         (lambda: join_set(EvalCounter(klee_minty(3)), []), "join_set needs at least one vertex"),
     ],
-    ids=["walk_batch-no-trials", "walk_batch-unknown-algorithm", "join_set-empty"],
+    ids=[
+        "walk_batch-no-trials",
+        "walk_batch-negative-trials",
+        "walk_batch-unknown-algorithm",
+        "join_set-empty",
+    ],
 )
 def test_bad_arguments_raise_naming_the_reason(call, reason):
     with pytest.raises(ValueError) as err:
@@ -772,7 +778,7 @@ def test_join_solvers_match_the_loop_oracles(all_usos_3):
 
 def test_derandomized_re_never_deepens_the_radius_on_a_uso_up_to_n_3(all_usos_3):
     # pins the claim of derandomized_re's docstring from every start
-    usos = [Orientation(n, row) for n in (1, 2) for row in _uso_stack(n)] + all_usos_3
+    usos = [Orientation(n, row) for n in (1, 2) for row in uso_stack(n)] + all_usos_3
     pairs = [(o, v) for o in usos for v in range(o.vertex_count())]
     assert len(pairs) == 4 + 48 + 5_952
     assert not any(_radius_deepens(o, v) for o, v in pairs)
@@ -793,7 +799,7 @@ def test_derandomized_re_rounds_stay_within_the_start_reachmap_plus_1(all_usos_3
     # pins the round envelope of derandomized_re's docstring; the + 1 is
     # reached, and a round can leave the reachmap unchanged, so "every round
     # shrinks it" is not claimed
-    usos = [Orientation(n, row) for n in (1, 2) for row in _uso_stack(n)] + all_usos_3
+    usos = [Orientation(n, row) for n in (1, 2) for row in uso_stack(n)] + all_usos_3
     runs = [(o, range(o.vertex_count())) for o in usos]
     for family in FAMILIES:
         for n in range(4 if family == "auso-lb" else 3, 13):

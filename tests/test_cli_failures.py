@@ -5,8 +5,9 @@ line and no traceback; the text loader drops trailing blank lines."""
 import pytest
 
 from usolib.cli import main
+from usolib.construct import klee_minty
 from usolib.core import Orientation
-from usolib.io import ParseError, loads_text, read_orientation
+from usolib.io import ParseError, loads_text, read_orientation, write_orientation
 
 NOT_UTF8 = b"uso 1\n\xff\n0\n"
 
@@ -47,11 +48,26 @@ def test_unreadable_files_exit_1(tmp_path, capsys, argv):
             ["bench", "--family", "km", "--algo", "ba", "--n", "5", "--cap", str(1 << 63)],
             "cap must be <= 2^63 - 1",
         ),
+        (["walk", "{km3}", "--algo", "re", "--trials", "-1"], "trials must be >= 1"),
+        (
+            ["bench", "--family", "km", "--algo", "re", "--n", "3", "--trials", "-2"],
+            "trials must be >= 1",
+        ),
     ],
-    ids=["gen-product-n1", "gen-product-n25", "bench-empty-range", "bench-ba-cap-2^63"],
+    ids=[
+        "gen-product-n1",
+        "gen-product-n25",
+        "bench-empty-range",
+        "bench-ba-cap-2^63",
+        "walk-negative-trials",
+        "bench-negative-trials",
+    ],
 )
-def test_bad_arguments_exit_2(capsys, argv, reason):
-    assert main(argv) == 2
+def test_bad_arguments_exit_2(tmp_path, capsys, argv, reason):
+    # "{km3}" names a 3-dimensional Klee-Minty file
+    km3 = tmp_path / "km3.uso"
+    write_orientation(klee_minty(3), km3)
+    assert main([a.format(km3=km3) for a in argv]) == 2
     assert _one_error_line(capsys) == f"error: {reason}"
 
 

@@ -50,7 +50,7 @@ from usolib.core import (
     sink_and_source,
     validate_uso,
 )
-from usolib.enumeration import enumerate_all
+from usolib.enumeration import uso_stack
 from usolib.reach import niceness_index
 from usolib.rng import SplitMix64
 
@@ -383,16 +383,14 @@ def test_hypersink_reorient_and_face_sink_name_one_vertex_out_of_range(face, v):
 
 def test_hypersink_can_increase_niceness():
     # the 1-nice 4-cube with a 2-nice 3-AUSO placed into its hypersink facet
-    found = []
-
-    def visit(o):
-        if not found and is_acyclic(o) and niceness_index(o).niceness_index == 2:
-            found.append(o)
-
-    enumerate_all(3, visit)
+    found = next(
+        o
+        for o in (Orientation(3, row) for row in uso_stack(3))
+        if is_acyclic(o) and niceness_index(o).niceness_index == 2
+    )
     base = uniform(4)
     assert niceness_index(base).niceness_index == 1
-    result = hypersink_reorient(base, Face(0b1000, 0b0111), found[0])
+    result = hypersink_reorient(base, Face(0b1000, 0b0111), found)
     assert validate_uso(result)
     assert niceness_index(result).niceness_index == 2
 

@@ -16,7 +16,7 @@ from helpers import (
     uso_by_face_scan_pure,
 )
 from usolib.core import Orientation, canonical_form, is_acyclic, validate_uso
-from usolib.enumeration import Census, _uso_stack, census, enumerate_all
+from usolib.enumeration import Census, census, enumerate_all, uso_stack
 from usolib.reach import niceness_index
 from usolib.rng import SplitMix64
 
@@ -34,11 +34,11 @@ def test_counts_small_dimensions():
 
 
 def test_enumeration_with_verification_filter():
-    # the USO check must accept every table the pruner visits
-    def check(o):
-        assert validate_uso(o)
-
-    assert enumerate_all(3, check) == 744
+    # the USO check must accept every table the lift emits
+    stack = uso_stack(3)
+    assert len(stack) == 744
+    for row in stack:
+        assert validate_uso(Orientation(3, row))
 
 
 def test_enumerated_tables_are_usos(all_usos_3):
@@ -53,6 +53,10 @@ def test_dimension_guards():
         enumerate_all(0)
     with pytest.raises(ValueError):
         enumerate_all(5)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        uso_stack(0)
+    with pytest.raises(ValueError, match="enumeration is supported for n <= 4 only"):
+        uso_stack(5)
     with pytest.raises(ValueError):
         census(4)
 
@@ -99,8 +103,7 @@ def test_census_matches_golden_files(census_3):
 
 def _census_by_oracles(n: int) -> Census:
     """The census built table by table from the definition-level oracles."""
-    orientations: list = []
-    enumerate_all(n, orientations.append)
+    orientations = [Orientation(n, row) for row in uso_stack(n)]
     acyclic = sum(is_acyclic_by_reachability(o) for o in orientations)
     histogram: dict[int, int] = {}
     iso: dict[str, int] = {}
@@ -136,14 +139,13 @@ def test_count_dimension_4():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lift_visits_the_backtracking_order(n):
-    lifted: list[Orientation] = []
     searched: list[Orientation] = []
-    assert enumerate_all(n, lifted.append) == enumerate_all_by_backtracking(n, searched.append)
-    assert [o.outmap.tolist() for o in lifted] == [o.outmap.tolist() for o in searched]
+    assert enumerate_all(n) == enumerate_all_by_backtracking(n, searched.append)
+    assert uso_stack(n).tolist() == [o.outmap.tolist() for o in searched]
 
 
 def test_lift_stack_dimension_4():
-    stack = _uso_stack(4)
+    stack = uso_stack(4)
     assert stack.shape == (5_541_744, 16)
     assert enumerate_all(4) == len(stack)
     # vertex 0 is the most significant 4-bit digit; strictly increasing
