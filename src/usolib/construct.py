@@ -39,8 +39,14 @@ def uniform(n: int) -> Orientation:
     full set); :func:`reverse_orientation` gives the mirror, with its sink
     at the empty set."""
     _check_dimension(n)
-    table = np.arange(1 << n, dtype=np.uint32) ^ np.uint32(full_mask(n))
-    return Orientation(n, table)
+    return Orientation._own(n, _forward_uniform(n))
+
+
+def _forward_uniform(n: int) -> np.ndarray:
+    """The table of :func:`uniform`: one ``arange``, xored in place."""
+    table = np.arange(1 << n, dtype=np.uint32)
+    table ^= np.uint32(full_mask(n))
+    return table
 
 
 def klee_minty(n: int) -> Orientation:
@@ -50,20 +56,22 @@ def klee_minty(n: int) -> Orientation:
     vertex).
 
     Bit i-1 of v >> k is coordinate i + k of v, so the table is the xor of
-    v >> k over all k >= 0: the inverse Gray code of v, which five
-    doubling passes x ^= x >> s (s = 1, 2, 4, 8, 16) build for any
-    v < 2^32."""
+    v >> k over all k >= 0: the inverse Gray code of v. Adding coordinate
+    j + 1 to a vertex below 2^j flips every coordinate up to j + 1, so
+    block [2^j, 2^(j+1)) of the table is block [0, 2^j) xor (2^(j+1) - 1):
+    n doubling calls fill one buffer, with no whole-table temporary."""
     _check_dimension(n)
-    table = np.arange(1 << n, dtype=np.uint32)
-    for shift in (1, 2, 4, 8, 16):
-        table ^= table >> np.uint32(shift)
-    return Orientation(n, table)
+    table = np.empty(1 << n, dtype=np.uint32)
+    table[0] = 0
+    for j in range(n):
+        np.bitwise_xor(table[: 1 << j], np.uint32((2 << j) - 1), out=table[1 << j : 2 << j])
+    return Orientation._own(n, table)
 
 
 def reverse_orientation(o: Orientation) -> Orientation:
     """Reverse every edge. The reversal of a USO is again a USO (faces have
     unique sources)."""
-    return Orientation(o.n, o.outmap ^ np.uint32(full_mask(o.n)))
+    return Orientation._own(o.n, o.outmap ^ np.uint32(full_mask(o.n)))
 
 
 def flip_edge(o: Orientation, v: int, j: int) -> Orientation:
@@ -81,7 +89,7 @@ def flip_edge(o: Orientation, v: int, j: int) -> Orientation:
         raise FlipPreconditionViolated(f"outmaps of {v} and {u} differ off coordinate {j}")
     table = o.outmap.copy()
     table[[v, u]] ^= np.uint32(b)
-    return Orientation(o.n, table)
+    return Orientation._own(o.n, table)
 
 
 def validate_matching(n: int, m: Matching) -> np.ndarray:
@@ -120,9 +128,9 @@ def flip_matching(n: int, m: Matching) -> Orientation:
     FMOs are always USOs; they may be cyclic.
     """
     ends = validate_matching(n, m)
-    table = np.arange(1 << n, dtype=np.uint32) ^ np.uint32(full_mask(n))  # forward-uniform
+    table = _forward_uniform(n)
     table[ends] ^= (ends[:, :1] ^ ends[:, 1:]).astype(np.uint32)
-    return Orientation(n, table)
+    return Orientation._own(n, table)
 
 
 def _shuffled_range(count: int, rng: SplitMix64) -> np.ndarray:
@@ -231,9 +239,10 @@ def product(frame: Orientation, fibers: Sequence[Orientation]) -> Orientation:
         raise ValueError("all fibers must share one coordinate set")
     n = frame.n + fiber_dim
     _check_dimension(n)
-    table = np.stack([f.outmap for f in fibers])
-    table |= (frame.outmap << np.uint32(fiber_dim))[:, None]
-    return Orientation(n, table.reshape(-1))
+    table = np.concatenate([f.outmap for f in fibers])
+    rows = table.reshape(len(fibers), -1)  # a view of the table, one row per fiber
+    rows |= (frame.outmap << np.uint32(fiber_dim))[:, None]
+    return Orientation._own(n, table)
 
 
 def hypersink_reorient(
@@ -264,7 +273,7 @@ def hypersink_reorient(
     table = o.outmap.copy()
     # replacement vertex w is the face's w-th vertex, at offset verts[w] ^ anchor
     table[verts] = (verts ^ sub.anchor)[replacement.outmap]
-    return Orientation(o.n, table)
+    return Orientation._own(o.n, table)
 
 
 def target_combed(n: int, fiber_choices: Sequence[Orientation]) -> Orientation:
@@ -287,11 +296,11 @@ def target_combed(n: int, fiber_choices: Sequence[Orientation]) -> Orientation:
                 f"fiber for coordinate {k + 1} must have dimension {k}, got {fiber.n}"
             )
     # the 1-cube with its sink at 0, then fiber k on top, combed down along k + 1
-    table = np.concatenate(
-        [np.arange(2, dtype=np.uint32)]
-        + [f.outmap | np.uint32(bit(k + 1)) for k, f in enumerate(fiber_choices, 1)]
-    )
-    return Orientation(n, table)
+    table = np.empty(1 << n, dtype=np.uint32)
+    table[:2] = 0, 1
+    for k, f in enumerate(fiber_choices, 1):
+        np.bitwise_or(f.outmap, np.uint32(bit(k + 1)), out=table[1 << k : 2 << k])
+    return Orientation._own(n, table)
 
 
 def random_target_combed(n: int, rng: SplitMix64) -> Orientation:
@@ -359,9 +368,9 @@ def auso_lower_bound(n: int) -> Orientation:
     pick = (i < j) & (j < k)
     upper = full ^ (others[i[pick]] | others[j[pick]] | others[k[pick]])
     ends = np.concatenate([face, path, np.stack([upper, upper ^ 0b100], axis=1)])
-    table = np.arange(1 << n, dtype=np.uint32) ^ np.uint32(full)  # forward-uniform
+    table = _forward_uniform(n)
     table[ends] ^= (ends[:, :1] ^ ends[:, 1:]).astype(np.uint32)
-    return Orientation(n, table)
+    return Orientation._own(n, table)
 
 
 def build_family(family: str, n: int, seed: int) -> Orientation:

@@ -104,6 +104,18 @@ def _check_vertex(n: int, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for dimension {n}")
 
 
+def _check_table(n: int, table: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``table`` is an outmap table of the
+    n-cube: 2**n integers (by dtype) in 0..2**n - 1."""
+    _check_dimension(n)
+    if table.shape != (1 << n,):
+        raise ValueError(f"outmap table must have {1 << n} entries, got {table.shape}")
+    if table.dtype.kind not in "iu":
+        raise ValueError(f"outmap table must hold integers, got dtype {table.dtype}")
+    if (table.dtype.kind == "i" and int(table.min()) < 0) or int(table.max()) > full_mask(n):
+        raise ValueError("outmap entry out of range for dimension")
+
+
 def _check_face(n: int, f: "Face") -> None:
     """Raise ``ValueError`` unless every vertex of ``f`` is a vertex of the
     n-cube, naming the least one that is not: the anchor, or the anchor
@@ -156,9 +168,8 @@ class Orientation:
     """Dimension plus a dense outmap table of 2**n coordinate sets.
 
     The constructor always copies ``outmap`` into a read-only uint32 table,
-    so it never aliases its input (the copy takes 0.04-0.08 ms at n = 18 on
-    a 2-CPU Python 3.11 / numpy 2.4 host); every construction that changes
-    an orientation returns a new instance. The constructor checks only that
+    so it never aliases its input; every construction that changes an
+    orientation returns a new instance. The constructor checks only that
     the entries are integers (by dtype, so floats and booleans raise rather
     than truncate) within range; edge consistency is a separate predicate
     so that deliberately broken tables can be represented and rejected.
@@ -167,25 +178,39 @@ class Orientation:
     3-cube, as on the canonical forms, a call took 3.0 us, against 4.3 us
     with the ``min`` at commit 9b83d3d (best of 3 processes of 7 x 3 runs,
     2-CPU host, Python 3.11, numpy 2.4).
+
+    The builders of :mod:`usolib.construct` and the loaders of
+    :mod:`usolib.io` build each table in one fresh uint32 buffer and hand
+    it over through :meth:`_own`, which runs the same check and keeps the
+    buffer, read-only, with no copy. A copy costs little in a timing loop
+    and much in an op loop: between ops glibc returns freed tables to the
+    OS, so each new copy is page-faulted in again. Copying a Klee-Minty
+    18-table (1 MiB) took 0.05 ms into reused memory and 0.6-0.7 ms into
+    fresh pages (best of 7 x 200, 2-CPU host, Python 3.11, numpy 2.4).
     """
 
     __slots__ = ("n", "_table")
 
     def __init__(self, n: int, outmap):
-        _check_dimension(n)
         table = np.asarray(outmap)
-        if table.shape != (1 << n,):
-            raise ValueError(
-                f"outmap table must have {1 << n} entries, got {table.shape}"
-            )
-        if table.dtype.kind not in "iu":
-            raise ValueError(f"outmap table must hold integers, got dtype {table.dtype}")
-        if (table.dtype.kind == "i" and int(table.min()) < 0) or int(table.max()) > full_mask(n):
-            raise ValueError("outmap entry out of range for dimension")
+        _check_table(n, table)
         table = np.array(table, dtype=np.uint32)
         table.setflags(write=False)
         self.n = n
         self._table = table
+
+    @classmethod
+    def _own(cls, n: int, table: np.ndarray) -> "Orientation":
+        """The orientation of ``table``, a uint32 array that owns its data
+        and that no caller writes again: checked as the constructor checks
+        its input, then made read-only and kept, not copied."""
+        assert table.dtype == np.uint32 and table.base is None
+        _check_table(n, table)
+        table.setflags(write=False)
+        o = cls.__new__(cls)
+        o.n = n
+        o._table = table
+        return o
 
     @property
     def outmap(self) -> np.ndarray:
@@ -316,13 +341,30 @@ def sink_and_source(o: Orientation) -> tuple[int, int]:
     n = 16 and 993 -> 622 us at n = 18, and is level at n = 3 and 10
     (4.0 -> 3.6 and 7.6 -> 6.6 us; best of 3 processes of 5 runs, 2-CPU
     host, Python 3.11, numpy 2.4).
+
+    The sink and the source come from ``argmin`` and ``argmax`` on each
+    block, never on the table: numpy's argmin wants a writeable array and
+    copies a read-only one, so on the table both would cost two
+    whole-table copies (argmin on a read-only 18-table took 61-71 us
+    against 19-23 us on a writeable one, memory warm). Each
+    block is freed before the next is built, so at most one is alive: a
+    block kept until the next replaced it brought back 1 600 of the 2 200
+    page faults per re-sweep benchmark cycle that the copies cost.
     """
     table = o._table
+    top = table.size - 1
     seen = np.zeros(table.size, dtype=bool)
     for k in range(0, table.size, _SCATTER_BLOCK):
-        seen[table[k : k + _SCATTER_BLOCK].astype(np.intp)] = True
+        block = table[k : k + _SCATTER_BLOCK].astype(np.intp)
+        seen[block] = True
+        i, j = int(block.argmin()), int(block.argmax())
+        if block.item(i) == 0:
+            sink = k + i
+        if block.item(j) == top:
+            source = k + j
+        del block
     if seen.all():
-        return int(table.argmin()), int(table.argmax())
+        return sink, source
     sinks = np.count_nonzero(table == 0)
     if sinks != 1:
         raise NotUSOError(

@@ -36,10 +36,11 @@ class ParseError(ValueError):
     JSON outmap entry, or (for a file that is not UTF-8) the file."""
 
 
-def _finish(n: int, values: list[int] | np.ndarray, where) -> Orientation:
-    """The orientation of ``values``; an edge-inconsistent table raises,
-    naming the place of the first bad vertex v as ``where(v)``."""
-    o = Orientation(n, values)
+def _finish(n: int, values: np.ndarray, where) -> Orientation:
+    """The orientation of ``values``, a fresh uint32 table that it keeps;
+    an edge-inconsistent table raises, naming the place of the first bad
+    vertex v as ``where(v)``."""
+    o = Orientation._own(n, values)
     bad = first_edge_violation(o)
     if bad is not None:
         v, j = bad
@@ -54,8 +55,13 @@ def loads_text(text: str) -> Orientation:
     """Parse USO-TEXT v1; any other text raises ``ParseError``, naming the
     first error in the order the module docstring gives."""
     # a lone surrogate encodes too, to bytes that are not digits
-    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
-    if "\r" in text:  # drop each CR that ends a line; any other is refused
+    return _loads_text_bytes(text.encode(errors="surrogatepass"))
+
+
+def _loads_text_bytes(raw: bytes) -> Orientation:
+    """:func:`loads_text` on the text's UTF-8 bytes."""
+    data = np.frombuffer(raw, np.uint8)
+    if b"\r" in raw:  # drop each CR that ends a line; any other is refused
         data = np.delete(data, np.flatnonzero((data[:-1] == _CR) & (data[1:] == _LF)))
     ends = np.flatnonzero(data == _LF)
     if data.size and data[-1] != _LF:
@@ -88,7 +94,7 @@ def loads_text(text: str) -> Orientation:
     digits_only = np.count_nonzero(body - _ZERO < 10) == lengths.sum()
     # Horner's rule over the last `width` digit columns; a column that a
     # line does not reach reads "0", and the "0"s are taken off at the end
-    values = np.zeros(count, dtype=np.int32)
+    values = np.zeros(count, dtype=np.uint32)
     for k in range(width, 0, -1):
         digits = data.take(ends - k)
         digits[lengths < k] = _ZERO
@@ -147,7 +153,7 @@ def loads_json(text: str) -> Orientation:
     for k, value in enumerate(outmap):
         if type(value) is not int or not 0 <= value <= top:
             raise ParseError(f"outmap entry {k} is not an integer in 0..{top}")
-    return _finish(n, outmap, lambda v: f"outmap entry {v}")
+    return _finish(n, np.array(outmap, dtype=np.uint32), lambda v: f"outmap entry {v}")
 
 
 def dumps_json(o: Orientation) -> str:
@@ -161,15 +167,19 @@ def read_orientation(path: str | Path) -> Orientation:
     The file's text reaches the loader as it is, with no newline
     translation. A file that is not UTF-8 raises ``ParseError`` naming the
     file; a file that cannot be read (missing, a directory) raises the
-    ``OSError``."""
+    ``OSError``. A USO-TEXT file's bytes are its text's UTF-8 encoding, so
+    they are parsed as read; only a file that is not ASCII is decoded,
+    to be checked."""
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
-    if path.suffix == ".json":
-        return loads_json(text)
-    return loads_text(text)
+    raw = path.read_bytes()
+    if path.suffix == ".json" or not raw.isascii():
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+        if path.suffix == ".json":
+            return loads_json(text)
+    return _loads_text_bytes(raw)
 
 
 def write_orientation(o: Orientation, path: str | Path) -> None:

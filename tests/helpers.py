@@ -20,8 +20,9 @@ Edge as nested loops over snapshots and a ball list, enumeration by pruned backt
 force over raw edge orientations, software PEXT, the cube's automorphisms
 as Python lists, canonical forms by one loop per automorphism, the memoised
 decomposability recursion over faces, acyclicity from reachability, the
-pure-python cover-distance level sweep, and the exact Random Edge
-expectations as one linear solve.
+pure-python cover-distance level sweep, the exact Random Edge
+expectations as one linear solve, and a check that a table is the
+orientation's own.
 """
 
 from __future__ import annotations
@@ -931,3 +932,13 @@ def re_expectation_by_solve(o: Orientation) -> np.ndarray:
         for j in coords(s):
             system[v, v ^ bit(j)] -= 1 / s.bit_count()
     return np.linalg.solve(system, steps)
+
+
+def assert_owns_a_fresh_table(o: Orientation, *inputs) -> None:
+    """``o.outmap`` is read-only, owns its data (so no writeable base can
+    be reached through it) and shares no memory with any input."""
+    table = o.outmap
+    assert table.dtype == np.uint32 and not table.flags.writeable
+    assert table.base is None and table.flags.owndata
+    for x in inputs:
+        assert not np.shares_memory(table, x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_owns_a_fresh_table,
     auso_lower_bound_by_flips,
     fmo_by_list,
     hypersink_reorient_by_vertices,
@@ -20,6 +21,7 @@ import usolib.construct
 from usolib.bitops import bit, coords, full_mask, popcount
 from usolib.cli import main
 from usolib.construct import (
+    FAMILIES,
     FlipPreconditionViolated,
     HypersinkViolated,
     _shuffled_range,
@@ -270,6 +272,47 @@ def test_traced_peak_memory_per_edge_of_random_fmo_at_n_16():
     finally:
         tracemalloc.stop()
     assert peak <= _FMO_PEAK_BYTES_PER_EDGE * (n << (n - 1))
+
+
+#: traced peaks at n = 16 in bytes per vertex: the table itself is 4, and
+#: each whole-table temporary or copy adds 4 more (measured 4.0, 4.0, 4.1,
+#: 5.7 and 9.3, where the builders' temporaries and the constructor's copy
+#: took 8.0, 8.0, 8.0, 9.5 and 12.7)
+_BUILDER_PEAKS = {"uniform": 4.5, "km": 4.5, "cyclic-lb": 4.5, "auso-lb": 6.5, "product": 10.5}
+
+
+@pytest.mark.parametrize("family", _BUILDER_PEAKS)
+def test_builders_make_no_whole_table_copy(family):
+    n = 16
+    tracemalloc.start()
+    try:
+        build_family(family, n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BUILDER_PEAKS[family] * (1 << n)
+
+
+def test_every_builder_owns_its_table():
+    for family in FAMILIES:
+        assert_owns_a_fresh_table(build_family(family, 6, 5))
+    km = klee_minty(4)
+    fibers = [klee_minty(2), uniform(2), reverse_orientation(uniform(2)), klee_minty(2)]
+    for o, inputs in [
+        (reverse_orientation(km), [km.outmap]),
+        (flip_edge(km, 0, 1), [km.outmap]),
+        (product(uniform(2), fibers), [uniform(2).outmap] + [f.outmap for f in fibers]),
+        (target_combed(3, [uniform(1), fibers[1]]), [fibers[1].outmap]),
+        (flip_matching(3, np.array([[0, 1]])), []),
+    ]:
+        assert_owns_a_fresh_table(o, *inputs)
+    u = uniform(4)
+    face = Face(0b1100, 0b0011)  # a hypersink of the uniform 4-cube
+    replacement = klee_minty(2)
+    o = hypersink_reorient(u, face, replacement)
+    assert_owns_a_fresh_table(o, u.outmap, replacement.outmap)
+    table = np.arange(8, dtype=np.uint32)
+    assert_owns_a_fresh_table(Orientation(3, table), table)  # the constructor copies
 
 
 def test_random_matchings_always_give_usos():

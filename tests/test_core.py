@@ -343,6 +343,57 @@ def test_sink_and_source_accepts_exactly_the_bijective_tables():
         assert exc.value.pair == (u, v)
 
 
+@pytest.mark.parametrize("n", [17, 18])
+def test_sink_and_source_past_one_scatter_block(n):
+    # the gate takes the sink and the source block by block, so on tables
+    # of 2 and 4 blocks the empty and the full outmap sit in different ones
+    block = usolib.core._SCATTER_BLOCK
+    blocks = (1 << n) // block
+    top = full_mask(n)
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        sink_block, source_block = rng.choice(blocks, 2, replace=False)
+        p, q = (int(b) * block + int(rng.integers(block)) for b in (sink_block, source_block))
+        table = rng.permutation(1 << n).astype(np.uint32)
+        for position, value in ((p, 0), (q, top)):
+            at = int(np.flatnonzero(table == value)[0])
+            table[[at, position]] = table[[position, at]]
+        o = Orientation(n, table)
+        outmaps = o.outmap.tolist()
+        assert sink_and_source(o) == (outmaps.index(0), outmaps.index(top)) == (p, q)
+    # a repeated outmap whose two vertices sit in different blocks: an
+    # outmap between, the full one (a pair), and the empty one (two sinks)
+    for value in (int(rng.integers(1, top)), top, 0):
+        u, v = sorted(int(b) * block + int(rng.integers(block)) for b in rng.choice(blocks, 2, replace=False))
+        at = int(np.flatnonzero(table == value)[0])
+        table[[at, u]] = table[[u, at]]
+        bad = table.copy()
+        bad[v] = value
+        o = Orientation(n, bad)
+        with pytest.raises(NotUSOError) as exc:
+            sink_and_source(o)
+        assert certificate_holds(o, exc.value)
+        outmaps = o.outmap.tolist()
+        if value:
+            assert exc.value.pair == (outmaps.index(value), v) == (u, v)
+        else:
+            assert (exc.value.face, exc.value.count) == (Face.whole_cube(n), 2)
+
+
+def test_the_gate_copies_no_table():
+    # the seen array is 1 B/vertex and one intp scatter block 0.5 B/vertex
+    # at n = 20; argmin and argmax on the read-only table copied it twice
+    # (5.0 B/vertex traced)
+    o = klee_minty(20)
+    tracemalloc.start()
+    try:
+        sink_and_source(o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+
+
 def checked_certificate(o: Orientation):
     """The face and count of the error ``first_uso_violation`` returns,
     None on a USO; the certificate must hold."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     analyze_text_by_lines,
+    assert_owns_a_fresh_table,
     dumps_text_by_lines,
     first_edge_violation_pure,
     first_uso_violation_by_face_scan,
@@ -275,6 +276,25 @@ def test_read_orientation_translates_no_newlines(tmp_path):
     path.write_bytes(text.encode())
     expect = "line 4: expected 4 outmap lines for n=2, got 3"
     assert _load(read_orientation, path) == _load(loads_text, text) == expect
+
+
+def test_read_orientation_parses_a_text_file_as_its_bytes(tmp_path):
+    # an ASCII file is parsed as read and any other UTF-8 file is decoded
+    # first; both read as loads_text reads the text
+    path = tmp_path / "u2.uso"
+    for text in ("uso 2\n3\n2\n1\n0\n", "uso 2\n3\n2\n\u0663\n0\n", "uso 2\r\n3\n2\n1\n\u00a0\n"):
+        path.write_bytes(text.encode())
+        assert _load(read_orientation, path) == _load(loads_text, text)
+
+
+def test_the_loaders_own_their_tables(tmp_path):
+    o = klee_minty(5)
+    for suffix, dumps, loads in ((".uso", dumps_text, loads_text), (".json", dumps_json, loads_json)):
+        path = tmp_path / f"km5{suffix}"
+        path.write_text(dumps(o))
+        for loaded in (read_orientation(path), loads(dumps(o))):
+            assert loaded == o
+            assert_owns_a_fresh_table(loaded, o.outmap)
 
 
 def test_dumps_text_across_a_block_boundary():
